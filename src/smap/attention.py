@@ -15,7 +15,7 @@ hard threshold. Evaluation mode thresholds the noiseless sigmoid at 0.5
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,9 +55,6 @@ class MaskSet:
     out: LayerMask
     tau: float
     mode: str
-
-    def hard_arrays(self) -> tuple[list[np.ndarray], np.ndarray]:
-        return [m.hard.data for m in self.layers], self.out.hard.data
 
 
 @dataclass
@@ -144,7 +141,7 @@ def sample_mask_values(logits: Tensor, mode: str, tau: float,
         raise ConfigError(f"mask temperature must be positive, got {tau}")
     if mode == "eval":
         hard_vals = (logits.data > 0).astype(logits.data.dtype)
-        soft = Tensor(_sigmoid_np(logits.data), dtype=logits.data.dtype)
+        soft = Tensor(ad.sigmoid_array(logits.data), dtype=logits.data.dtype)
         return soft, Tensor(hard_vals, dtype=logits.data.dtype)
     if mode not in ("train", "soft"):
         raise ConfigError(f"unknown mask sampling mode {mode!r}")
@@ -159,15 +156,6 @@ def sample_mask_values(logits: Tensor, mode: str, tau: float,
     return soft, ad.st_round(soft)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _mask_logits(tokens: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     qm = ad.matmul(tokens, params[prefix + "wqm"])
     km = ad.matmul(tokens, params[prefix + "wkm"])
@@ -180,28 +168,32 @@ def _agg_mask_logits(tokens: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: str,
-                           mask: Tensor, d_k: int) -> tuple[Tensor, Tensor]:
-    """One attention layer; returns (new tokens, attention weights)."""
+                           mask: Optional[Tensor], d_k: int) -> tuple[Tensor, Tensor]:
+    """One attention layer; returns (new tokens, attention weights).
+
+    ``mask=None`` is dense attention, equal in value to an all-ones mask."""
     q = ad.matmul(tokens, params[prefix + "wq"])
     k = ad.matmul(tokens, params[prefix + "wk"])
     v = ad.matmul(tokens, params[prefix + "wv"])
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    attn = ad.masked_softmax(scores, mask)
+    attn = ad.softmax_rows(scores) if mask is None else ad.masked_softmax(scores, mask)
     mixed = ad.matmul(attn, v)
     x = layer_norm(ad.add(tokens, mixed), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
-    hidden = ad.relu(ad.add(ad.matmul(x, params[prefix + "ffn_w1"]), params[prefix + "ffn_b1"]))
-    ff = ad.add(ad.matmul(hidden, params[prefix + "ffn_w2"]), params[prefix + "ffn_b2"])
+    hidden = ad.relu(ad.linear(x, params[prefix + "ffn_w1"], params[prefix + "ffn_b1"]))
+    ff = ad.linear(hidden, params[prefix + "ffn_w2"], params[prefix + "ffn_b2"])
     out = layer_norm(ad.add(x, ff), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
     return out, attn
 
 
-def aggregate(tokens: Tensor, params: dict[str, Tensor], mask_out: Tensor,
+def aggregate(tokens: Tensor, params: dict[str, Tensor], mask_out: Optional[Tensor],
               d_k: int) -> tuple[Tensor, Tensor]:
-    """Single-query masked attention over the final tokens -> (B, d) features."""
+    """Single-query masked attention over the final tokens -> (B, d) features;
+    ``mask_out=None`` attends densely."""
     k = ad.matmul(tokens, params["agg.wk"])
     v = ad.matmul(tokens, params["agg.wv"])
     scores = ad.scale(ad.matmul(params["agg.q"], ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    attn = ad.masked_softmax(scores, mask_out)
+    attn = (ad.softmax_rows(scores) if mask_out is None
+            else ad.masked_softmax(scores, mask_out))
     feat = ad.matmul(attn, v)                       # (B, 1, d)
     return ad.reshape(feat, (feat.shape[0], feat.shape[2])), attn
 
@@ -212,43 +204,42 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
                         masks_override: Optional[MaskSet] = None,
                         want_records: bool = False,
                         ) -> tuple[Tensor, Optional[MaskSet], Optional[list[AttnRecord]]]:
-    """Layer stack plus aggregation, sampling masks from evolving tokens."""
+    """Layer stack plus aggregation, sampling masks from evolving tokens.
+
+    Without mask parameters or an override, attention is dense and the mask
+    set is None."""
     sampling = masks_override is None and "agg.qm" in params
     x = tokens
     layer_masks: list[LayerMask] = []
     records: list[AttnRecord] = [] if want_records else None
+
+    def record(layer: int, attn: Tensor, mask: Optional[Tensor]) -> None:
+        if want_records:
+            hard = np.ones_like(attn.data) if mask is None else mask.data.copy()
+            records.append(AttnRecord(layer, attn.data.copy(), hard))
+
     for l in range(cfg.n_layers):
+        hard = None
         if masks_override is not None:
-            lm = masks_override.layers[l]
+            hard = masks_override.layers[l].hard
         elif sampling:
             logits = _mask_logits(x, params, f"layer{l}.")
             soft, hard = sample_mask_values(logits, mode, cfg.tau, noise_rng)
-            lm = LayerMask(logits, soft, hard)
-        else:
-            b, n = x.shape[0], x.shape[1]
-            lm = LayerMask(None, None, Tensor(np.ones((b, n, n)), dtype=x.data.dtype))
-        layer_masks.append(lm)
-        x, attn = masked_attention_layer(x, params, f"layer{l}.", lm.hard, cfg.d_k)
-        if want_records:
-            records.append(AttnRecord(l, attn.data.copy(), lm.hard.data.copy()))
+            layer_masks.append(LayerMask(logits, soft, hard))
+        x, attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_k)
+        record(l, attn, hard)
 
+    out_hard = None
+    masks = masks_override
     if masks_override is not None:
-        om = masks_override.out
+        out_hard = masks_override.out.hard
     elif sampling:
         logits = _agg_mask_logits(x, params)
-        soft, hard = sample_mask_values(logits, mode, cfg.tau, noise_rng)
-        om = LayerMask(logits, soft, hard)
-    else:
-        b, n = x.shape[0], x.shape[1]
-        om = LayerMask(None, None, Tensor(np.ones((b, 1, n)), dtype=x.data.dtype))
-    features, agg_attn = aggregate(x, params, om.hard, cfg.d_k)
-    if want_records:
-        records.append(AttnRecord(-1, agg_attn.data.copy(), om.hard.data.copy()))
-
-    masks = MaskSet(layers=layer_masks, out=om, tau=cfg.tau, mode=mode) \
-        if (sampling or masks_override is not None) else None
-    if masks_override is not None:
-        masks = masks_override
+        soft, out_hard = sample_mask_values(logits, mode, cfg.tau, noise_rng)
+        masks = MaskSet(layers=layer_masks, out=LayerMask(logits, soft, out_hard),
+                        tau=cfg.tau, mode=mode)
+    features, agg_attn = aggregate(x, params, out_hard, cfg.d_k)
+    record(-1, agg_attn, out_hard)
     return features, masks, records
 
 

@@ -9,11 +9,17 @@ the ``grad`` slot of leaf tensors. Gradients accumulate additively until
 Precision is a process-global setting: training runs at float32, the
 verification suites switch to float64 via the ``precision`` context
 manager because finite-difference checks are unreliable at float32.
+
+Kernels avoid numpy's slow paths (short last axes, data-dependent branches)
+and keep the input dtype. The sigmoid, the softmaxes' row max and
+``transpose`` (a view) are bit-exact against their textbook forms; layer-norm
+means and bias/gain gradient sums are matrix-vector products, which
+reassociate the sums. No op writes into an array it did not allocate.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -233,7 +239,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        m = int(np.prod(g.shape[:extra]))
+        rest = g.shape[extra:]
+        g = (np.ones(m, dtype=g.dtype) @ g.reshape(m, int(np.prod(rest)))).reshape(rest)
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -324,13 +332,14 @@ def square(t: Tensor) -> Tensor:
     return _unary(t, t.data * t.data, lambda g: g * 2.0 * t.data)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Branch-free logistic; bit-equal to 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) below, since exp(min(x, 0)) is exactly 1 from zero up."""
+    return np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    s = sigmoid_array(t.data)
     return _unary(t, s, lambda g: g * s * (1.0 - s))
 
 
@@ -340,10 +349,10 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
-    m = t.data > 0
     if _KINK_CAPTURE is not None:
-        _KINK_CAPTURE.append(np.packbits(m))
-    return _unary(t, t.data * m, lambda g: g * m)
+        _KINK_CAPTURE.append(np.packbits(t.data > 0))
+    out = np.maximum(t.data, 0)
+    return _unary(t, out, lambda g: g * (out > 0))
 
 
 class capture_kinks:
@@ -422,9 +431,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` (w 2-d, b 1-d) as one GEMM and one tape entry."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise DimensionError(f"linear needs x (..., k), w (k, m) and b (m,), "
+                             f"got {x.shape}, {w.shape} and {b.shape}")
+    out_data = _mm(x.data, w.data)
+    out_data += b.data
+    out = Tensor(out_data, dtype=out_data.dtype)
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = _mm(g, w.data.T) if x.requires_grad else None
+        gw = x.data.reshape(-1, w.shape[0]).T @ g2 if w.requires_grad else None
+        gb = _unbroadcast(g2, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _emit(out, (x, w, b), bwd)
+
+
 def transpose(t: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    out = Tensor(np.swapaxes(t.data, -1, -2).copy(), dtype=t.data.dtype)
+    """Swap the last two axes (a view of the input's array)."""
+    out = Tensor(np.swapaxes(t.data, -1, -2), dtype=t.data.dtype)
     return _emit(out, (t,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
@@ -446,9 +474,16 @@ def st_round(t: Tensor, threshold: float = 0.5) -> Tensor:
     return _unary(t, hard, lambda g: g)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``: numpy reduces a short last axis row by
+    row, a leading axis in one vectorised pass; max is order-independent."""
+    flat = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+    return flat.max(axis=0).reshape(x.shape[:-1] + (1,))
+
+
 def softmax_rows(t: Tensor) -> Tensor:
     """Stable softmax along the last axis; every row sums to one."""
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
+    shifted = t.data - _row_max(t.data)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s, dtype=t.data.dtype)
@@ -461,7 +496,7 @@ def softmax_rows(t: Tensor) -> Tensor:
 
 
 def log_softmax(t: Tensor) -> Tensor:
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
+    shifted = t.data - _row_max(t.data)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
     out = Tensor(out_data, dtype=t.data.dtype)
@@ -481,20 +516,28 @@ def masked_softmax(scores: Tensor, mask: Tensor) -> Tensor:
     """
     if scores.shape != mask.shape:
         raise DimensionError(f"scores shape {scores.shape} != mask shape {mask.shape}")
-    live = mask.data > 0
-    neg_inf = np.where(live, scores.data, -np.inf)
-    c = neg_inf.max(axis=-1, keepdims=True)
+    # arithmetic, not np.where, on full-size arrays: numpy's select loop
+    # branches. cap is +inf on live lanes and -inf on masked ones.
+    cap = (mask.data > 0).astype(scores.data.dtype)
+    cap -= 0.5
+    cap *= np.inf
+    neg_inf = np.minimum(scores.data, cap)
+    c = _row_max(neg_inf)
     c = np.where(np.isfinite(c), c, 0.0)
     e = np.exp(neg_inf - c)          # exp(-inf) = 0 for masked lanes
     z = mask.data * e
     r = z.sum(axis=-1, keepdims=True)
-    r_safe = np.where(r > 0, r, 1.0)
-    attn = np.where(r > 0, z / r_safe, 0.0)
+    nonempty = r > 0
+    r_safe = np.where(nonempty, r, 1.0)
+    attn = z / r_safe
+    attn *= nonempty                 # 0/0 := 0 for all-masked rows
     out = Tensor(attn, dtype=scores.data.dtype)
 
     def bwd(g):
         inner = (g * attn).sum(axis=-1, keepdims=True)
-        dz = np.where(r > 0, (g - inner) / r_safe, 0.0)
+        dz = g - inner
+        dz /= r_safe
+        dz *= nonempty
         g_scores = dz * z if scores.requires_grad else None
         g_mask = dz * e if mask.requires_grad else None
         return g_scores, g_mask
@@ -505,21 +548,32 @@ def masked_softmax(scores: Tensor, mask: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     d = x.shape[-1]
-    m = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - m
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv_d = np.full(d, 1.0 / d, dtype=x.data.dtype)
+
+    def row_mean(a):
+        return (a.reshape(-1, d) @ inv_d).reshape(a.shape[:-1] + (1,))
+
+    centered = x.data - row_mean(x.data)
+    inv = 1.0 / np.sqrt(row_mean(centered * centered) + eps)
     xh = centered * inv
-    out = Tensor(xh * gain.data + bias.data, dtype=x.data.dtype)
+    out_data = xh * gain.data
+    out_data += bias.data
+    out = Tensor(out_data, dtype=x.data.dtype)
 
     def bwd(g):
         g_gain = _unbroadcast(g * xh, gain.shape) if gain.requires_grad else None
         g_bias = _unbroadcast(g, bias.shape) if bias.requires_grad else None
         gx = None
         if x.requires_grad:
+            # inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), built in dxh
             dxh = g * gain.data
-            gx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
-                        - xh * np.mean(dxh * xh, axis=-1, keepdims=True))
+            proj = dxh * xh
+            proj_mean = row_mean(proj)
+            np.multiply(xh, proj_mean, out=proj)
+            dxh -= row_mean(dxh)
+            dxh -= proj
+            dxh *= inv
+            gx = dxh
         return gx, g_gain, g_bias
 
     return _emit(out, (x, gain, bias), bwd)
@@ -561,28 +615,28 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     h2 = (h - kh) // stride + 1
     w2 = (w - kw) // stride + 1
 
+    # im2col as (C*kh*kw, B*h2*w2), so the copy runs along output columns. One
+    # 2-d GEMM gives (B*h2*w2, F); the output is an NCHW view of it, and the
+    # backward views its gradient in the same channels-last layout
     s0, s1, s2, s3 = xd.strides
     patches = np.lib.stride_tricks.as_strided(
-        xd, shape=(b_sz, h2, w2, c_in, kh, kw),
-        strides=(s0, s2 * stride, s3 * stride, s1, s2, s3))
-    cols = patches.reshape(b_sz, h2 * w2, c_in * kh * kw)
+        xd, shape=(c_in, kh, kw, b_sz, h2, w2),
+        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride))
+    cols = patches.reshape(c_in * kh * kw, b_sz * h2 * w2)
     wmat = kernels.data.reshape(f_out, c_in * kh * kw)
-    out_mat = np.matmul(cols, wmat.T)
-    out_data = out_mat.transpose(0, 2, 1).reshape(b_sz, f_out, h2, w2)
+    out_data = (cols.T @ wmat.T).reshape(b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
     if squeeze:
         out_data = out_data[0]
     out = Tensor(out_data, dtype=x.data.dtype)
 
     def bwd(g):
         gd = g[None] if squeeze else g
-        g_mat = gd.reshape(gd.shape[0], f_out, h2 * w2).transpose(0, 2, 1)
+        g_out = gd.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
         gk = gx = None
         if kernels.requires_grad:
-            g2 = np.ascontiguousarray(g_mat).reshape(-1, f_out)
-            gk = (g2.T @ cols.reshape(-1, cols.shape[-1])).reshape(kernels.shape)
+            gk = (cols @ g_out).T.reshape(kernels.shape)
         if x.requires_grad:
-            g_cols = np.matmul(g_mat, wmat)
-            g_patches = g_cols.reshape(b_sz, h2, w2, c_in, kh, kw)
+            g_patches = (g_out @ wmat).reshape(b_sz, h2, w2, c_in, kh, kw)
             gx_full = np.zeros_like(xd)
             for i in range(kh):
                 for j in range(kw):
@@ -592,13 +646,3 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         return gx, gk
 
     return _emit(out, (x, kernels), bwd)
-
-
-def collect_parameters(params: dict) -> list[Tensor]:
-    """Deterministically ordered parameter list from a name->Tensor mapping."""
-    return [params[k] for k in params]
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()

@@ -122,23 +122,26 @@ def _t(rng, *shape) -> Tensor:
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-def _primitive_checks(rng) -> dict[str, Callable[[], float]]:
-    def check(make):
-        tensors, fn = make()
-        return max_rel_error_coordinatewise(fn, tensors)
+def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]]]:
+    """name -> factory of (input tensors, scalar loss through that op).
 
+    Inputs take the default dtype when the factory is called.
+    """
     def scalar(fn_inner):
         return lambda ts: ad.tsum(fn_inner(*ts))
 
-    cases: dict[str, Callable[[], float]] = {}
+    cases: dict[str, Callable[[], tuple[list[Tensor], Callable]]] = {}
 
     def register(name, make):
-        cases[name] = lambda: check(make)
+        cases[name] = make
 
     register("matmul", lambda: ([_t(rng, 3, 4), _t(rng, 4, 2)],
                                 scalar(lambda a, b: ad.matmul(a, ad.mul(b, b)))))
     register("matmul_batched", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2)],
                                         scalar(lambda a, b: ad.matmul(a, b))))
+    register("linear", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)],
+                                scalar(lambda x, w, b: ad.mul(ad.linear(x, w, b),
+                                                              ad.linear(x, w, b)))))
     register("add", lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
                              scalar(lambda a, b: ad.add(ad.mul(a, a), b))))
     register("add_broadcast", lambda: ([_t(rng, 2, 3), _t(rng, 3)],
@@ -208,10 +211,11 @@ def run_primitive_suite(instances: int = 100, seed: int = 0,
     results = []
     with ad.precision(np.float64):
         rng = np.random.default_rng(seed)
-        for name, runner in _primitive_checks(rng).items():
+        for name, make in primitive_cases(rng).items():
             worst = 0.0
             for _ in range(instances):
-                worst = max(worst, runner())
+                tensors, fn = make()
+                worst = max(worst, max_rel_error_coordinatewise(fn, tensors))
             results.append(CheckResult(name, worst, instances))
             if progress:
                 progress(f"{name}: worst rel err {worst:.3e}")

@@ -100,48 +100,9 @@ def _target_maps(walls: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return maps
 
 
-def dodge_optimal_values(level: LevelSpec, start_t: int = 0,
-                         hazards=None) -> np.ndarray:
-    """V[t, r, c]: best achievable return from (r, c) at time t (free cells)."""
-    hazards = hazards if hazards is not None else level.hazards
-    horizon = level.horizon
-    walls = level.walls
-    maps = _target_maps(walls)
-    item = level.item
-    values = np.zeros((horizon + 1, GRID, GRID))
-    for t in range(horizon - 1, start_t - 1, -1):
-        cur, nxt, _ = hazards[t]
-        at2 = hazards[t + 1][0]
-        occ2 = np.zeros((GRID, GRID), dtype=bool)
-        if at2.size:
-            occ2[at2[:, 0], at2[:, 1]] = True
-        best = np.full((GRID, GRID), -np.inf)
-        for a, (tr, tc) in enumerate(maps):
-            val = envs.TICK_REWARD + values[t + 1][tr, tc]
-            collide = occ2[tr, tc].copy()
-            for j in range(cur.shape[0]):
-                p, q = tuple(cur[j]), tuple(nxt[j])
-                if q == (-1, -1):
-                    continue
-                # swap: moving from q into p while the projectile does p -> q
-                hits = (tr == p[0]) & (tc == p[1])
-                src_is_q = np.zeros_like(hits)
-                src_is_q[q] = True
-                collide |= hits & src_is_q
-            val = np.where(collide, 0.0, val)
-            val = np.where((tr == item[0]) & (tc == item[1]), envs.GOAL_REWARD, val)
-            best = np.maximum(best, val)
-        best[walls] = 0.0
-        values[t] = best
-    return values
-
-
-def dodge_optimal_actions(level: LevelSpec, values: np.ndarray, t: int,
-                          hazards=None) -> np.ndarray:
-    """Greedy action grid at time t under the given value table (first-max)."""
-    hazards = hazards if hazards is not None else level.hazards
-    walls = level.walls
-    maps = _target_maps(walls)
+def _dodge_q_values(level: LevelSpec, values: np.ndarray, t: int, hazards,
+                    maps) -> np.ndarray:
+    """Q[a, r, c]: return of action a from (r, c) at time t, then V[t + 1]."""
     item = level.item
     cur, nxt, _ = hazards[t]
     at2 = hazards[t + 1][0]
@@ -153,16 +114,38 @@ def dodge_optimal_actions(level: LevelSpec, values: np.ndarray, t: int,
         val = envs.TICK_REWARD + values[t + 1][tr, tc]
         collide = occ2[tr, tc].copy()
         for j in range(cur.shape[0]):
-            p, qq = tuple(cur[j]), tuple(nxt[j])
-            if qq == (-1, -1):
+            p, q = tuple(cur[j]), tuple(nxt[j])
+            if q == (-1, -1):
                 continue
+            # swap: moving from q into p while the projectile does p -> q
             hits = (tr == p[0]) & (tc == p[1])
             src_is_q = np.zeros_like(hits)
-            src_is_q[qq] = True
+            src_is_q[q] = True
             collide |= hits & src_is_q
         val = np.where(collide, 0.0, val)
         val = np.where((tr == item[0]) & (tc == item[1]), envs.GOAL_REWARD, val)
         q_values[a] = val
+    return q_values
+
+
+def dodge_optimal_values(level: LevelSpec, start_t: int = 0,
+                         hazards=None) -> np.ndarray:
+    """V[t, r, c]: best achievable return from (r, c) at time t (free cells)."""
+    hazards = hazards if hazards is not None else level.hazards
+    maps = _target_maps(level.walls)
+    values = np.zeros((level.horizon + 1, GRID, GRID))
+    for t in range(level.horizon - 1, start_t - 1, -1):
+        best = _dodge_q_values(level, values, t, hazards, maps).max(axis=0)
+        best[level.walls] = 0.0
+        values[t] = best
+    return values
+
+
+def dodge_optimal_actions(level: LevelSpec, values: np.ndarray, t: int,
+                          hazards=None) -> np.ndarray:
+    """Greedy action grid at time t under the given value table (first-max)."""
+    hazards = hazards if hazards is not None else level.hazards
+    q_values = _dodge_q_values(level, values, t, hazards, _target_maps(level.walls))
     return np.argmax(q_values, axis=0)
 
 
@@ -270,16 +253,6 @@ def dodge_sparse_dependence_fraction(level: LevelSpec, sample: int = 300,
     return same / len(states)
 
 
-def dodge_random_policy_return(level: LevelSpec, episodes: int, rng) -> float:
-    total = 0.0
-    for _ in range(episodes):
-        s = envs.reset(level)
-        while not s.done:
-            s, r, _ = envs.step(s, int(rng.integers(0, envs.N_ACTIONS)))
-            total += r
-    return total / episodes
-
-
 def dodge_rollout_optimal(level: LevelSpec) -> float:
     """Roll the greedy DP policy through the real env; cross-checks both."""
     values = dodge_optimal_values(level)
@@ -294,14 +267,6 @@ def dodge_rollout_optimal(level: LevelSpec) -> float:
 
 # ---------------------------------------------------------------------------
 # MazeGrid analysis
-
-
-def maze_open_cells(level: LevelSpec) -> list[tuple[int, int]]:
-    cells = []
-    for r in range(envs.MAZE_CELLS):
-        for c in range(envs.MAZE_CELLS):
-            cells.append((r, c))
-    return cells
 
 
 def _maze_adjacency(walls: np.ndarray) -> dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]:
@@ -427,7 +392,6 @@ def influence_blocking_trial(seed: int, n_perturbations: int = 3) -> tuple[int, 
 
     from .attention import forward_trunk
     from . import autodiff as ad_mod
-    from .tokenizer import receptive_fields as rf_fn
 
     rects = out.grid.receptive_fields
     base = forward_trunk(ad_mod.Tensor(obs.astype(ad_mod.get_default_dtype())),

@@ -1,9 +1,10 @@
 """The four agents behind one policy interface.
 
 cnn            conv extractor -> flatten -> MLP -> heads
-attention      tokenizer -> dense attention trunk (all masks forced open)
+attention      tokenizer -> dense attention trunk (no mask)
 input_masked   per-pixel sigmoid mask multiplies the observation, then the
-               dense attention trunk; the mask net trains from the RL loss only
+               dense attention trunk (no mask); the mask net trains from the
+               RL loss only
 sparse_masked  tokenizer -> masked attention trunk with sampled binary masks;
                exposes the mask set and path counts for the sparsity loss
 
@@ -13,20 +14,19 @@ shapes, so PPO treats them interchangeably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import paths as pathmod
-from .attention import (MaskSet, TrunkConfig, forward_trunk, init_trunk_params,
-                        ones_mask_set, run_attention_stack)
+from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params
 from .autodiff import Tensor
 from .errors import ConfigError
 from .paths import PathMatrix
 from .rng import CounterStream, stream
-from .tokenizer import DEFAULT_STACK, conv_output_dims, init_extractor, tokenize
+from .tokenizer import DEFAULT_STACK, conv_output_dims, init_extractor
 
 POLICY_KINDS = ("cnn", "attention", "input_masked", "sparse_masked")
 
@@ -59,8 +59,8 @@ def _head_init(params: dict, rng, d_in: int, n_actions: int, scale: float) -> No
 
 
 def _heads(params: dict, features: Tensor) -> tuple[Tensor, Tensor]:
-    logits = ad.add(ad.matmul(features, params["head.pi_w"]), params["head.pi_b"])
-    value = ad.add(ad.matmul(features, params["head.v_w"]), params["head.v_b"])
+    logits = ad.linear(features, params["head.pi_w"], params["head.pi_b"])
+    value = ad.linear(features, params["head.v_w"], params["head.v_b"])
     return logits, ad.reshape(value, (value.shape[0],))
 
 
@@ -172,12 +172,8 @@ class AttentionPolicy(PolicyBase):
 
     def output(self, obs, mode="eval", noise_rng=None, want_records=False,
                want_paths=True) -> PolicyOutput:
-        x = _obs_tensor(obs)
-        n = conv_output_dims((self.cfg.obs_size, self.cfg.obs_size))
-        override = ones_mask_set(x.shape[0], n[0] * n[1], self.cfg.n_layers,
-                                 dtype=x.data.dtype)
-        trunk = forward_trunk(x, self.params, self.cfg, mode=mode,
-                              masks_override=override, want_records=want_records)
+        trunk = forward_trunk(_obs_tensor(obs), self.params, self.cfg, mode=mode,
+                              want_records=want_records)
         logits, value = _heads(self.params, trunk.features)
         return PolicyOutput(action_logits=logits, value=value,
                             records=trunk.records, grid=trunk.grid)
@@ -214,11 +210,8 @@ class InputMaskedPolicy(PolicyBase):
                want_paths=True) -> PolicyOutput:
         x = _obs_tensor(obs)
         masked = ad.mul(x, self.pixel_mask(x))
-        n = conv_output_dims((self.cfg.obs_size, self.cfg.obs_size))
-        override = ones_mask_set(x.shape[0], n[0] * n[1], self.cfg.n_layers,
-                                 dtype=x.data.dtype)
         trunk = forward_trunk(masked, self.params, self.cfg, mode=mode,
-                              masks_override=override, want_records=want_records)
+                              want_records=want_records)
         logits, value = _heads(self.params, trunk.features)
         return PolicyOutput(action_logits=logits, value=value,
                             records=trunk.records, grid=trunk.grid)

@@ -80,7 +80,7 @@ class VecRunner:
         self.kind = kind
         self.level_seeds = list(level_seeds)
         self._sampler = stream(seed, "level_sampler")
-        self.states = [self._fresh_state() for _ in range(0)]
+        self.states: list[envs.EnvState] = []
         self.episode_returns: list[float] = []
         self._running: list[float] = []
 
@@ -223,7 +223,6 @@ def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],
     totals = np.zeros(len(seeds))
     alive = list(range(len(seeds)))
     frac_sum, frac_n = 0.0, 0
-    rng = stream(0, "eval_actions")
     while alive:
         obs = np.stack([envs.render_obs(states[i]) for i in alive])
         out = policy.output(obs, mode="eval")

@@ -210,3 +210,33 @@ def test_influence_blocking_exact(f64):
         assert ok
         tested_total += tested
     assert tested_total > 0
+
+
+def test_dense_stack_without_masks_equals_all_ones_override(f64):
+    rng = np.random.default_rng(15)
+    params = _params(15, with_masks=False)
+    tokens = _tokens(rng, b=3)
+    weights = Tensor(rng.standard_normal((3, CFG.d_model)))
+    grad_names = ("layer0.wq", "layer1.ffn_w1", "layer1.ln2_g", "agg.q", "agg.wv")
+
+    def run(override):
+        for name in grad_names:
+            params[name].requires_grad = True
+            params[name].zero_grad()
+        with Tape() as tape:
+            feats, masks, records = run_attention_stack(
+                tokens, params, CFG, masks_override=override, want_records=True)
+            loss = ad.tsum(ad.mul(feats, weights))
+        ad.backward(tape, loss)
+        return feats.data, masks, records, [params[k].grad.copy() for k in grad_names]
+
+    feats, masks, records, grads = run(None)
+    ref_feats, _, ref_records, ref_grads = run(ones_mask_set(3, 16, CFG.n_layers))
+    assert masks is None
+    assert np.array_equal(feats, ref_feats)
+    for rec, ref in zip(records, ref_records):
+        assert rec.layer == ref.layer
+        assert np.array_equal(rec.attn, ref.attn)
+        assert np.array_equal(rec.mask, ref.mask)
+    for g, r in zip(grads, ref_grads):
+        assert np.max(np.abs(g - r)) < 1e-10

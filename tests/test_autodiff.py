@@ -217,3 +217,119 @@ def test_adam_converges_on_quadratic():
         ad.backward(tape, loss)
         opt.step()
     assert np.all(np.abs(x.data) < 1e-2)
+
+
+def _two_branch_sigmoid(x):
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return s
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_two_branch_formula(dtype):
+    special = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 1e3, -1e3]
+    x = np.concatenate([special, np.random.default_rng(20).standard_normal(5000) * 12])
+    x = x.astype(dtype)
+    out = ad.sigmoid(Tensor(x, dtype=dtype)).data
+    assert out.dtype == dtype
+    assert np.array_equal(out, _two_branch_sigmoid(x))
+
+
+def _softmax_inputs(dtype):
+    rng = np.random.default_rng(21)
+    x = (rng.standard_normal((6, 5, 16)) * 4).astype(dtype)
+    x[0, 1, [2, 7]] = -np.inf
+    x[1, :, 0] = -np.inf
+    x[2, 3] = 7.0                                   # ties at the max
+    mask = (rng.random(x.shape) < 0.6).astype(dtype)
+    mask[3, 2] = 0.0                                # all-masked rows
+    mask[4] = 0.0
+    return x, mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmaxes_equal_last_axis_max_reference(dtype):
+    x, mask = _softmax_inputs(dtype)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    assert np.array_equal(ad.softmax_rows(Tensor(x, dtype=dtype)).data,
+                          e / e.sum(axis=-1, keepdims=True))
+    assert np.array_equal(ad.log_softmax(Tensor(x, dtype=dtype)).data,
+                          shifted - np.log(e.sum(axis=-1, keepdims=True)))
+
+    live = mask > 0
+    neg_inf = np.where(live, x, -np.inf)
+    c = neg_inf.max(axis=-1, keepdims=True)
+    c = np.where(np.isfinite(c), c, 0.0)
+    z = mask * np.exp(neg_inf - c)
+    r = z.sum(axis=-1, keepdims=True)
+    ref = np.where(r > 0, z / np.where(r > 0, r, 1.0), 0.0)
+    out = ad.masked_softmax(Tensor(x, dtype=dtype), Tensor(mask, dtype=dtype)).data
+    assert np.array_equal(out, ref)
+    assert np.array_equal(out[4], np.zeros_like(out[4]))
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+def test_linear_equals_matmul_plus_bias(f64, x_shape):
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    weights = Tensor(rng.standard_normal(x_shape[:-1] + (3,)))
+
+    def grads(op):
+        for t in (x, w, b):
+            t.zero_grad()
+        with Tape() as tape:
+            y = op()
+            loss = ad.tsum(ad.mul(y, weights))
+        ad.backward(tape, loss)
+        return y.data, [t.grad.copy() for t in (x, w, b)], len(tape.entries)
+
+    fused, fused_grads, fused_entries = grads(lambda: ad.linear(x, w, b))
+    ref, ref_grads, ref_entries = grads(lambda: ad.add(ad.matmul(x, w), b))
+    assert np.array_equal(fused, ref)
+    for g, r in zip(fused_grads, ref_grads):
+        assert np.allclose(g, r, rtol=0, atol=1e-12)
+    assert fused_entries == ref_entries - 1
+
+
+def test_linear_shape_errors():
+    with pytest.raises(DimensionError):
+        ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+    with pytest.raises(DimensionError):
+        ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+
+
+def test_every_checked_op_keeps_float32():
+    """At float32 no op's forward output or input gradient becomes float64."""
+    from smap.gradcheck import primitive_cases
+
+    with ad.precision(np.float32):
+        for name, make in primitive_cases(np.random.default_rng(23)).items():
+            tensors, fn = make()
+            with Tape() as tape:
+                loss = fn(tensors)
+            assert loss.data.dtype == np.float32, name
+            for out, inputs, backward_fn in tape.entries:
+                assert out.data.dtype == np.float32, name
+                for t, g in zip(inputs, backward_fn(np.ones_like(out.data))):
+                    if g is not None and t.requires_grad:
+                        assert np.asarray(g).dtype == np.float32, name
+
+
+def test_transpose_is_a_view_and_ops_leave_inputs_intact():
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    before = x.data.copy()
+    with Tape() as tape:
+        xt = ad.transpose(x)
+        y = ad.layer_norm(ad.relu(ad.linear(xt, Tensor(np.ones((4, 5))), Tensor(np.ones(5)))),
+                          Tensor(np.ones(5)), Tensor(np.zeros(5)))
+        loss = ad.tsum(ad.square(y))
+    assert np.shares_memory(xt.data, x.data)
+    ad.backward(tape, loss)
+    assert np.array_equal(x.data, before)

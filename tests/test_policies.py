@@ -154,3 +154,13 @@ def test_act_greedy_matches_argmax():
     out = policy.output(obs, mode="eval")
     assert np.array_equal(actions, np.argmax(out.action_logits.data, axis=-1))
     assert np.all(logp <= 0)
+
+
+@pytest.mark.parametrize("kind,entries", [("sparse_masked", 93), ("attention", 59)])
+def test_train_mode_tape_length(kind, entries):
+    """The fused linear ops and dense attention keep the update tape this short."""
+    policy = make_policy(kind, CFG, seed=4)
+    obs = _obs_batch(4)
+    with Tape() as tape:
+        policy.evaluate_actions(obs, np.zeros(4, dtype=np.int64), mode="train")
+    assert len(tape.entries) == entries
