@@ -53,7 +53,8 @@ def cmd_train(args) -> int:
 
 def _load_run_policy(run_dir: Path):
     cfg = load_config(run_dir / "config.txt")
-    policy = make_policy(cfg.policy, TrunkConfig(), seed=cfg.ppo.seed)
+    with ad.precision(cfg.precision):
+        policy = make_policy(cfg.policy, TrunkConfig(), seed=cfg.ppo.seed)
     load_into(run_dir / "checkpoint.smap", policy.params)
     return cfg, policy
 

@@ -180,6 +180,7 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
                                 scalar(lambda x, k: ad.conv2d(x, k, stride=1))))
     register("conv2d_strided", lambda: ([_t(rng, 1, 4, 4, 4), _t(rng, 2, 4, 2, 2)],
                                         scalar(lambda x, k: ad.conv2d(x, k, stride=2))))
+    register("conv2d_channels_last", lambda: _conv2d_channels_last_case(rng))
     register("transpose", lambda: ([_t(rng, 3, 4)],
                                    scalar(lambda a: ad.matmul(ad.transpose(a), a))))
     register("reshape", lambda: ([_t(rng, 2, 6)],
@@ -203,6 +204,19 @@ def _masked_softmax_case(rng):
         return ad.tsum(ad.mul(ad.masked_softmax(ts[0], ts[1]), Tensor(weights)))
 
     return [scores, mask], fn
+
+
+def _conv2d_channels_last_case(rng):
+    # conv2d's own output layout: an NCHW view of channels-last memory;
+    # 3x3 kernels at stride 2 overlap
+    x = Tensor(rng.standard_normal((2, 7, 7, 3)).transpose(0, 3, 1, 2), requires_grad=True)
+    kernels = _t(rng, 2, 3, 3, 3)
+    weights = rng.standard_normal((2, 2, 3, 3))
+
+    def fn(ts):
+        return ad.tsum(ad.mul(ad.conv2d(ts[0], ts[1], stride=2), Tensor(weights)))
+
+    return [x, kernels], fn
 
 
 def run_primitive_suite(instances: int = 100, seed: int = 0,

@@ -23,12 +23,11 @@ from . import autodiff as ad
 from . import paths as pathmod
 from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params
 from .autodiff import Tensor
+from .config import POLICY_KINDS
 from .errors import ConfigError
 from .paths import PathMatrix
 from .rng import CounterStream, stream
 from .tokenizer import DEFAULT_STACK, conv_output_dims, init_extractor
-
-POLICY_KINDS = ("cnn", "attention", "input_masked", "sparse_masked")
 
 
 @dataclass
@@ -93,15 +92,10 @@ class PolicyBase:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def fresh_noise_rng(self) -> np.random.Generator:
-        return self._noise.next()
-
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             greedy: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample (or argmax) actions without recording gradients."""
-        mode = "eval" if greedy else "train"
-        out = self.output(obs, mode=mode, want_paths=False,
-                          noise_rng=None if greedy else self.fresh_noise_rng())
+        out = self.output(obs, mode="eval" if greedy else "train", want_paths=False)
         logits = out.action_logits.data
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -117,12 +111,11 @@ class PolicyBase:
     def evaluate_actions(self, obs: np.ndarray, actions: np.ndarray,
                          mode: str = "train",
                          noise_seed: Optional[int] = None) -> ActionEval:
-        """Differentiable log-probs/entropy/value (and path stats) for PPO."""
-        if mode in ("train", "soft"):
-            noise_rng = (stream(noise_seed, "eval_actions_noise")
-                         if noise_seed is not None else self.fresh_noise_rng())
-        else:
-            noise_rng = None
+        """Differentiable log-probs/entropy/value (and path stats) for PPO.
+
+        Without ``noise_seed``, the sparse agent draws its mask noise from its
+        own counter stream; the other agents draw none."""
+        noise_rng = None if noise_seed is None else stream(noise_seed, "eval_actions_noise")
         out = self.output(obs, mode=mode, noise_rng=noise_rng)
         logp_all = ad.log_softmax(out.action_logits)
         log_prob = ad.gather_rows(logp_all, np.asarray(actions))
@@ -228,7 +221,7 @@ class SparseMaskedPolicy(PolicyBase):
                want_paths=True) -> PolicyOutput:
         x = _obs_tensor(obs)
         if mode in ("train", "soft") and noise_rng is None:
-            noise_rng = self.fresh_noise_rng()
+            noise_rng = self._noise.next()
         trunk = forward_trunk(x, self.params, self.cfg, mode=mode, noise_rng=noise_rng,
                               want_records=want_records)
         pm = pathmod.path_matrix(trunk.masks) if want_paths else None

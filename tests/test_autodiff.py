@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 from smap import autodiff as ad
 from smap.autodiff import Tape, Tensor
 from smap.errors import DimensionError
-from smap.gradcheck import analytic_grads, max_rel_error_coordinatewise
+from smap.gradcheck import (analytic_grads, max_rel_error_coordinatewise, primitive_cases,
+                            run_primitive_suite)
 
 
 def test_matmul_identity():
@@ -106,6 +113,97 @@ def test_conv2d_gradient_oracle(f64):
     err = max_rel_error_coordinatewise(
         lambda ts: ad.tsum(ad.square(ad.conv2d(ts[0], ts[1], stride=1))), [x, k])
     assert err < 1e-5
+
+
+def _conv2d_reference(x, k, stride):
+    """Direct sum over kernel offsets: output and the input/kernel gradients
+    of sum(out * w) for upstream weights w."""
+    f_out, _, kh, kw = k.shape
+    h2 = (x.shape[2] - kh) // stride + 1
+    w2 = (x.shape[3] - kw) // stride + 1
+
+    def window(i, j):
+        return np.s_[:, :, i:i + stride * h2:stride, j:j + stride * w2:stride]
+
+    out = sum(np.einsum("bchw,fc->bfhw", x[window(i, j)], k[:, :, i, j])
+              for i in range(kh) for j in range(kw))
+    w = np.random.default_rng(7).standard_normal(out.shape)
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            gx[window(i, j)] += np.einsum("bfhw,fc->bchw", w, k[:, :, i, j])
+            gk[:, :, i, j] = np.einsum("bfhw,bchw->fc", w, x[window(i, j)])
+    return out, gx, gk, w
+
+
+@pytest.mark.parametrize("c_in,k,stride,size", [(4, 2, 2, 8), (3, 3, 1, 6),
+                                                (3, 3, 2, 7), (1, 3, 2, 7)])
+def test_conv2d_channels_last_matches_contiguous(f64, c_in, k, stride, size):
+    """conv2d's own output layout (NCHW view of channels-last memory) and the
+    same values made contiguous give one output and one pair of gradients."""
+    rng = np.random.default_rng(30 + c_in + k + stride)
+    nhwc = rng.standard_normal((2, size, size, c_in))
+    kernels = rng.standard_normal((5, c_in, k, k))
+    channels_last = nhwc.transpose(0, 3, 1, 2)
+    contiguous = np.ascontiguousarray(channels_last)
+    assert channels_last.transpose(0, 2, 3, 1).flags.c_contiguous
+    *reference, w = _conv2d_reference(contiguous, kernels, stride)
+    results = []
+    for data in (channels_last, contiguous):
+        x = Tensor(data, requires_grad=True)
+        kt = Tensor(kernels, requires_grad=True)
+        with Tape() as tape:
+            out = ad.conv2d(x, kt, stride=stride)
+            loss = ad.tsum(ad.mul(out, Tensor(w)))
+        ad.backward(tape, loss)
+        results.append((out.data, x.grad, kt.grad))
+    for got_cl, got, ref in zip(*results, reference):
+        assert np.allclose(got_cl, got, rtol=0, atol=1e-12)
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from smap import autodiff as ad
+from smap.attention import TrunkConfig
+from smap.policies import make_policy
+
+policy = make_policy("attention", TrunkConfig(), seed=0)
+rng = np.random.default_rng(0)
+obs = rng.random((512, 4, 16, 16))
+actions = rng.integers(0, 5, 512)
+
+def update():
+    with ad.Tape() as tape:
+        ev = policy.evaluate_actions(obs, actions, mode="train")
+        loss = ad.add(ad.tsum(ev.log_prob), ad.tsum(ev.value))
+    ad.backward(tape, loss)
+    for p in policy.params.values():
+        p.zero_grad()
+
+update()
+update()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+update()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's allocator")
+def test_b512_update_does_not_refault_its_memory():
+    """After warm-up, a B=512 update reuses freed memory instead of faulting
+    it back in; a fresh process gives the allocator no history."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ad.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert int(res.stdout.split()[-1]) < 1000
+
+
+def test_keep_freed_memory_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())
+    assert ad._keep_freed_memory() is None
 
 
 def test_backward_scalar_leaf():
@@ -304,10 +402,16 @@ def test_linear_shape_errors():
         ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
 
 
+def test_primitive_gradcheck_suite_passes():
+    """Every registered case passes finite differences, so a case added to
+    ``gradcheck`` runs here and not only under ``smap gradcheck``."""
+    results = run_primitive_suite(instances=10)
+    assert [r.name for r in results] == list(primitive_cases(np.random.default_rng(0)))
+    assert [(r.name, r.worst_rel_error) for r in results if not r.passed] == []
+
+
 def test_every_checked_op_keeps_float32():
     """At float32 no op's forward output or input gradient becomes float64."""
-    from smap.gradcheck import primitive_cases
-
     with ad.precision(np.float32):
         for name, make in primitive_cases(np.random.default_rng(23)).items():
             tensors, fn = make()

@@ -164,3 +164,29 @@ def test_train_mode_tape_length(kind, entries):
     with Tape() as tape:
         policy.evaluate_actions(obs, np.zeros(4, dtype=np.int64), mode="train")
     assert len(tape.entries) == entries
+
+
+@pytest.mark.parametrize("kind", ["cnn", "attention", "input_masked"])
+def test_only_the_sparse_agent_draws_mask_noise(kind):
+    policy = make_policy(kind, CFG, seed=11)
+    obs = _obs_batch(2)
+    policy.act(obs, stream(0, "act"))
+    policy.evaluate_actions(obs, np.zeros(2, dtype=np.int64), mode="train")
+    assert policy._noise.calls == 0
+
+
+def test_sparse_act_draws_its_counter_stream_in_order():
+    policy = make_policy("sparse_masked", CFG, seed=12)
+    obs = _obs_batch(3)
+    for counter in range(2):
+        actions, logp, values = policy.act(obs, stream(counter, "act"))
+        assert policy._noise.calls == counter + 1
+        out = policy.output(obs, mode="train", want_paths=False,
+                            noise_rng=stream(12, "sparse_masked.mask_noise", counter))
+        logits = out.action_logits.data
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        assert np.array_equal(values, out.value.data)
+        assert np.array_equal(logp, log_probs[np.arange(3), actions])
+    policy.evaluate_actions(obs, actions, mode="train")
+    assert policy._noise.calls == 3
