@@ -26,11 +26,24 @@ time a mapped block is freed), so the count varied from run to run. Fixed
 thresholds, 32 MiB for mmap (glibc's 64-bit maximum) and 128 MiB for trimming,
 keep the working set mapped across minibatches; peak memory does not grow.
 Outside glibc nothing is changed.
+
+Importing the module also sets numpy's bundled OpenBLAS to one thread. The
+PPO update runs two half-minibatch shards on two Python threads, one tape
+each: the tape stack is per thread, node ids come from one atomic counter, and
+``backward`` can add leaf gradients into a dict its caller owns, so the shared
+parameters are only read. A minibatch is bound by elementwise passes and
+Python, not GEMMs, so a second BLAS thread gains nothing serially; alongside a
+second shard it contends for the same cores and made the split slower than
+serial. Where numpy has no bundled OpenBLAS nothing is changed.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
+import math
+import threading
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,8 +52,7 @@ from .errors import DimensionError
 
 _DTYPE = np.dtype(np.float32)
 _DEBUG_CHECKS = False
-_TAPE_STACK: list["Tape"] = []
-_NEXT_NODE_ID = 0
+_NODE_IDS = itertools.count()
 _KINK_CAPTURE: Optional[list] = None
 
 
@@ -57,7 +69,27 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 128 << 20)          # M_TRIM_THRESHOLD
 
 
+def _single_thread_blas() -> None:
+    """Set numpy's bundled OpenBLAS to one thread (see the module docstring);
+    does nothing where there is no such library or symbol."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            fn = getattr(dll, sym, None)
+            if fn is not None:
+                fn.argtypes = (ctypes.c_int,)
+                fn.restype = None
+                fn(1)
+                return
+
+
 _keep_freed_memory()
+_single_thread_blas()
 
 
 def set_default_dtype(dtype) -> None:
@@ -111,7 +143,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.name = name
-        self.node_id: Optional[int] = None
+        self.node_id = next(_NODE_IDS)
 
     @property
     def shape(self) -> tuple:
@@ -182,39 +214,41 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype), dtype=dtype)
 
 
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+
+
+_TAPES = _TapeStack()
+
+
 class Tape:
-    """Ordered record of operations; inputs always precede their consumers."""
+    """Ordered record of operations; inputs always precede their consumers.
+
+    A tape records only the ops of the thread that entered it."""
 
     def __init__(self):
         self.entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
         self._produced: set[int] = set()
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPES.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPES.tapes.pop()
         assert popped is self
         return False
 
-    def _assign_id(self, t: Tensor) -> None:
-        global _NEXT_NODE_ID
-        if t.node_id is None:
-            t.node_id = _NEXT_NODE_ID
-            _NEXT_NODE_ID += 1
-
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
-        for t in inputs:
-            self._assign_id(t)
-        self._assign_id(out)
         out.requires_grad = True
         self._produced.add(out.node_id)
         self.entries.append((out, inputs, backward_fn))
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPES.tapes
+    return tapes[-1] if tapes else None
 
 
 def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -225,24 +259,31 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
+def backward(tape: Tape, loss: Tensor,
+             leaf_grads: Optional[dict[Tensor, np.ndarray]] = None) -> None:
     """Populate grads of every leaf tensor reachable from ``loss``.
 
     Repeated calls accumulate; call ``zero_grad`` on the parameters (or use
-    an optimizer) between passes.
+    an optimizer) between passes. With ``leaf_grads``, leaf gradients are
+    added into that dict, keyed by tensor, and no ``grad`` slot is touched,
+    so tapes on other threads can share the leaves.
     """
     if loss.shape != ():
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
     seed = np.ones((), dtype=loss.data.dtype)
 
     def accumulate_leaf(t: Tensor, g: np.ndarray) -> None:
+        if leaf_grads is not None:
+            prev = leaf_grads.get(t)
+            leaf_grads[t] = np.array(g) if prev is None else prev + g
+            return
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad += g
 
-    if loss.requires_grad and (loss.node_id is None or loss.node_id not in tape._produced):
-        accumulate_leaf(loss, seed)
-    if loss.node_id is None:
+    if loss.node_id not in tape._produced:
+        if loss.requires_grad:
+            accumulate_leaf(loss, seed)
         return
 
     grads: dict[int, np.ndarray] = {loss.node_id: seed}
@@ -262,18 +303,29 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting).
+
+    The summed axes outermost in ``g``'s memory (the batch of a bias, or
+    batch and space of a conv bias on a channels-last gradient) reduce in one
+    ones-vector GEMM over a view, without a copy; numpy sums any others."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        m = int(np.prod(g.shape[:extra]))
-        rest = g.shape[extra:]
-        g = (np.ones(m, dtype=g.dtype) @ g.reshape(m, int(np.prod(rest)))).reshape(rest)
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    full = (1,) * (g.ndim - len(shape)) + tuple(shape)
+    order = sorted(range(g.ndim), key=lambda i: -g.strides[i])    # outermost first
+    mem = g.transpose(order)
+    if g.size and mem.flags.c_contiguous:
+        lead = 0
+        while lead < g.ndim and full[order[lead]] == 1:
+            lead += 1
+        if lead:
+            m = math.prod(mem.shape[:lead])
+            mem = (np.ones(m, dtype=g.dtype) @ mem.reshape(m, -1)).reshape(
+                (1,) * lead + mem.shape[lead:])
+            g = mem.transpose(np.argsort(order))
+    axes = tuple(i for i in range(g.ndim) if full[i] == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g
+    return g.reshape(shape)
 
 
 def _binary(a, b, forward, backward_a, backward_b):

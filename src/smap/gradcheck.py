@@ -241,6 +241,7 @@ def run_network_suite(instances: int = 100, seed: int = 0,
     """Directional gradient checks through the full policies and the trunk."""
     from . import policies as pz
     from .attention import TrunkConfig
+    from .rng import stream
 
     results = []
     with ad.precision(np.float64):
@@ -267,8 +268,9 @@ def run_network_suite(instances: int = 100, seed: int = 0,
 
                 def loss_fn(ts, policy=policy, obs=obs, actions=actions, mode=mode,
                             seed_i=seed_i):
-                    out = policy.evaluate_actions(obs, actions, mode=mode,
-                                                  noise_seed=seed_i)
+                    out = policy.evaluate_actions(
+                        obs, actions, mode=mode,
+                        noise_rng=stream(seed_i, "eval_actions_noise"))
                     total = ad.add(ad.tsum(out.log_prob), ad.tsum(out.value))
                     total = ad.add(total, out.entropy)
                     if out.path_fraction is not None:

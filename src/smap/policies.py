@@ -110,12 +110,11 @@ class PolicyBase:
 
     def evaluate_actions(self, obs: np.ndarray, actions: np.ndarray,
                          mode: str = "train",
-                         noise_seed: Optional[int] = None) -> ActionEval:
+                         noise_rng: Optional[np.random.Generator] = None) -> ActionEval:
         """Differentiable log-probs/entropy/value (and path stats) for PPO.
 
-        Without ``noise_seed``, the sparse agent draws its mask noise from its
+        Without ``noise_rng``, the sparse agent draws its mask noise from its
         own counter stream; the other agents draw none."""
-        noise_rng = None if noise_seed is None else stream(noise_seed, "eval_actions_noise")
         out = self.output(obs, mode=mode, noise_rng=noise_rng)
         logp_all = ad.log_softmax(out.action_logits)
         log_prob = ad.gather_rows(logp_all, np.asarray(actions))

@@ -4,12 +4,23 @@ Rollouts run over vectorized environment instances that sample train levels
 on reset. Updates flatten the rollout, normalize advantages per update, and
 sweep shuffled minibatches for a few epochs. The sparse agent's objective
 additionally carries ``lambda_mask * (alpha - path_fraction)^2``.
+
+Every minibatch runs as two fixed halves: the calling thread runs the first
+half's forward and backward, one worker thread the second, each on its own
+tape. The loss is a mean of per-sample terms, so each half's loss is scaled
+by its share of the minibatch and the minibatch gradient is the sum of the
+halves' gradients, always added first + second; the sparse agent's two
+mask-noise generators are drawn on the calling thread in the same order. A
+run therefore reproduces bit for bit however the threads interleave, and the
+shard count is fixed at two so results do not depend on the core count. A
+non-finite loss term on either half raises before the optimizer steps.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -162,58 +173,69 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
         flat_adv = (flat_adv - flat_adv.mean()) / (flat_adv.std() + 1e-8)
 
     dtype = ad.get_default_dtype()
-    sums = UpdateStats(0.0, 0.0, 0.0, 0.0, 0.0)
-    n_minibatches = 0
-    uses_mask = cfg.lambda_mask > 0 and policy.kind == "sparse_masked"
-    for _ in range(cfg.epochs):
-        perm = update_rng.permutation(n)
-        for lo in range(0, n, cfg.minibatch_size):
-            idx = perm[lo:lo + cfg.minibatch_size]
-            if idx.size < 2:
-                continue
-            mb_adv = Tensor(flat_adv[idx].astype(dtype))
-            mb_ret = Tensor(flat_returns[idx].astype(dtype))
-            mb_old = Tensor(flat_old_logp[idx].astype(dtype))
-            with Tape() as tape:
-                out = policy.evaluate_actions(flat_obs[idx], flat_actions[idx],
-                                              mode="train")
-                ratio = ad.exp(ad.sub(out.log_prob, mb_old))
-                clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-                surrogate = ad.tmean(ad.minimum(ad.mul(ratio, mb_adv),
-                                                ad.mul(clipped, mb_adv)))
-                value_loss = ad.tmean(ad.square(ad.sub(out.value, mb_ret)))
-                loss = ad.add(ad.neg(surrogate), ad.scale(value_loss, cfg.value_coef))
-                loss = ad.sub(loss, ad.scale(out.entropy, cfg.entropy_coef))
-                mask_term = None
-                if out.path_fraction is not None:
-                    dev = ad.sub(out.path_fraction, float(cfg.alpha))
-                    mask_term = ad.tmean(ad.square(dev))
-                    if uses_mask:
-                        loss = ad.add(loss, ad.scale(mask_term, cfg.lambda_mask))
-            terms = {"policy": -surrogate.item(), "value": value_loss.item(),
-                     "entropy": out.entropy.item(),
-                     "mask": mask_term.item() if mask_term is not None else 0.0}
-            if not all(np.isfinite(v) for v in terms.values()):
-                raise FloatingPointError(f"non-finite loss term during PPO update: {terms}")
-            optimizer.zero_grad()
-            ad.backward(tape, loss)
-            optimizer.step()
-            sums.policy_loss += terms["policy"]
-            sums.value_loss += terms["value"]
-            sums.entropy += terms["entropy"]
-            sums.mask_loss += terms["mask"]
+    draws_noise = policy.kind == "sparse_masked"
+    uses_mask = cfg.lambda_mask > 0 and draws_noise
+
+    def run_shard(part: np.ndarray, weight: float, noise_rng) -> tuple[dict, dict]:
+        """Forward and backward of one shard, its loss scaled by ``weight``,
+        its share of the minibatch; returns its loss terms and leaf grads."""
+        with Tape() as tape:
+            out = policy.evaluate_actions(flat_obs[part], flat_actions[part], mode="train",
+                                          noise_rng=noise_rng)
+            mb_adv = Tensor(flat_adv[part].astype(dtype))
+            ratio = ad.exp(ad.sub(out.log_prob, Tensor(flat_old_logp[part].astype(dtype))))
+            clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+            surrogate = ad.tmean(ad.minimum(ad.mul(ratio, mb_adv), ad.mul(clipped, mb_adv)))
+            value_loss = ad.tmean(ad.square(ad.sub(out.value,
+                                                   Tensor(flat_returns[part].astype(dtype)))))
+            loss = ad.add(ad.neg(surrogate), ad.scale(value_loss, cfg.value_coef))
+            loss = ad.sub(loss, ad.scale(out.entropy, cfg.entropy_coef))
+            mask_term = None
             if out.path_fraction is not None:
-                sums.path_fraction += float(out.path_fraction.data.mean())
-            else:
-                sums.path_fraction += 1.0
-            n_minibatches += 1
+                dev = ad.sub(out.path_fraction, float(cfg.alpha))
+                mask_term = ad.tmean(ad.square(dev))
+                if uses_mask:
+                    loss = ad.add(loss, ad.scale(mask_term, cfg.lambda_mask))
+            loss = ad.scale(loss, weight)
+        terms = {"policy_loss": -surrogate.item(), "value_loss": value_loss.item(),
+                 "entropy": out.entropy.item(),
+                 "mask_loss": mask_term.item() if mask_term is not None else 0.0,
+                 "path_fraction": (float(out.path_fraction.data.mean())
+                                   if out.path_fraction is not None else 1.0)}
+        if not all(np.isfinite(v) for v in terms.values()):
+            raise FloatingPointError(f"non-finite loss term during PPO update: {terms}")
+        grads: dict = {}
+        ad.backward(tape, loss, grads)
+        return terms, grads
+
+    sums = dict.fromkeys((f.name for f in fields(UpdateStats)), 0.0)
+    n_minibatches = 0
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for _ in range(cfg.epochs):
+            perm = update_rng.permutation(n)
+            for lo in range(0, n, cfg.minibatch_size):
+                idx = perm[lo:lo + cfg.minibatch_size]
+                if idx.size < 2:
+                    continue
+                shards = [(part, part.size / idx.size,
+                           policy._noise.next() if draws_noise else None)
+                          for part in (idx[:idx.size // 2], idx[idx.size // 2:])]
+                future = pool.submit(run_shard, *shards[1])
+                try:
+                    first = run_shard(*shards[0])
+                finally:
+                    second = future.result()
+                optimizer.zero_grad()
+                for (terms, grads), (_, weight, _) in zip((first, second), shards):
+                    for p, g in grads.items():
+                        p.grad = g if p.grad is None else p.grad + g
+                    for key in sums:
+                        sums[key] += weight * terms[key]
+                optimizer.step()
+                n_minibatches += 1
     if n_minibatches == 0:
         return UpdateStats()
-    return UpdateStats(policy_loss=sums.policy_loss / n_minibatches,
-                       value_loss=sums.value_loss / n_minibatches,
-                       entropy=sums.entropy / n_minibatches,
-                       mask_loss=sums.mask_loss / n_minibatches,
-                       path_fraction=sums.path_fraction / n_minibatches)
+    return UpdateStats(**{key: total / n_minibatches for key, total in sums.items()})
 
 
 def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],

@@ -2,6 +2,8 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +206,178 @@ def test_b512_update_does_not_refault_its_memory():
 def test_keep_freed_memory_without_mallopt(monkeypatch):
     monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())
     assert ad._keep_freed_memory() is None
+
+
+def test_single_thread_blas_without_openblas(monkeypatch, tmp_path):
+    # no library next to numpy
+    monkeypatch.setattr(ad.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert ad._single_thread_blas() is None
+    # a library without the symbol, and one that fails to load
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libopenblas.so").write_bytes(b"")
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())
+    assert ad._single_thread_blas() is None
+
+    def refuse(name):
+        raise OSError(name)
+
+    monkeypatch.setattr(ad.ctypes, "CDLL", refuse)
+    assert ad._single_thread_blas() is None
+
+
+_BLAS_THREADS_PROBE = """
+import ctypes
+from pathlib import Path
+
+import numpy as np
+import smap.autodiff
+
+for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+    dll = ctypes.CDLL(str(lib))
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        fn = getattr(dll, sym, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            print(fn())
+            raise SystemExit
+print("none")
+"""
+
+
+def test_import_sets_bundled_openblas_to_one_thread():
+    env = dict(os.environ, PYTHONPATH=str(Path(ad.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    threads = res.stdout.split()[-1]
+    if threads == "none":
+        pytest.skip("numpy has no bundled OpenBLAS")
+    assert threads == "1"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+def test_unbroadcast_conv_bias_matches_sum(dtype, layout):
+    rng = np.random.default_rng(5)
+    b, f, h, w = 64, 16, 8, 8
+    if layout == "contiguous":
+        g = rng.standard_normal((b, f, h, w)).astype(dtype)
+    else:
+        g = rng.standard_normal((b, h, w, f)).astype(dtype).transpose(0, 3, 1, 2)
+    ref = g.astype(np.float64).sum(axis=(0, 2, 3)).reshape(f, 1, 1)
+    tracemalloc.start()
+    try:
+        got = ad._unbroadcast(g, (f, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (f, 1, 1) and got.dtype == dtype
+    tol = 1e-4 if dtype == np.float32 else 1e-10
+    assert np.allclose(got, ref, rtol=tol, atol=tol * np.sqrt(g.size))
+    assert peak < g.nbytes // 8            # reduced in place: no copy of g
+
+
+@pytest.mark.parametrize("g_shape,shape", [((6, 5, 4), (4,)), ((6, 5, 4), (5, 1)),
+                                           ((6, 5, 4), (1, 5, 4)), ((1, 4), (4,)),
+                                           ((6, 5, 4), (6, 1, 4)), ((3, 1, 4), (1, 1, 4))])
+def test_unbroadcast_matches_sum_over_broadcast_axes(f64, g_shape, shape):
+    g = np.random.default_rng(6).standard_normal(g_shape)
+    full = (1,) * (len(g_shape) - len(shape)) + shape
+    axes = tuple(i for i, n in enumerate(full) if n == 1)
+    ref = g.sum(axis=axes, keepdims=True).reshape(shape)
+    # C order, Fortran order, and last axis outermost in memory
+    last_outer = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, -1, 0)), 0, -1)
+    for view in (g, np.asfortranarray(g), last_outer):
+        assert np.allclose(ad._unbroadcast(view, shape), ref, atol=1e-12)
+    flipped = g[::-1]
+    assert np.allclose(ad._unbroadcast(flipped, shape),
+                       flipped.sum(axis=axes, keepdims=True).reshape(shape), atol=1e-12)
+
+
+def test_node_ids_are_unique_across_threads():
+    ids: list = []
+
+    def work():
+        mine = [Tensor(0.0).node_id for _ in range(5000)]
+        ids.extend(mine)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert len(ids) == 6 * 5000 and len(set(ids)) == len(ids)
+
+
+def _shared_params():
+    rng = np.random.default_rng(8)
+    return [Tensor(rng.standard_normal((6, 5)), requires_grad=True, name="w"),
+            Tensor(rng.standard_normal(5), requires_grad=True, name="b"),
+            Tensor(rng.standard_normal((5, 1, 1)), requires_grad=True, name="c")]
+
+
+def _small_loss(params, x):
+    w, b, c = params
+    h = ad.tanh(ad.linear(Tensor(x), w, b))                      # (B, 5)
+    z = ad.add(ad.reshape(h, h.shape + (1, 1)), c)               # broadcast c
+    return ad.tsum(ad.mul(z, z))
+
+
+def test_threads_record_their_own_tapes_on_shared_params(f64):
+    """Each thread's tape holds only its own ops, and leaf gradients land in
+    its own dict; a shared tape stack or a racing node id would mix them."""
+    params = _shared_params()
+    inputs = [np.random.default_rng(20 + i).standard_normal((7, 6)) for i in range(6)]
+    expected = []
+    for x in inputs:
+        with Tape() as tape:
+            loss = _small_loss(params, x)
+        for p in params:
+            p.zero_grad()
+        ad.backward(tape, loss)
+        expected.append([p.grad.copy() for p in params])
+        for p in params:
+            p.zero_grad()
+
+    results: dict = {}
+    ids: dict = {}
+
+    def work(i):
+        for _ in range(20):
+            with Tape() as tape:
+                loss = _small_loss(params, inputs[i])
+            grads: dict = {}
+            ad.backward(tape, loss, grads)
+            results.setdefault(i, []).append([grads[p] for p in params])
+            ids.setdefault(i, []).extend(out.node_id for out, _, _ in tape.entries)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert all(p.grad is None for p in params)
+    for i, runs in results.items():
+        assert len(runs) == 20
+        for grads in runs:
+            for g, e in zip(grads, expected[i]):
+                assert np.array_equal(g, e)
+    assert len(results) == len(inputs)
+    every_id = [n for thread_ids in ids.values() for n in thread_ids]
+    assert len(set(every_id)) == len(every_id)
 
 
 def test_backward_scalar_leaf():

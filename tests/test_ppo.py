@@ -1,12 +1,16 @@
+import threading
+
 import numpy as np
 import pytest
 
 from smap import autodiff as ad
 from smap import ppo
-from smap.autodiff import Tensor
+from smap.attention import TrunkConfig
+from smap.autodiff import Tape, Tensor
 from smap.config import ExperimentConfig, PPOConfig
 from smap.errors import DimensionError
 from smap.optim import Adam
+from smap.policies import make_policy
 from smap.ppo import RolloutBatch, compute_gae, ppo_update
 from smap.rng import stream
 
@@ -94,7 +98,7 @@ class BanditPolicy:
         values = np.zeros(b)
         return actions, logp[actions], values
 
-    def evaluate_actions(self, obs, actions, mode="train", noise_seed=None):
+    def evaluate_actions(self, obs, actions, mode="train", noise_rng=None):
         b = obs.shape[0]
         logits = ad.reshape(self.params["logits"], (1, -1))
         tiled = ad.matmul(Tensor(np.ones((b, 1))), logits)
@@ -167,6 +171,104 @@ def test_ppo_update_aborts_on_nan():
         ppo_update(batch, policy, cfg, opt, stream(6, "s"))
 
 
+def test_nan_on_the_worker_shard_aborts_before_any_step():
+    """Only the second half of the minibatch, which the worker thread runs,
+    sees the NaN; the update still raises and applies nothing."""
+    cfg = PPOConfig(epochs=1, minibatch_size=32, rollout_len=32, n_envs=1,
+                    advantage_norm=False, total_timesteps=32)
+    policy = BanditPolicy()
+    opt = Adam([policy.params["logits"]], lr=0.1)
+    batch = _bandit_rollout(policy, stream(5, "r"), n=32)
+    second_half = stream(6, "s").permutation(32)[16:]
+    batch.rewards[second_half[0], 0] = np.nan      # dones are all 1: one NaN advantage
+    before = policy.params["logits"].data.copy()
+    threads = set(threading.enumerate())
+    with pytest.raises(FloatingPointError):
+        ppo_update(batch, policy, cfg, opt, stream(6, "s"))
+    assert np.array_equal(policy.params["logits"].data, before)
+    assert opt.t == 0
+    assert set(threading.enumerate()) == threads
+
+
+def _random_batch(cfg: TrunkConfig, seed: int, t_len: int = 64, k: int = 8) -> RolloutBatch:
+    rng = np.random.default_rng(seed)
+    return RolloutBatch(
+        observations=rng.random((t_len, k, cfg.obs_channels, cfg.obs_size, cfg.obs_size)),
+        actions=rng.integers(0, cfg.n_actions, (t_len, k)),
+        old_log_probs=np.log(1.0 / cfg.n_actions) + 0.3 * rng.standard_normal((t_len, k)),
+        values=rng.standard_normal((t_len, k)),
+        rewards=rng.standard_normal((t_len, k)),
+        dones=(rng.random((t_len, k)) < 0.1).astype(float),
+        bootstrap_values=rng.standard_normal(k))
+
+
+def _reference_grads(policy, cfg: PPOConfig, batch: RolloutBatch, parts, rngs) -> dict:
+    """The PPO loss of each part on one tape, on this thread, weighted by the
+    part's share of the minibatch; gradients summed over parts in order."""
+    adv, returns = compute_gae(batch.rewards, batch.values, batch.dones, cfg.gamma,
+                               cfg.gae_lambda, batch.bootstrap_values)
+    adv, returns = adv.reshape(-1), returns.reshape(-1)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    obs = batch.observations.reshape((adv.size,) + batch.observations.shape[2:])
+    n = sum(part.size for part in parts)
+    grads = {}
+    for part, noise_rng in zip(parts, rngs):
+        with Tape() as tape:
+            out = policy.evaluate_actions(obs[part], batch.actions.reshape(-1)[part],
+                                          noise_rng=noise_rng)
+            ratio = ad.exp(ad.sub(out.log_prob, Tensor(batch.old_log_probs.reshape(-1)[part])))
+            a = Tensor(adv[part])
+            clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+            loss = ad.neg(ad.tmean(ad.minimum(ad.mul(ratio, a), ad.mul(clipped, a))))
+            err = ad.sub(out.value, Tensor(returns[part]))
+            loss = ad.add(loss, ad.scale(ad.tmean(ad.square(err)), cfg.value_coef))
+            loss = ad.sub(loss, ad.scale(out.entropy, cfg.entropy_coef))
+            if out.path_fraction is not None:
+                dev = ad.sub(out.path_fraction, cfg.alpha)
+                loss = ad.add(loss, ad.scale(ad.tmean(ad.square(dev)), cfg.lambda_mask))
+            loss = ad.scale(loss, part.size / n)
+        for p in policy.params.values():
+            p.zero_grad()
+        ad.backward(tape, loss)
+        for name, p in policy.params.items():
+            if p.grad is not None:
+                grads[name] = p.grad if name not in grads else grads[name] + p.grad
+    return grads
+
+
+def _sharded_grads(kind: str, cfg: PPOConfig, batch: RolloutBatch) -> dict:
+    """The gradient ``ppo_update`` applies to one B=512 minibatch (lr 0)."""
+    policy = make_policy(kind, TrunkConfig(), seed=3)
+    ppo_update(batch, policy, cfg, Adam(list(policy.params.values()), lr=0.0),
+               stream(4, "shuffle"))
+    return {name: p.grad for name, p in policy.params.items()}
+
+
+@pytest.mark.parametrize("kind", ["cnn", "attention", "input_masked"])
+def test_sharded_update_gradient_equals_one_tape(f64, kind):
+    cfg = PPOConfig(epochs=1, minibatch_size=512)
+    batch = _random_batch(TrunkConfig(), seed=11)
+    got = _sharded_grads(kind, cfg, batch)
+    ref = _reference_grads(make_policy(kind, TrunkConfig(), seed=3), cfg, batch,
+                           [np.arange(512)], [None])
+    assert set(got) == set(ref)
+    for name in ref:
+        assert np.allclose(got[name], ref[name], rtol=1e-10, atol=1e-10), name
+
+
+def test_sharded_sparse_update_equals_serial_halves(f64):
+    cfg = PPOConfig(epochs=1, minibatch_size=512)
+    batch = _random_batch(TrunkConfig(), seed=12)
+    got = _sharded_grads("sparse_masked", cfg, batch)
+    twin = make_policy("sparse_masked", TrunkConfig(), seed=3)
+    perm = stream(4, "shuffle").permutation(512)
+    rngs = [twin._noise.next(), twin._noise.next()]
+    ref = _reference_grads(twin, cfg, batch, [perm[:256], perm[256:]], rngs)
+    assert set(got) == set(ref)
+    for name in ref:
+        assert np.allclose(got[name], ref[name], rtol=1e-10, atol=1e-10), name
+
+
 def test_advantage_normalization_stats():
     rng = np.random.default_rng(7)
     adv = rng.standard_normal(1000) * 3 + 2
@@ -176,13 +278,14 @@ def test_advantage_normalization_stats():
 
 
 def test_short_training_run_is_deterministic(tmp_path, tiny_cfg):
-    rows1 = ppo.train(tiny_cfg, tmp_path / "a")
-    rows2 = ppo.train(tiny_cfg, tmp_path / "b")
-    bytes1 = (tmp_path / "a" / "metrics.csv").read_bytes()
-    bytes2 = (tmp_path / "b" / "metrics.csv").read_bytes()
-    assert bytes1 == bytes2
-    assert (tmp_path / "a" / "checkpoint.smap").read_bytes() == \
-        (tmp_path / "b" / "checkpoint.smap").read_bytes()
+    for kind in ("sparse_masked", "attention"):
+        tiny_cfg.policy = kind
+        a, b = tmp_path / kind / "a", tmp_path / kind / "b"
+        ppo.train(tiny_cfg, a)
+        ppo.train(tiny_cfg, b)
+        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes(), kind
+        assert (a / "checkpoint.smap").read_bytes() == \
+            (b / "checkpoint.smap").read_bytes(), kind
 
 
 def test_training_writes_run_artifacts(tmp_path, tiny_cfg):
