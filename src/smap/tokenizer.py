@@ -34,7 +34,7 @@ DEFAULT_STACK = (ConvSpec(16, 2, 2), ConvSpec(32, 2, 2))
 class TokenGrid:
     tokens: Tensor                    # (B, n, d)
     grid_dims: tuple[int, int]
-    receptive_fields: list[tuple[int, int, int, int]]  # (r0, r1, c0, c1), half-open
+    receptive_fields: tuple[tuple[int, int, int, int], ...]  # (r0, r1, c0, c1), half-open
 
 
 def conv_output_dims(in_hw: tuple[int, int], stack=DEFAULT_STACK) -> tuple[int, int]:
@@ -48,7 +48,9 @@ def conv_output_dims(in_hw: tuple[int, int], stack=DEFAULT_STACK) -> tuple[int, 
     return h, w
 
 
-def receptive_fields(in_hw: tuple[int, int], stack=DEFAULT_STACK) -> list[tuple[int, int, int, int]]:
+@lru_cache(maxsize=8)
+def receptive_fields(in_hw: tuple[int, int], stack=DEFAULT_STACK
+                     ) -> tuple[tuple[int, int, int, int], ...]:
     """Input-pixel rectangle seen by each output cell, row-major token order."""
     size, step = 1, 1
     for spec in stack:
@@ -59,11 +61,11 @@ def receptive_fields(in_hw: tuple[int, int], stack=DEFAULT_STACK) -> list[tuple[
     for r in range(h2):
         for c in range(w2):
             rects.append((r * step, r * step + size, c * step, c * step + size))
-    return rects
+    return tuple(rects)
 
 
 @lru_cache(maxsize=8)
-def _position_table(grid_dims: tuple[int, int], d: int) -> np.ndarray:
+def _position_table(grid_dims: tuple[int, int], d: int, dtype) -> np.ndarray:
     if d % 2:
         raise ConfigError(f"token dimension must be even, got {d}")
     half = d // 2
@@ -80,12 +82,15 @@ def _position_table(grid_dims: tuple[int, int], d: int) -> np.ndarray:
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     table = np.concatenate([encode_axis(rows.ravel().astype(np.float64)),
                             encode_axis(cols.ravel().astype(np.float64))], axis=1)
+    table = table.astype(dtype)
+    table.setflags(write=False)
     return table
 
 
 def encode_positions(grid_dims: tuple[int, int], d: int) -> np.ndarray:
-    """(n, d) positional encodings; first half encodes row, second half column."""
-    return _position_table(tuple(grid_dims), d).astype(ad.get_default_dtype())
+    """(n, d) positional encodings at the default dtype, read-only; first half
+    encodes row, second half column."""
+    return _position_table(tuple(grid_dims), d, ad.get_default_dtype())
 
 
 def init_extractor(rng: np.random.Generator, in_channels: int,

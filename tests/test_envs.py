@@ -1,12 +1,15 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smap import envs, oracles
-from smap.envs import (KIND_DODGE, KIND_MAZE, RETURN_BOUNDS, EnvState,
-                       generate_level, make_split, render_obs, render_ppm,
-                       reset, step)
+from smap.envs import (DELTAS, GRID, KIND_DODGE, KIND_MAZE, RETURN_BOUNDS,
+                       Emitter, EnvState, LevelSpec, generate_level, make_split,
+                       render_obs, render_ppm, reset, step)
 from smap.errors import ConfigError, UsageError
 
 
@@ -29,8 +32,7 @@ def test_dodge_layout_contract():
         dist = abs(level.item[0] - level.agent_start[0]) + \
             abs(level.item[1] - level.agent_start[1])
         assert dist >= 6
-        assert envs._dodge_safe_policy_exists(level.walls, level.hazards,
-                                              level.agent_start, level.horizon)
+        assert oracles.dodge_survives_horizon(level)
 
 
 def test_maze_seed0_has_unique_path():
@@ -193,3 +195,312 @@ def test_render_ppm(tmp_path):
     data = path.read_bytes()
     assert data.startswith(b"P6\n16 16\n255\n")
     assert len(data) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-projectile implementations the level tables replaced
+
+
+def _ref_hazard_tables(emitters, horizon):
+    frames = []
+    dead = (-1, -1)
+    for t in range(horizon + 1):
+        cur, nxt, trail = [], [], []
+        for e in emitters:
+            for x in range(e.span_len):
+                if t - x >= 0 and (t - x - e.phase) % e.period == 0:
+                    cur.append(envs._emitter_cell(e, x))
+                    nxt.append(envs._emitter_cell(e, x + 1) if x + 1 < e.span_len else dead)
+                    trail.append(envs._emitter_cell(e, x - 1) if x - 1 >= 0 else dead)
+        frames.append((np.array(cur, dtype=np.int16).reshape(-1, 2),
+                       np.array(nxt, dtype=np.int16).reshape(-1, 2),
+                       np.array(trail, dtype=np.int16).reshape(-1, 2)))
+    return tuple(frames)
+
+
+def _ref_shift(grid, dr, dc):
+    out = np.zeros_like(grid)
+    out[max(0, dr):GRID + min(0, dr), max(0, dc):GRID + min(0, dc)] = \
+        grid[max(0, -dr):GRID + min(0, -dr), max(0, -dc):GRID + min(0, -dc)]
+    return out
+
+
+def _ref_safe_policy_exists(walls, hazards, start, horizon):
+    free = ~walls
+    if any(tuple(p) == start for p in hazards[0][0]):
+        return False
+    reach = np.zeros_like(free)
+    reach[start] = True
+    for t in range(horizon):
+        cur, nxt, _ = hazards[t]
+        occ2 = np.zeros_like(free)
+        at2 = hazards[t + 1][0]
+        occ2[at2[:, 0], at2[:, 1]] = True
+        new_reach = reach & ~occ2
+        for dr, dc in DELTAS[:4]:
+            tgt = _ref_shift(reach, dr, dc) & free
+            for j in range(cur.shape[0]):
+                p, q = tuple(cur[j]), tuple(nxt[j])
+                if q != (-1, -1) and (p[0] - q[0], p[1] - q[1]) == (dr, dc) and reach[q]:
+                    tgt[p] = False
+            new_reach |= tgt & ~occ2
+        reach = new_reach
+        if not reach.any():
+            return False
+    return True
+
+
+def _ref_step(state, action):
+    level = state.level
+    dr, dc = DELTAS[action]
+    r, c = state.pos
+    if level.kind == KIND_MAZE:
+        between = (r + dr, c + dc)
+        target = (r + 2 * dr, c + 2 * dc)
+        new_pos = state.pos if (dr, dc) == (0, 0) or level.walls[between] else target
+    else:
+        target = (r + dr, c + dc)
+        new_pos = state.pos if level.walls[target] else target
+    t2 = state.t + 1
+
+    if level.kind == KIND_DODGE:
+        if new_pos == level.item:
+            return replace(state, pos=new_pos, t=t2, done=True), envs.GOAL_REWARD, True
+        cur, nxt, _ = level.hazards[state.t]
+        at2 = level.hazards[t2][0]
+        hit = any(tuple(p) == new_pos for p in at2)
+        if not hit:
+            for j in range(cur.shape[0]):
+                if tuple(cur[j]) == new_pos and tuple(nxt[j]) == state.pos:
+                    hit = True
+                    break
+        if hit:
+            return replace(state, pos=new_pos, t=t2, done=True), 0.0, True
+        done = t2 >= level.horizon
+        return replace(state, pos=new_pos, t=t2, done=done), envs.TICK_REWARD, done
+
+    if new_pos == level.goal:
+        return replace(state, pos=new_pos, t=t2, done=True), envs.GOAL_REWARD, True
+    done = t2 >= level.horizon
+    return replace(state, pos=new_pos, t=t2, done=done), 0.0, done
+
+
+def _ref_render_obs(state, dtype):
+    level = state.level
+    obs = np.zeros((4, GRID, GRID), dtype=dtype)
+    obs[0][level.walls] = 1.0
+    obs[1][state.pos] = 1.0
+    if level.kind == KIND_DODGE:
+        obs[2][level.item] = 1.0
+        cur, _, trail = level.hazards[state.t]
+        for j in range(trail.shape[0]):
+            cell = tuple(trail[j])
+            if cell != (-1, -1) and not level.walls[cell]:
+                obs[2][cell] = max(obs[2][cell], 0.3)
+        for j in range(cur.shape[0]):
+            cell = tuple(cur[j])
+            obs[2][cell] = max(obs[2][cell], 0.6)
+    else:
+        obs[2][level.goal] = 1.0
+    obs[3][:] = 0.15 + 0.8 * level.palette / (envs.N_PALETTES - 1)
+    return obs
+
+
+def _assert_same_obs(state):
+    for dtype in (np.float32, np.float64):
+        got, want = render_obs(state, dtype), _ref_render_obs(state, dtype)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _assert_same_step(state, action):
+    got, want = step(state, action), _ref_step(state, action)
+    assert (got[0].pos, got[0].t, got[0].done) == (want[0].pos, want[0].t, want[0].done)
+    assert got[1:] == want[1:]
+    return got
+
+
+def _run_against_reference(state, rng):
+    """Random actions to termination, comparing every step and frame."""
+    _assert_same_obs(state)
+    while not state.done:
+        state, _, _ = _assert_same_step(state, int(rng.integers(0, envs.N_ACTIONS)))
+        _assert_same_obs(state)
+
+
+@pytest.mark.parametrize("kind,n_train,n_test", [(KIND_DODGE, 60, 40), (KIND_MAZE, 10, 10)])
+def test_step_and_render_match_reference(kind, n_train, n_test):
+    train, test = make_split(kind, n_train, n_test)
+    for seed in train + test:
+        _run_against_reference(reset(generate_level(kind, seed)), np.random.default_rng(seed))
+
+
+def test_hazard_tables_match_reference():
+    for seed in list(range(20)) + [envs.TEST_SEED_BASE + 7]:
+        level = generate_level(KIND_DODGE, seed)
+        got = envs._hazard_tables(level.emitters, level.horizon)
+        want = _ref_hazard_tables(level.emitters, level.horizon)
+        assert len(got) == len(want) == level.horizon + 1
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _arena(extra_walls=()):
+    walls = np.zeros((GRID, GRID), dtype=bool)
+    walls[0, :] = walls[-1, :] = walls[:, 0] = walls[:, -1] = True
+    for cell in extra_walls:
+        walls[cell] = True
+    return walls
+
+
+def _handmade(frames, start, item=(12, 12), walls=None, horizon=4):
+    """A DodgeGrid spec from {t: [(cell, next cell, trail cell), ...]}."""
+    hazards = []
+    for t in range(horizon + 1):
+        rows = frames.get(t, [])
+        hazards.append(tuple(np.array([row[i] for row in rows], dtype=np.int16).reshape(-1, 2)
+                             for i in range(3)))
+    return LevelSpec(kind=KIND_DODGE, seed=0, walls=_arena() if walls is None else walls,
+                     agent_start=start, palette=4, horizon=horizon, item=item,
+                     hazards=tuple(hazards))
+
+
+def test_swap_collision():
+    # the projectile goes (5, 6) -> (5, 5) while the agent goes (5, 5) -> (5, 6)
+    level = _handmade({0: [((5, 6), (5, 5), (5, 7))], 1: [((5, 5), (5, 4), (5, 6))]},
+                      start=(5, 5))
+    _, reward, done = _assert_same_step(reset(level), 3)
+    assert done and reward == 0.0
+    _, reward, done = _assert_same_step(reset(level), 4)      # stay: hit in place
+    assert done and reward == 0.0
+    _, reward, done = _assert_same_step(reset(level), 0)      # up: dodged
+    assert not done and reward == envs.TICK_REWARD
+
+
+def test_projectile_on_item_item_wins():
+    level = _handmade({0: [((5, 7), (5, 6), (5, 8))], 1: [((5, 6), (5, 5), (5, 7))]},
+                      start=(5, 5), item=(5, 6))
+    state, reward, done = _assert_same_step(reset(level), 3)
+    assert done and reward == envs.GOAL_REWARD
+    _assert_same_obs(state)
+    assert render_obs(state)[2][5, 6] == 1.0
+
+
+def test_trail_over_wall_is_not_drawn():
+    level = _handmade({0: [((5, 7), (5, 6), (5, 8)), ((7, 7), (7, 6), (7, 8))]},
+                      start=(10, 10), walls=_arena([(5, 8)]))
+    _assert_same_obs(reset(level))
+    obs = render_obs(reset(level), np.float64)
+    assert obs[2][5, 8] == 0.0 and obs[0][5, 8] == 1.0
+    assert obs[2][7, 8] == 0.3 and obs[2][5, 7] == obs[2][7, 7] == 0.6
+
+
+def test_two_projectiles_on_one_cell():
+    # both sit on (6, 6): one moves up, one moves right
+    level = _handmade({0: [((6, 6), (5, 6), (7, 6)), ((6, 6), (6, 7), (6, 5))],
+                       1: [((5, 6), (4, 6), (6, 6)), ((6, 7), (6, 8), (6, 6))]},
+                      start=(5, 6))
+    for pos, action, hit in (((5, 6), 1, True), ((6, 7), 2, True), ((7, 6), 0, False)):
+        state = EnvState(level=level, pos=pos, t=0, done=False)
+        _assert_same_obs(state)
+        _, reward, done = _assert_same_step(state, action)
+        assert done == hit and reward == (0.0 if hit else envs.TICK_REWARD)
+    assert level.codes[0][6, 6] == 2 | envs.HAZARD | envs.MOVE_BITS[0] | envs.MOVE_BITS[3]
+
+
+def test_blocked_move_and_stay_do_not_swap():
+    # a projectile leaves the agent's own cell opposite to the blocked move
+    level = _handmade({0: [((5, 5), (5, 4), (5, 6))], 1: [((5, 4), (5, 3), (5, 5))]},
+                      start=(5, 5), walls=_arena([(5, 6)]))
+    for action in (3, 4):
+        state, reward, done = _assert_same_step(reset(level), action)
+        assert state.pos == (5, 5) and not done and reward == envs.TICK_REWARD
+
+
+def test_blanked_level_renders_and_steps_like_reference():
+    level = generate_level(KIND_DODGE, 0)
+    rng = np.random.default_rng(0)
+    states = oracles.dodge_reachable_states(level, max_t=level.horizon - 2)
+    for i in rng.choice(len(states), size=6, replace=False):
+        pos, t = states[i]
+        blanked = oracles.blanked_level(level, pos, t)
+        _run_against_reference(EnvState(level=blanked, pos=pos, t=t, done=False), rng)
+
+
+def _random_candidate(rng):
+    """A one-cell-wide corridor with dead-end side passages, each swept by a
+    projectile stream: unsafe far more often than a generated level."""
+    walls = np.ones((GRID, GRID), dtype=bool)
+    walls[5, 1:GRID - 1] = False
+    period = int(rng.integers(4, 160))
+    emitters = [Emitter(0, 5, 1, GRID - 2, period, int(rng.integers(0, period)),
+                        int(rng.choice([-1, 1])))]
+    for col in rng.choice(np.arange(1, GRID - 1), size=int(rng.integers(0, 3)), replace=False):
+        walls[2:5, col] = False
+        period = int(rng.integers(2, 6))
+        emitters.append(Emitter(1, int(col), 2, 4, period, int(rng.integers(0, period)), 1))
+    return LevelSpec(kind=KIND_DODGE, seed=0, walls=walls,
+                     agent_start=(5, int(rng.integers(1, GRID - 1))), palette=0,
+                     horizon=envs.DODGE_HORIZON, emitters=tuple(emitters), item=(5, 1),
+                     hazards=_ref_hazard_tables(tuple(emitters), envs.DODGE_HORIZON))
+
+
+def test_safe_policy_check_matches_reference():
+    rng = np.random.default_rng(5)
+    candidates = [_random_candidate(rng) for _ in range(40)]
+    candidates += [generate_level(KIND_DODGE, s) for s in range(5)]
+    # a projectile on the start cell at t = 0, gone from then on
+    candidates.append(_handmade({0: [((5, 5), (5, 6), (-1, -1))]}, start=(5, 5)))
+    verdicts = []
+    for level in candidates:
+        want = _ref_safe_policy_exists(level.walls, level.hazards, level.agent_start,
+                                       level.horizon)
+        assert envs._dodge_safe_policy_exists(level) == want
+        verdicts.append(want)
+    assert 5 <= sum(verdicts) <= len(verdicts) - 5     # both outcomes are exercised
+
+
+def _trap_level():
+    """A one-cell-wide corridor swept by projectiles: no policy survives."""
+    walls = np.ones((GRID, GRID), dtype=bool)
+    walls[5, 1:GRID - 1] = False
+    emitters = (Emitter(axis=0, line=5, span_start=1, span_len=GRID - 2, period=20,
+                        phase=0, direction=1),)
+    return LevelSpec(kind=KIND_DODGE, seed=0, walls=walls, agent_start=(5, 7), palette=0,
+                     horizon=envs.DODGE_HORIZON, emitters=emitters, item=(5, 3),
+                     hazards=envs._hazard_tables(emitters, envs.DODGE_HORIZON))
+
+
+def test_survival_dp_accepts_generated_and_rejects_trap():
+    for seed in range(10):
+        assert oracles.dodge_survives_horizon(generate_level(KIND_DODGE, seed))
+    trap = _trap_level()
+    assert not oracles.dodge_survives_horizon(trap)
+    assert not envs._dodge_safe_policy_exists(trap)
+    assert not _ref_safe_policy_exists(trap.walls, trap.hazards, trap.agent_start,
+                                       trap.horizon)
+
+
+def test_layouts_match_pinned_digest():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        level = generate_level(KIND_DODGE, seed)
+        digest.update(level.walls.tobytes())
+        digest.update(repr((level.agent_start, level.item, level.emitters,
+                            level.palette)).encode())
+    assert digest.hexdigest() == \
+        "83994a15ac118002c2826be8d4e46b3871a7c4273a1b34ae13476e01a8ad0198"
+
+
+def test_level_tables_are_small_and_read_only():
+    level = generate_level(KIND_DODGE, 0)
+    assert level.codes.shape == (level.horizon + 1, GRID, GRID)
+    assert level.codes.nbytes + level.base.nbytes <= 48 * 1024
+    maze = generate_level(KIND_MAZE, 0)
+    assert maze.codes is None and maze.base.shape == (4, GRID, GRID)
+    for table in (level.codes, level.base, maze.base):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
+    jump = _handmade({0: [((5, 5), (5, 7), (-1, -1))]}, start=(9, 9))
+    with pytest.raises(ValueError):
+        jump.codes

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smap import autodiff as ad
+from smap import tokenizer
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
 from smap.gradcheck import analytic_grads, fd_coordinate, rel_error
@@ -113,3 +114,19 @@ def test_tokenize_deterministic():
     a = tokenize(obs, params).tokens.data
     b = tokenize(obs, params).tokens.data
     assert np.array_equal(a, b)
+
+
+def test_cached_geometry_equals_fresh_values_and_is_read_only():
+    rects = receptive_fields((16, 16))
+    assert rects is receptive_fields((16, 16))
+    assert rects == receptive_fields.__wrapped__((16, 16), DEFAULT_STACK)
+    assert rects == tuple((4 * r, 4 * r + 4, 4 * c, 4 * c + 4)
+                          for r in range(4) for c in range(4))
+    fresh = tokenizer._position_table.__wrapped__((4, 4), 32, np.float64)
+    for dtype in (np.float32, np.float64):
+        with ad.precision(dtype):
+            enc = encode_positions((4, 4), 32)
+            assert enc is encode_positions((4, 4), 32) and enc.dtype == dtype
+        assert np.array_equal(enc, fresh.astype(dtype))
+        with pytest.raises(ValueError):
+            enc[0, 0] = 1.0
