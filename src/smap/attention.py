@@ -43,18 +43,12 @@ class TrunkConfig:
 
 
 @dataclass
-class LayerMask:
-    logits: Optional[Tensor]
-    soft: Optional[Tensor]
-    hard: Tensor
-
-
-@dataclass
 class MaskSet:
-    layers: list[LayerMask]
-    out: LayerMask
-    tau: float
-    mode: str
+    """The hard masks that gate attention and define the path counts: one
+    (B, n, n) per layer and the (B, 1, n) aggregation mask. In train mode
+    they are straight-through tensors, so gradients reach the mask logits."""
+    layers: list[Tensor]
+    out: Tensor
 
 
 @dataclass
@@ -70,15 +64,6 @@ class TrunkOutput:
     masks: Optional[MaskSet]
     records: Optional[list[AttnRecord]]
     grid: TokenGrid
-
-
-def ones_mask_set(batch: int, n: int, n_layers: int, dtype=None) -> MaskSet:
-    """Fully open masks, used by the dense attention baseline."""
-    dtype = dtype or ad.get_default_dtype()
-    layers = [LayerMask(None, None, Tensor(np.ones((batch, n, n)), dtype=dtype))
-              for _ in range(n_layers)]
-    out = LayerMask(None, None, Tensor(np.ones((batch, 1, n)), dtype=dtype))
-    return MaskSet(layers=layers, out=out, tau=1.0, mode="ones")
 
 
 def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
@@ -131,18 +116,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def sample_mask_values(logits: Tensor, mode: str, tau: float,
                        rng: Optional[np.random.Generator]) -> tuple[Tensor, Tensor]:
-    """Turn mask logits into (soft, hard) mask tensors.
+    """Turn mask logits into (soft, hard) mask tensors; only ``hard`` gates
+    attention.
 
     train: logistic noise, sigmoid relaxation, straight-through threshold.
-    eval:  deterministic threshold sigmoid(logits) > 0.5, no noise, no grad.
+    eval:  deterministic threshold sigmoid(logits) > 0.5, no noise, no grad,
+           and no relaxation: ``soft`` is None.
     soft:  like train but without the hard threshold (verification mode).
     """
     if tau <= 0:
         raise ConfigError(f"mask temperature must be positive, got {tau}")
     if mode == "eval":
         hard_vals = (logits.data > 0).astype(logits.data.dtype)
-        soft = Tensor(ad.sigmoid_array(logits.data), dtype=logits.data.dtype)
-        return soft, Tensor(hard_vals, dtype=logits.data.dtype)
+        return None, Tensor(hard_vals, dtype=logits.data.dtype)
     if mode not in ("train", "soft"):
         raise ConfigError(f"unknown mask sampling mode {mode!r}")
     if rng is None:
@@ -210,7 +196,7 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
     set is None."""
     sampling = masks_override is None and "agg.qm" in params
     x = tokens
-    layer_masks: list[LayerMask] = []
+    layer_masks: list[Tensor] = []
     records: list[AttnRecord] = [] if want_records else None
 
     def record(layer: int, attn: Tensor, mask: Optional[Tensor]) -> None:
@@ -221,37 +207,25 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
     for l in range(cfg.n_layers):
         hard = None
         if masks_override is not None:
-            hard = masks_override.layers[l].hard
+            hard = masks_override.layers[l]
         elif sampling:
-            logits = _mask_logits(x, params, f"layer{l}.")
-            soft, hard = sample_mask_values(logits, mode, cfg.tau, noise_rng)
-            layer_masks.append(LayerMask(logits, soft, hard))
+            _, hard = sample_mask_values(_mask_logits(x, params, f"layer{l}."), mode,
+                                         cfg.tau, noise_rng)
+            layer_masks.append(hard)
         x, attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_k)
         record(l, attn, hard)
 
     out_hard = None
     masks = masks_override
     if masks_override is not None:
-        out_hard = masks_override.out.hard
+        out_hard = masks_override.out
     elif sampling:
-        logits = _agg_mask_logits(x, params)
-        soft, out_hard = sample_mask_values(logits, mode, cfg.tau, noise_rng)
-        masks = MaskSet(layers=layer_masks, out=LayerMask(logits, soft, out_hard),
-                        tau=cfg.tau, mode=mode)
+        _, out_hard = sample_mask_values(_agg_mask_logits(x, params), mode, cfg.tau,
+                                         noise_rng)
+        masks = MaskSet(layers=layer_masks, out=out_hard)
     features, agg_attn = aggregate(x, params, out_hard, cfg.d_k)
     record(-1, agg_attn, out_hard)
     return features, masks, records
-
-
-def sample_masks(params: dict[str, Tensor], tokens: Tensor, mode: str,
-                 rng: Optional[np.random.Generator], cfg: TrunkConfig) -> MaskSet:
-    """Masks for the whole stack, starting from the given input tokens.
-
-    Layer masks beyond the first depend on intermediate token representations,
-    so this runs the attention stack and discards the features.
-    """
-    _, masks, _ = run_attention_stack(tokens, params, cfg, mode=mode, noise_rng=rng)
-    return masks
 
 
 def forward_trunk(obs: Tensor, params: dict[str, Tensor], cfg: TrunkConfig,

@@ -167,40 +167,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
-
-    # arithmetic sugar; scalars are coerced to the tensor's dtype
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data, name: str) -> Tensor:
@@ -358,20 +327,6 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b) -> Tensor:
-    """Pointwise division; any zero in the denominator is an error.
-
-    The masked-attention module has its own guarded renormalization with the
-    0/0 := 0 convention; this operator stays strict.
-    """
-    b_arr = b.data if isinstance(b, Tensor) else np.asarray(b)
-    if np.any(b_arr == 0):
-        raise ZeroDivisionError("division by a tensor containing zero")
-    return _binary(a, b, np.divide,
-                   lambda g, x, y: g / y,
-                   lambda g, x, y: -g * x / (y * y))
-
-
 def minimum(a, b) -> Tensor:
     """Pointwise min; ties route the gradient to the first argument."""
     return _binary(a, b, np.minimum,
@@ -399,15 +354,6 @@ def exp(t: Tensor) -> Tensor:
     return _unary(t, e, lambda g: g * e)
 
 
-def log(t: Tensor) -> Tensor:
-    return _unary(t, np.log(t.data), lambda g: g / t.data)
-
-
-def sqrt(t: Tensor) -> Tensor:
-    r = np.sqrt(t.data)
-    return _unary(t, r, lambda g: g / (2.0 * r))
-
-
 def square(t: Tensor) -> Tensor:
     return _unary(t, t.data * t.data, lambda g: g * 2.0 * t.data)
 
@@ -421,11 +367,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 def sigmoid(t: Tensor) -> Tensor:
     s = sigmoid_array(t.data)
     return _unary(t, s, lambda g: g * s * (1.0 - s))
-
-
-def tanh(t: Tensor) -> Tensor:
-    h = np.tanh(t.data)
-    return _unary(t, h, lambda g: g * (1.0 - h * h))
 
 
 def relu(t: Tensor) -> Tensor:
@@ -454,30 +395,26 @@ class capture_kinks:
         return False
 
 
-def _reduce(t: Tensor, op, axis, keepdims, scale_back: float) -> Tensor:
-    out_data = op(t.data, axis=axis, keepdims=keepdims)
+def _reduce(t: Tensor, op, axis, scale_back: float) -> Tensor:
+    out_data = op(t.data, axis=axis)
     out = Tensor(np.asarray(out_data, dtype=t.data.dtype), dtype=t.data.dtype)
 
     def bwd(g):
         ga = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             ga = np.expand_dims(ga, axis)
         return (np.broadcast_to(ga, t.shape) * scale_back,)
 
     return _emit(out, (t,), bwd)
 
 
-def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce(t, np.sum, axis, keepdims, 1.0)
+def tsum(t: Tensor, axis=None) -> Tensor:
+    return _reduce(t, np.sum, axis, 1.0)
 
 
-def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = t.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([t.shape[a] for a in axes]))
-    return _reduce(t, np.mean, axis, keepdims, 1.0 / count)
+def tmean(t: Tensor) -> Tensor:
+    """Mean over every element."""
+    return _reduce(t, np.mean, None, 1.0 / t.data.size)
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -678,8 +615,9 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     """Valid (unpadded) strided convolution.
 
-    ``x`` is (C,H,W) or (B,C,H,W); kernels are (F,C,kh,kw). The spatial
-    extent must divide evenly so output cells tile the input exactly.
+    ``x`` is (B,C,H,W) and kernels are (F,C,kh,kw); a single image is
+    batched by its caller. The spatial extent must divide evenly so output
+    cells tile the input exactly.
 
     Shapes and values are NCHW whatever the memory layout, which only picks
     how patches are gathered. An input whose ``transpose(0, 2, 3, 1)`` is
@@ -688,8 +626,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     gathered patch-major, along output columns. The output and the input
     gradient are NCHW views of channels-last arrays.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or kernels.ndim != 4:
         raise DimensionError(f"conv2d expects image {x.shape} and kernels {kernels.shape}")
     b_sz, c_in, h, w = xd.shape
@@ -715,13 +652,10 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         pmat = patches.transpose(3, 4, 5, 0, 1, 2).reshape(n_cols, n_rows).T
     wmat = kernels.data.transpose(0, 2, 3, 1).reshape(f_out, n_cols)
     out_data = (pmat @ wmat.T).reshape(b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
-    if squeeze:
-        out_data = out_data[0]
     out = Tensor(out_data, dtype=x.data.dtype)
 
     def bwd(g):
-        gd = g[None] if squeeze else g
-        g_out = gd.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
+        g_out = g.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
         gk = gx = None
         if kernels.requires_grad:
             gk = (pmat.T @ g_out).T.reshape(f_out, kh, kw, c_in).transpose(0, 3, 1, 2)
@@ -730,16 +664,15 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
             # stride x stride kernel offsets per add: offsets in a block never
             # reach the same input cell
             g_patches = (g_out @ wmat).reshape(b_sz, h2, w2, kh, kw, c_in)
-            gx_full = np.zeros((b_sz, h, w, c_in), dtype=xd.dtype).transpose(0, 3, 1, 2)
-            t0, t1, t2, t3 = gx_full.strides
+            gx = np.zeros((b_sz, h, w, c_in), dtype=xd.dtype).transpose(0, 3, 1, 2)
+            t0, t1, t2, t3 = gx.strides
             for i in range(0, kh, stride):
                 for j in range(0, kw, stride):
                     ni, nj = min(stride, kh - i), min(stride, kw - j)
                     block = np.lib.stride_tricks.as_strided(
-                        gx_full[:, :, i:, j:], shape=(b_sz, h2, ni, w2, nj, c_in),
+                        gx[:, :, i:, j:], shape=(b_sz, h2, ni, w2, nj, c_in),
                         strides=(t0, t2 * stride, t2, t3 * stride, t3, t1))
                     block += g_patches[:, :, :, i:i + ni, j:j + nj].transpose(0, 1, 3, 2, 4, 5)
-            gx = gx_full[0] if squeeze else gx_full
         return gx, gk
 
     return _emit(out, (x, kernels), bwd)

@@ -52,6 +52,8 @@ def cmd_train(args) -> int:
 
 
 def _load_run_policy(run_dir: Path):
+    if not run_dir.is_dir():
+        raise ConfigError(f"run directory not found: {run_dir}")
     cfg = load_config(run_dir / "config.txt")
     with ad.precision(cfg.precision):
         policy = make_policy(cfg.policy, TrunkConfig(), seed=cfg.ppo.seed)
@@ -61,8 +63,6 @@ def _load_run_policy(run_dir: Path):
 
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
-    if not run_dir.is_dir():
-        raise ConfigError(f"run directory not found: {run_dir}")
     cfg, policy = _load_run_policy(run_dir)
     with ad.precision(cfg.precision):
         train_seeds, test_seeds = envs.make_split(cfg.env_kind, cfg.n_train_levels,
@@ -136,8 +136,6 @@ def _parse_alphas(raw: str) -> list[float]:
 
 def cmd_visualize(args) -> int:
     run_dir = Path(args.run)
-    if not run_dir.is_dir():
-        raise ConfigError(f"run directory not found: {run_dir}")
     cfg, policy = _load_run_policy(run_dir)
     if policy.kind == "cnn":
         raise ConfigError("visualization needs an attention policy; this run used cnn")

@@ -150,16 +150,9 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
                              scalar(lambda a, b: ad.sub(ad.mul(a, b), b))))
     register("mul", lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
                              scalar(lambda a, b: ad.mul(a, b))))
-    register("div", lambda: ([_t(rng, 2, 3), Tensor(rng.uniform(0.5, 2.0, (2, 3)), requires_grad=True)],
-                             scalar(lambda a, b: ad.div(a, b))))
     register("exp", lambda: ([_t(rng, 2, 3)], scalar(ad.exp)))
-    register("log", lambda: ([Tensor(rng.uniform(0.2, 3.0, (2, 3)), requires_grad=True)],
-                             scalar(ad.log)))
-    register("sqrt", lambda: ([Tensor(rng.uniform(0.2, 3.0, (2, 3)), requires_grad=True)],
-                              scalar(ad.sqrt)))
     register("square", lambda: ([_t(rng, 2, 3)], scalar(ad.square)))
     register("sigmoid", lambda: ([_t(rng, 2, 3)], scalar(ad.sigmoid)))
-    register("tanh", lambda: ([_t(rng, 2, 3)], scalar(ad.tanh)))
     register("relu", lambda: ([Tensor(rng.standard_normal((2, 3)) + np.where(rng.random((2, 3)) < 0.5, -0.5, 0.5),
                                       requires_grad=True)],
                               scalar(ad.relu)))
@@ -176,7 +169,7 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
     register("masked_softmax", lambda: _masked_softmax_case(rng))
     register("layer_norm", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4), _t(rng, 4)],
                                     scalar(lambda x, g, b: ad.layer_norm(x, g, b))))
-    register("conv2d", lambda: ([_t(rng, 2, 8, 8), _t(rng, 3, 2, 3, 3)],
+    register("conv2d", lambda: ([_t(rng, 1, 2, 8, 8), _t(rng, 3, 2, 3, 3)],
                                 scalar(lambda x, k: ad.conv2d(x, k, stride=1))))
     register("conv2d_strided", lambda: ([_t(rng, 1, 4, 4, 4), _t(rng, 2, 4, 2, 2)],
                                         scalar(lambda x, k: ad.conv2d(x, k, stride=2))))

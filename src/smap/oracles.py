@@ -227,10 +227,12 @@ def blanked_level(level: LevelSpec, pos: tuple[int, int], t: int,
         cur_s, nxt_s, trail_s = [], [], []
         if s >= t:
             k = s - t
+            flying = []
             for (p, d) in kept:
                 cell = (p[0] + k * d[0], p[1] + k * d[1])
                 if not (0 <= cell[0] < GRID and 0 <= cell[1] < GRID) or walls[cell]:
-                    continue
+                    continue            # the flight ends at the first remaining wall
+                flying.append((p, d))
                 nxt_cell = (cell[0] + d[0], cell[1] + d[1])
                 if not (0 <= nxt_cell[0] < GRID and 0 <= nxt_cell[1] < GRID) or walls[nxt_cell]:
                     nxt_cell = dead
@@ -240,6 +242,7 @@ def blanked_level(level: LevelSpec, pos: tuple[int, int], t: int,
                 cur_s.append(cell)
                 nxt_s.append(nxt_cell)
                 trail_s.append(prev_cell)
+            kept = flying
         frames.append((np.array(cur_s, dtype=np.int16).reshape(-1, 2),
                        np.array(nxt_s, dtype=np.int16).reshape(-1, 2),
                        np.array(trail_s, dtype=np.int16).reshape(-1, 2)))
@@ -438,7 +441,7 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
     """Named pass/fail checks pairing fast implementations with brute force."""
     from . import autodiff as ad_mod
     from . import paths as pathmod
-    from .attention import LayerMask, MaskSet
+    from .attention import MaskSet
     from .autodiff import Tensor
 
     checks: list[tuple[str, bool, str]] = []
@@ -456,9 +459,8 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
         layer_masks = [(rng.random((n, n)) < rng.random()).astype(float)
                        for _ in range(layers)]
         out_mask = (rng.random((1, n)) < rng.random()).astype(float)
-        ms = MaskSet(layers=[LayerMask(None, None, Tensor(m[None])) for m in layer_masks],
-                     out=LayerMask(None, None, Tensor(out_mask[None])),
-                     tau=1.0, mode="eval")
+        ms = MaskSet(layers=[Tensor(m[None]) for m in layer_masks],
+                     out=Tensor(out_mask[None]))
         pm = pathmod.path_matrix(ms)
         brute = count_paths_bruteforce(layer_masks, out_mask)
         if not np.array_equal(pm.a_out.data[0, 0].astype(np.int64), brute):
@@ -469,10 +471,8 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
     mu_ok = True
     for n in range(1, 9):
         for layers in range(0, 5):
-            ms = MaskSet(layers=[LayerMask(None, None, Tensor(np.ones((1, n, n))))
-                                 for _ in range(layers)],
-                         out=LayerMask(None, None, Tensor(np.ones((1, 1, n)))),
-                         tau=1.0, mode="eval")
+            ms = MaskSet(layers=[Tensor(np.ones((1, n, n))) for _ in range(layers)],
+                         out=Tensor(np.ones((1, 1, n))))
             total = float(pathmod.path_matrix(ms).total.data[0])
             if total != pathmod.max_paths(n, layers):
                 mu_ok = False

@@ -38,15 +38,15 @@ def max_paths(n: int, n_layers: int) -> float:
 
 def path_matrix(masks: MaskSet) -> PathMatrix:
     """Cumulative path counts from the sampled (straight-through) hard masks."""
-    out_mask = masks.out.hard
+    out_mask = masks.out
     b, _, n = out_mask.shape
     dtype = out_mask.data.dtype
     eye = Tensor(np.broadcast_to(np.eye(n, dtype=dtype), (b, n, n)).copy(), dtype=dtype)
     a = eye
-    for lm in masks.layers:
-        if lm.hard.shape != (b, n, n):
-            raise DimensionError(f"layer mask shape {lm.hard.shape} != {(b, n, n)}")
-        a = ad.matmul(ad.add(lm.hard, eye), a)
+    for hard in masks.layers:
+        if hard.shape != (b, n, n):
+            raise DimensionError(f"layer mask shape {hard.shape} != {(b, n, n)}")
+        a = ad.matmul(ad.add(hard, eye), a)
     a_out = ad.matmul(out_mask, a)
     total = ad.reshape(ad.tsum(a_out, axis=(-1, -2)), (b,))
     return PathMatrix(a=a, a_out=a_out, total=total,

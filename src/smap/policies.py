@@ -1,15 +1,18 @@
 """The four agents behind one policy interface.
 
 cnn            conv extractor -> flatten -> MLP -> heads
-attention      tokenizer -> dense attention trunk (no mask)
-input_masked   per-pixel sigmoid mask multiplies the observation, then the
-               dense attention trunk (no mask); the mask net trains from the
+attention      tokenizer -> dense attention trunk (no mask) -> heads
+input_masked   the attention agent behind a pre-stage: a per-pixel sigmoid
+               mask multiplies the observation; the mask net trains from the
                RL loss only
-sparse_masked  tokenizer -> masked attention trunk with sampled binary masks;
-               exposes the mask set and path counts for the sparsity loss
+sparse_masked  the attention agent with sampled binary masks on its
+               attention weights; exposes the mask set and path counts for
+               the sparsity loss
 
-All variants share the extractor architecture and the action/value head
-shapes, so PPO treats them interchangeably.
+The three attention agents run one body, ``AttentionPolicy._attend``, and
+differ only by the pixel-mask pre-stage or the sampled masks. All variants
+share the extractor architecture and the action/value head shapes, so PPO
+treats them interchangeably.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .config import POLICY_KINDS
 from .errors import ConfigError
 from .paths import PathMatrix
 from .rng import CounterStream, stream
-from .tokenizer import DEFAULT_STACK, conv_output_dims, init_extractor
+from .tokenizer import DEFAULT_STACK, conv_output_dims, extract, init_extractor
 
 
 @dataclass
@@ -143,11 +146,7 @@ class CnnPolicy(PolicyBase):
 
     def output(self, obs, mode="eval", noise_rng=None, want_records=False,
                want_paths=True) -> PolicyOutput:
-        x = _obs_tensor(obs)
-        for i, spec in enumerate(DEFAULT_STACK):
-            x = ad.conv2d(x, self.params[f"extractor.conv{i}.w"], stride=spec.stride)
-            x = ad.relu(ad.add(x, ad.reshape(self.params[f"extractor.conv{i}.b"],
-                                             (spec.filters, 1, 1))))
+        x = extract(_obs_tensor(obs), self.params)
         b = x.shape[0]
         flat = ad.reshape(x, (b, x.shape[1] * x.shape[2] * x.shape[3]))
         hidden = ad.relu(ad.add(ad.matmul(flat, self.params["mlp.w1"]), self.params["mlp.b1"]))
@@ -162,16 +161,24 @@ class AttentionPolicy(PolicyBase):
         self.params = init_trunk_params(rng, self.cfg, with_masks=False, scale=init_scale)
         _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
 
+    def _attend(self, x: Tensor, mode: str, noise_rng, want_records: bool,
+                want_paths: bool) -> PolicyOutput:
+        """The body of every attention agent: the trunk, path counts when it
+        sampled masks, then the heads."""
+        trunk = forward_trunk(x, self.params, self.cfg, mode=mode, noise_rng=noise_rng,
+                              want_records=want_records)
+        pm = (pathmod.path_matrix(trunk.masks)
+              if want_paths and trunk.masks is not None else None)
+        logits, value = _heads(self.params, trunk.features)
+        return PolicyOutput(action_logits=logits, value=value, mask_set=trunk.masks,
+                            path_matrix=pm, records=trunk.records, grid=trunk.grid)
+
     def output(self, obs, mode="eval", noise_rng=None, want_records=False,
                want_paths=True) -> PolicyOutput:
-        trunk = forward_trunk(_obs_tensor(obs), self.params, self.cfg, mode=mode,
-                              want_records=want_records)
-        logits, value = _heads(self.params, trunk.features)
-        return PolicyOutput(action_logits=logits, value=value,
-                            records=trunk.records, grid=trunk.grid)
+        return self._attend(_obs_tensor(obs), mode, noise_rng, want_records, want_paths)
 
 
-class InputMaskedPolicy(PolicyBase):
+class InputMaskedPolicy(AttentionPolicy):
     kind = "input_masked"
 
     MASK_HIDDEN = 8
@@ -201,32 +208,22 @@ class InputMaskedPolicy(PolicyBase):
     def output(self, obs, mode="eval", noise_rng=None, want_records=False,
                want_paths=True) -> PolicyOutput:
         x = _obs_tensor(obs)
-        masked = ad.mul(x, self.pixel_mask(x))
-        trunk = forward_trunk(masked, self.params, self.cfg, mode=mode,
-                              want_records=want_records)
-        logits, value = _heads(self.params, trunk.features)
-        return PolicyOutput(action_logits=logits, value=value,
-                            records=trunk.records, grid=trunk.grid)
+        return self._attend(ad.mul(x, self.pixel_mask(x)), mode, noise_rng, want_records,
+                            want_paths)
 
 
-class SparseMaskedPolicy(PolicyBase):
+class SparseMaskedPolicy(AttentionPolicy):
     kind = "sparse_masked"
 
     def _build(self, rng, init_scale):
         self.params = init_trunk_params(rng, self.cfg, with_masks=True, scale=init_scale)
         _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
 
-    def output(self, obs, mode="train", noise_rng=None, want_records=False,
+    def output(self, obs, mode="eval", noise_rng=None, want_records=False,
                want_paths=True) -> PolicyOutput:
-        x = _obs_tensor(obs)
         if mode in ("train", "soft") and noise_rng is None:
             noise_rng = self._noise.next()
-        trunk = forward_trunk(x, self.params, self.cfg, mode=mode, noise_rng=noise_rng,
-                              want_records=want_records)
-        pm = pathmod.path_matrix(trunk.masks) if want_paths else None
-        logits, value = _heads(self.params, trunk.features)
-        return PolicyOutput(action_logits=logits, value=value, mask_set=trunk.masks,
-                            path_matrix=pm, records=trunk.records, grid=trunk.grid)
+        return self._attend(_obs_tensor(obs), mode, noise_rng, want_records, want_paths)
 
 
 _POLICY_CLASSES = {

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from . import envs
+from . import envs, paths
 from .attention import TrunkConfig
 from .autodiff import Tape, Tensor
 from .checkpoint import save_params
@@ -51,8 +50,6 @@ class RolloutBatch:
     rewards: np.ndarray           # (T, K)
     dones: np.ndarray             # (T, K) float 0/1
     bootstrap_values: np.ndarray  # (K,)
-    advantages: Optional[np.ndarray] = None
-    returns: Optional[np.ndarray] = None
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
@@ -162,7 +159,6 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
     """Epochs of shuffled clipped-surrogate minibatch updates on one rollout."""
     adv, returns = compute_gae(batch.rewards, batch.values, batch.dones,
                                cfg.gamma, cfg.gae_lambda, batch.bootstrap_values)
-    batch.advantages, batch.returns = adv, returns
     n = adv.size
     flat_obs = batch.observations.reshape((n,) + batch.observations.shape[2:])
     flat_actions = batch.actions.reshape(n)
@@ -191,9 +187,8 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
             loss = ad.add(ad.neg(surrogate), ad.scale(value_loss, cfg.value_coef))
             loss = ad.sub(loss, ad.scale(out.entropy, cfg.entropy_coef))
             mask_term = None
-            if out.path_fraction is not None:
-                dev = ad.sub(out.path_fraction, float(cfg.alpha))
-                mask_term = ad.tmean(ad.square(dev))
+            if out.mask_loss_input is not None:
+                mask_term = paths.mask_loss(out.mask_loss_input, cfg.alpha)
                 if uses_mask:
                     loss = ad.add(loss, ad.scale(mask_term, cfg.lambda_mask))
             loss = ad.scale(loss, weight)
@@ -249,7 +244,7 @@ def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],
         obs = np.stack([envs.render_obs(states[i]) for i in alive])
         out = policy.output(obs, mode="eval")
         if out.path_matrix is not None:
-            fr = out.path_matrix.total.data / out.path_matrix.mu
+            fr = paths.path_fraction(out.path_matrix)
             frac_sum += float(fr.sum())
             frac_n += fr.size
         actions = np.argmax(out.action_logits.data, axis=-1)

@@ -106,20 +106,22 @@ def init_extractor(rng: np.random.Generator, in_channels: int,
     return params
 
 
-def tokenize(obs: Tensor, params: dict[str, Tensor], stack=DEFAULT_STACK) -> TokenGrid:
-    """Run the conv stack and add positional encodings, one token per cell."""
-    squeeze = obs.ndim == 3
-    x = ad.reshape(obs, (1,) + obs.shape) if squeeze else obs
-    in_hw = (x.shape[2], x.shape[3])
+def extract(x: Tensor, params: dict[str, Tensor], stack=DEFAULT_STACK) -> Tensor:
+    """The conv stack, conv -> bias -> ReLU per layer, on a (B, C, H, W) batch."""
     for i, spec in enumerate(stack):
         x = ad.conv2d(x, params[f"extractor.conv{i}.w"], stride=spec.stride)
-        bias = ad.reshape(params[f"extractor.conv{i}.b"], (spec.filters, 1, 1))
-        x = ad.add(x, bias)
-        x = ad.relu(x)
+        x = ad.relu(ad.add(x, ad.reshape(params[f"extractor.conv{i}.b"], (spec.filters, 1, 1))))
+    return x
+
+
+def tokenize(obs: Tensor, params: dict[str, Tensor], stack=DEFAULT_STACK) -> TokenGrid:
+    """Run the conv stack on a (B, C, H, W) batch and add positional
+    encodings, one token per cell."""
+    x = extract(obs, params, stack)
     b, d, h2, w2 = x.shape
     n = h2 * w2
     tokens = ad.transpose(ad.reshape(x, (b, d, n)))          # (B, n, d)
     pos = Tensor(encode_positions((h2, w2), d))
     tokens = ad.add(tokens, pos)
     return TokenGrid(tokens=tokens, grid_dims=(h2, w2),
-                     receptive_fields=receptive_fields(in_hw, stack))
+                     receptive_fields=receptive_fields(obs.shape[2:], stack))

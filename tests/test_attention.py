@@ -3,10 +3,9 @@ import pytest
 
 from smap import autodiff as ad
 from smap import oracles
-from smap.attention import (LayerMask, MaskSet, TrunkConfig, aggregate,
-                            forward_trunk, init_trunk_params,
-                            masked_attention_layer, ones_mask_set,
-                            run_attention_stack, sample_mask_values, sample_masks)
+from smap.attention import (MaskSet, TrunkConfig, aggregate, forward_trunk,
+                            init_trunk_params, masked_attention_layer,
+                            run_attention_stack, sample_mask_values)
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
 from smap.gradcheck import analytic_grads, fd_coordinate, rel_error
@@ -24,6 +23,12 @@ def _params(seed=0, with_masks=True, scale=0.7):
                              scale=scale)
 
 
+def ones_mask_set(batch, n, n_layers):
+    """Fully open masks: the dense attention baseline's values."""
+    return MaskSet(layers=[Tensor(np.ones((batch, n, n))) for _ in range(n_layers)],
+                   out=Tensor(np.ones((batch, 1, n))))
+
+
 def test_saturated_logits_always_open(f64):
     logits = Tensor(np.full((1, 4, 4), 1e6))
     for _ in range(5):
@@ -33,8 +38,9 @@ def test_saturated_logits_always_open(f64):
 
 def test_eval_threshold_is_strict(f64):
     logits = Tensor(np.zeros((1, 3, 3)))
-    _, hard = sample_mask_values(logits, "eval", 1.0, None)
+    soft, hard = sample_mask_values(logits, "eval", 1.0, None)
     assert np.all(hard.data == 0.0)        # sigmoid(0) = 0.5 is not > 0.5
+    assert soft is None
 
 
 def test_train_sampling_matches_bernoulli_rate(f64):
@@ -52,15 +58,18 @@ def test_nonpositive_temperature_rejected():
 def test_mask_set_shapes_and_binarity(f64):
     params = _params(1)
     rng = np.random.default_rng(1)
-    masks = sample_masks(params, _tokens(rng, b=2), "train",
-                         np.random.default_rng(2), CFG)
+    _, masks, _ = run_attention_stack(_tokens(rng, b=2), params, CFG, mode="train",
+                                      noise_rng=np.random.default_rng(2))
     assert len(masks.layers) == CFG.n_layers
-    for lm in masks.layers:
-        assert lm.hard.shape == (2, 16, 16)
-        assert set(np.unique(lm.hard.data)) <= {0.0, 1.0}
-        assert np.all((lm.soft.data > 0) & (lm.soft.data < 1))
-        assert np.array_equal(lm.hard.data, (lm.soft.data > 0.5).astype(lm.hard.data.dtype))
-    assert masks.out.hard.shape == (2, 1, 16)
+    for hard in masks.layers + [masks.out]:
+        assert isinstance(hard, Tensor)
+        assert set(np.unique(hard.data)) <= {0.0, 1.0}
+    assert all(hard.shape == (2, 16, 16) for hard in masks.layers)
+    assert masks.out.shape == (2, 1, 16)
+    logits = Tensor(rng.standard_normal((2, 16, 16)))
+    soft, hard = sample_mask_values(logits, "train", CFG.tau, np.random.default_rng(3))
+    assert np.all((soft.data > 0) & (soft.data < 1))
+    assert np.array_equal(hard.data, (soft.data > 0.5).astype(hard.data.dtype))
 
 
 def test_open_mask_equals_dense_reference(f64):
@@ -171,9 +180,8 @@ def test_no_nan_for_any_mask_pattern(f64):
     for trial in range(20):
         masks = (rng.random((CFG.n_layers, 8, 8)) < rng.random()).astype(float)
         out_mask = (rng.random((1, 8)) < rng.random()).astype(float)
-        override = MaskSet(
-            layers=[LayerMask(None, None, Tensor(m[None])) for m in masks],
-            out=LayerMask(None, None, Tensor(out_mask[None])), tau=1.0, mode="eval")
+        override = MaskSet(layers=[Tensor(m[None]) for m in masks],
+                           out=Tensor(out_mask[None]))
         feats, _, _ = run_attention_stack(tokens, params, CFG, masks_override=override)
         assert np.all(np.isfinite(feats.data))
 

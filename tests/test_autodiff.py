@@ -79,38 +79,35 @@ def test_mean_square_gradient(f64):
     assert np.allclose(x.grad, [2 / 3, 4 / 3, 2.0], atol=1e-12)
 
 
-def test_div_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        ad.div(Tensor([1.0, 2.0]), Tensor([1.0, 0.0]))
-
-
 def test_elementwise_shape_mismatch():
     with pytest.raises(DimensionError):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
 
 
 def test_conv2d_identity_kernel():
-    x = Tensor(np.arange(9.0).reshape(1, 3, 3))
+    x = Tensor(np.arange(9.0).reshape(1, 1, 3, 3))
     k = Tensor(np.ones((1, 1, 1, 1)))
     out = ad.conv2d(x, k, stride=1)
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv2d_ones_block():
-    x = Tensor(np.ones((1, 4, 4)))
+    x = Tensor(np.ones((1, 1, 4, 4)))
     k = Tensor(np.ones((1, 1, 2, 2)))
     out = ad.conv2d(x, k, stride=2)
-    assert np.array_equal(out.data, np.full((1, 2, 2), 4.0))
+    assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
 
 def test_conv2d_geometry_error():
     with pytest.raises(DimensionError):
-        ad.conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 2, 2))), stride=2)
+        ad.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 2, 2))), stride=2)
+    with pytest.raises(DimensionError):         # an unbatched image
+        ad.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), stride=2)
 
 
 def test_conv2d_gradient_oracle(f64):
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((2, 8, 8)), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, 2, 8, 8)), requires_grad=True)
     k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     err = max_rel_error_coordinatewise(
         lambda ts: ad.tsum(ad.square(ad.conv2d(ts[0], ts[1], stride=1))), [x, k])
@@ -325,7 +322,7 @@ def _shared_params():
 
 def _small_loss(params, x):
     w, b, c = params
-    h = ad.tanh(ad.linear(Tensor(x), w, b))                      # (B, 5)
+    h = ad.sigmoid(ad.linear(Tensor(x), w, b))                   # (B, 5)
     z = ad.add(ad.reshape(h, h.shape + (1, 1)), c)               # broadcast c
     return ad.tsum(ad.mul(z, z))
 

@@ -1,11 +1,55 @@
 import numpy as np
+import pytest
 
 from smap import autodiff as ad
 from smap.attention import TrunkConfig
 from smap.checkpoint import save_params
-from smap.cli import _load_run_policy
+from smap.cli import EXIT_OK, EXIT_USAGE, _load_run_policy, main
 from smap.config import ExperimentConfig, save_config
 from smap.policies import make_policy
+
+
+@pytest.fixture(scope="module")
+def cnn_run(tmp_path_factory):
+    """A one-iteration cnn run made by ``smap train``: (run dir, scratch dir)."""
+    root = tmp_path_factory.mktemp("cli")
+    cfg = ExperimentConfig()
+    cfg.policy = "cnn"
+    cfg.out_dir = str(root / "runs")
+    cfg.n_train_levels = cfg.n_test_levels = 2
+    cfg.ppo.rollout_len, cfg.ppo.n_envs, cfg.ppo.minibatch_size = 32, 4, 64
+    cfg.ppo.total_timesteps = cfg.ppo.rollout_len * cfg.ppo.n_envs
+    save_config(cfg, root / "tiny.txt")
+    assert main(["train", "--config", str(root / "tiny.txt")]) == EXIT_OK
+    (run_dir,) = (root / "runs").iterdir()
+    return run_dir, root
+
+
+def test_train_writes_metrics_and_checkpoint(cnn_run):
+    run_dir, _ = cnn_run
+    assert (run_dir / "checkpoint.smap").is_file()
+    lines = (run_dir / "metrics.csv").read_text().splitlines()
+    assert lines[0].startswith("step,policy_kind") and len(lines) == 3   # train + test rows
+
+
+def test_evaluate_finished_run(cnn_run):
+    run_dir, _ = cnn_run
+    assert main(["evaluate", "--run", str(run_dir), "--split", "test"]) == EXIT_OK
+    assert len((run_dir / "eval_test.csv").read_text().splitlines()) == 3
+
+
+def test_visualize_cnn_run_is_a_usage_error(cnn_run):
+    run_dir, root = cnn_run
+    assert main(["visualize", "--run", str(run_dir), "--level", "0",
+                 "--out", str(root / "viz")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["evaluate", "visualize"])
+def test_missing_run_dir_is_a_usage_error(tmp_path, command, capsys):
+    extra = (["--split", "test"] if command == "evaluate"
+             else ["--level", "0", "--out", str(tmp_path / "viz")])
+    assert main([command, "--run", str(tmp_path / "missing")] + extra) == EXIT_USAGE
+    assert "run directory not found" in capsys.readouterr().err
 
 
 def test_float64_run_reloads_at_float64(tmp_path):

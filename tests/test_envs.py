@@ -427,6 +427,17 @@ def test_blanked_level_renders_and_steps_like_reference():
         _run_against_reference(EnvState(level=blanked, pos=pos, t=t, done=False), rng)
 
 
+def test_blanked_projectile_stops_at_first_wall():
+    # the projectile at (7, 7) flies left into the interior wall at (7, 5),
+    # which lies inside the window and so remains
+    level = generate_level(KIND_DODGE, 4)
+    blanked = oracles.blanked_level(level, (7, 7), 18)
+    assert blanked.walls[7, 5]
+    cells = [{tuple(map(int, c)) for c in blanked.hazards[s][0]} for s in range(18, 23)]
+    assert (7, 7) in cells[0] and (7, 6) in cells[1]
+    assert not any(c[0] == 7 and c[1] < 6 for frame in cells[2:] for c in frame)
+
+
 def _random_candidate(rng):
     """A one-cell-wide corridor with dead-end side passages, each swept by a
     projectile stream: unsafe far more often than a generated level."""

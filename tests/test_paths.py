@@ -5,20 +5,17 @@ from hypothesis import strategies as st
 
 from smap import autodiff as ad
 from smap import paths as pathmod
-from smap.attention import LayerMask, MaskSet
+from smap.attention import MaskSet
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
 from smap.oracles import count_paths_bruteforce
 
 
 def _mask_set(layer_masks, out_mask):
-    layers = [LayerMask(None, None,
-                        Tensor(np.asarray(m, dtype=np.float64)[None], dtype=np.float64))
+    layers = [Tensor(np.asarray(m, dtype=np.float64)[None], dtype=np.float64)
               for m in layer_masks]
-    out = LayerMask(None, None,
-                    Tensor(np.asarray(out_mask, dtype=np.float64).reshape(1, 1, -1),
-                           dtype=np.float64))
-    return MaskSet(layers=layers, out=out, tau=1.0, mode="eval")
+    out = Tensor(np.asarray(out_mask, dtype=np.float64).reshape(1, 1, -1), dtype=np.float64)
+    return MaskSet(layers=layers, out=out)
 
 
 def test_identity_mask_single_layer():
@@ -148,8 +145,7 @@ def test_gradient_flows_through_straight_through_masks(f64):
     with Tape() as tape:
         _, hard = sample_mask_values(logits, "train", 1.0, stream(0, "a"))
         _, out_hard = sample_mask_values(out_logits, "train", 1.0, stream(0, "b"))
-        ms = MaskSet(layers=[LayerMask(None, None, hard)],
-                     out=LayerMask(None, None, out_hard), tau=1.0, mode="train")
+        ms = MaskSet(layers=[hard], out=out_hard)
         loss = pathmod.mask_loss(pathmod.path_matrix(ms), 0.3)
     ad.backward(tape, loss)
     assert logits.grad is not None and np.any(logits.grad != 0)

@@ -4,7 +4,7 @@ import pytest
 from smap import autodiff as ad
 from smap import tokenizer
 from smap.autodiff import Tape, Tensor
-from smap.errors import ConfigError
+from smap.errors import ConfigError, DimensionError
 from smap.gradcheck import analytic_grads, fd_coordinate, rel_error
 from smap.rng import stream
 from smap.tokenizer import (DEFAULT_STACK, conv_output_dims, encode_positions,
@@ -53,37 +53,39 @@ def test_zero_weights_give_pure_positional_tokens(f64):
     params = init_extractor(stream(0, "init"), in_channels=4)
     for t in params.values():
         t.data = np.zeros_like(t.data)
-    obs = Tensor(np.zeros((4, 16, 16)))
+    obs = Tensor(np.zeros((1, 4, 16, 16)))
     grid = tokenize(obs, params)
     assert np.allclose(grid.tokens.data[0], encode_positions((4, 4), 32))
+    with pytest.raises(DimensionError):         # an unbatched observation
+        tokenize(Tensor(obs.data[0]), params)
 
 
 def test_channel_permutation_symmetry(f64):
     rng = np.random.default_rng(0)
     params = init_extractor(stream(1, "init"), in_channels=4)
-    obs = rng.random((4, 16, 16))
+    obs = rng.random((1, 4, 16, 16))
     perm = [2, 0, 3, 1]
     params_p = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in params.items()}
     params_p["extractor.conv0.w"].data = params["extractor.conv0.w"].data[:, perm]
     out = tokenize(Tensor(obs), params).tokens.data
-    out_p = tokenize(Tensor(obs[perm]), params_p).tokens.data
+    out_p = tokenize(Tensor(obs[:, perm]), params_p).tokens.data
     assert np.allclose(out, out_p, atol=1e-12)
 
 
 def test_receptive_field_locality(f64):
     rng = np.random.default_rng(1)
     params = init_extractor(stream(2, "init"), in_channels=4)
-    obs = rng.random((4, 16, 16))
+    obs = rng.random((1, 4, 16, 16))
     base = tokenize(Tensor(obs), params).tokens.data[0]
     rects = receptive_fields((16, 16))
     token = 5
     r0, r1, c0, c1 = rects[token]
     outside = obs.copy()
-    outside[:, (r1 + 1) % 16, (c1 + 1) % 16] += 3.0
+    outside[0, :, (r1 + 1) % 16, (c1 + 1) % 16] += 3.0
     moved = tokenize(Tensor(outside), params).tokens.data[0]
     assert np.array_equal(moved[token], base[token])
     inside = obs.copy()
-    inside[:, r0, c0] += 3.0
+    inside[0, :, r0, c0] += 3.0
     moved_in = tokenize(Tensor(inside), params).tokens.data[0]
     assert not np.array_equal(moved_in[token], base[token])
 
@@ -91,7 +93,7 @@ def test_receptive_field_locality(f64):
 def test_tokenize_differentiable(f64):
     rng = np.random.default_rng(2)
     params = init_extractor(stream(3, "init"), in_channels=2)
-    obs = Tensor(rng.random((2, 8, 8)) + 0.5, requires_grad=True)
+    obs = Tensor(rng.random((1, 2, 8, 8)) + 0.5, requires_grad=True)
     tensors = [obs] + list(params.values())
 
     def loss_fn(ts):
@@ -110,7 +112,7 @@ def test_tokenize_differentiable(f64):
 
 def test_tokenize_deterministic():
     params = init_extractor(stream(4, "init"), in_channels=4)
-    obs = Tensor(np.random.default_rng(5).random((4, 16, 16)))
+    obs = Tensor(np.random.default_rng(5).random((1, 4, 16, 16)))
     a = tokenize(obs, params).tokens.data
     b = tokenize(obs, params).tokens.data
     assert np.array_equal(a, b)
