@@ -115,7 +115,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def sample_mask_values(logits: Tensor, mode: str, tau: float,
-                       rng: Optional[np.random.Generator]) -> tuple[Tensor, Tensor]:
+                       rng: Optional[np.random.Generator]) -> tuple[Optional[Tensor], Tensor]:
     """Turn mask logits into (soft, hard) mask tensors; only ``hard`` gates
     attention.
 
