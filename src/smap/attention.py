@@ -11,6 +11,10 @@ Mask sampling uses the hard binary concrete / Gumbel-softmax construction:
 logistic noise on the logits, a sigmoid relaxation, and a straight-through
 hard threshold. Evaluation mode thresholds the noiseless sigmoid at 0.5
 (strictly above), with no gradient.
+
+A forward returns the features, the mask set (None for dense attention) and
+the attention weights: one (B, n, n) tensor per layer, then the (B, 1, n)
+aggregation row. Path counts and importance maps are derived from these.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .tokenizer import DEFAULT_STACK, TokenGrid, init_extractor, tokenize
+from .tokenizer import init_extractor, tokenize
 
 LN_EPS = 1e-5
 
@@ -51,24 +55,9 @@ class MaskSet:
     out: Tensor
 
 
-@dataclass
-class AttnRecord:
-    layer: int                  # 0..L-1, or -1 for the aggregation step
-    attn: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass
-class TrunkOutput:
-    features: Tensor            # (B, d)
-    masks: Optional[MaskSet]
-    records: Optional[list[AttnRecord]]
-    grid: TokenGrid
-
-
 def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
                       with_masks: bool, scale: float = 1.0) -> dict[str, Tensor]:
-    params = init_extractor(rng, cfg.obs_channels, DEFAULT_STACK, scale=scale)
+    params = init_extractor(rng, cfg.obs_channels, scale=scale)
     d, dk, dm, dff = cfg.d_model, cfg.d_k, cfg.d_m, cfg.d_ff
     if dk != d:
         raise ConfigError(f"value/residual dimensions require d_k == d_model, got {dk} vs {d}")
@@ -188,22 +177,16 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
                         mode: str = "train",
                         noise_rng: Optional[np.random.Generator] = None,
                         masks_override: Optional[MaskSet] = None,
-                        want_records: bool = False,
-                        ) -> tuple[Tensor, Optional[MaskSet], Optional[list[AttnRecord]]]:
-    """Layer stack plus aggregation, sampling masks from evolving tokens.
+                        ) -> tuple[Tensor, Optional[MaskSet], list[Tensor]]:
+    """Layer stack plus aggregation, sampling masks from evolving tokens;
+    returns (features, masks, attention weights), the weights not copied.
 
     Without mask parameters or an override, attention is dense and the mask
     set is None."""
     sampling = masks_override is None and "agg.qm" in params
     x = tokens
     layer_masks: list[Tensor] = []
-    records: list[AttnRecord] = [] if want_records else None
-
-    def record(layer: int, attn: Tensor, mask: Optional[Tensor]) -> None:
-        if want_records:
-            hard = np.ones_like(attn.data) if mask is None else mask.data.copy()
-            records.append(AttnRecord(layer, attn.data.copy(), hard))
-
+    attn: list[Tensor] = []
     for l in range(cfg.n_layers):
         hard = None
         if masks_override is not None:
@@ -212,8 +195,8 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
             _, hard = sample_mask_values(_mask_logits(x, params, f"layer{l}."), mode,
                                          cfg.tau, noise_rng)
             layer_masks.append(hard)
-        x, attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_k)
-        record(l, attn, hard)
+        x, layer_attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_k)
+        attn.append(layer_attn)
 
     out_hard = None
     masks = masks_override
@@ -224,18 +207,15 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
                                          noise_rng)
         masks = MaskSet(layers=layer_masks, out=out_hard)
     features, agg_attn = aggregate(x, params, out_hard, cfg.d_k)
-    record(-1, agg_attn, out_hard)
-    return features, masks, records
+    attn.append(agg_attn)
+    return features, masks, attn
 
 
 def forward_trunk(obs: Tensor, params: dict[str, Tensor], cfg: TrunkConfig,
                   mode: str = "train",
                   noise_rng: Optional[np.random.Generator] = None,
                   masks_override: Optional[MaskSet] = None,
-                  want_records: bool = False) -> TrunkOutput:
-    """tokenize -> masked attention layers -> aggregation."""
-    grid = tokenize(obs, params)
-    features, masks, records = run_attention_stack(
-        grid.tokens, params, cfg, mode=mode, noise_rng=noise_rng,
-        masks_override=masks_override, want_records=want_records)
-    return TrunkOutput(features=features, masks=masks, records=records, grid=grid)
+                  ) -> tuple[Tensor, Optional[MaskSet], list[Tensor]]:
+    """tokenize -> masked attention layers -> aggregation: (features, masks, weights)."""
+    return run_attention_stack(tokenize(obs, params), params, cfg, mode=mode,
+                               noise_rng=noise_rng, masks_override=masks_override)

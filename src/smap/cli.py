@@ -11,8 +11,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from . import envs, evaluation, oracles
 from .attention import TrunkConfig
@@ -21,6 +19,7 @@ from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigError
 from .policies import make_policy
 from .ppo import evaluate_policy, train
+from .tokenizer import receptive_fields
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -95,7 +94,6 @@ def cmd_sweep(args) -> int:
         save_config(cfg, run_dir / "config.txt")
         jobs.append((cfg, run_dir))
         run_dirs.append(run_dir)
-        time.sleep(1)  # distinct timestamps in the directory names
 
     if args.parallel > 1:
         import concurrent.futures
@@ -131,6 +129,8 @@ def _parse_alphas(raw: str) -> list[float]:
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ConfigError(f"alpha {a} outside [0, 1]")
+    if len({f"{a:g}" for a in alphas}) != len(alphas):
+        raise ConfigError(f"alpha list {raw!r} repeats a value; runs are named by alpha:g")
     return alphas
 
 
@@ -145,11 +145,15 @@ def cmd_visualize(args) -> int:
         level = envs.generate_level(cfg.env_kind, args.level)
         state = envs.reset(level)
         obs = envs.render_obs(state)
-        out = policy.output(obs[None], mode="eval", want_records=True)
-        imap = evaluation.attention_importance(
-            out.records, out.grid.receptive_fields,
-            metadata={"policy_kind": policy.kind, "level_seed": args.level,
-                      "step_index": 0, "env_kind": cfg.env_kind})
+        out = policy.output(obs[None], mode="eval")
+        try:
+            imap = evaluation.attention_importance(
+                [a.data for a in out.attn], receptive_fields(obs.shape[-2:]),
+                metadata={"policy_kind": policy.kind, "level_seed": args.level,
+                          "step_index": 0, "env_kind": cfg.env_kind})
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
     stem = out_dir / f"importance_{cfg.env_kind}_{args.level}"
     pgm, js = evaluation.export_heatmap(imap, stem)
     envs.render_ppm(state, out_dir / f"level_{cfg.env_kind}_{args.level}.ppm")

@@ -37,26 +37,20 @@ class ImportanceMap:
     metadata: dict = field(default_factory=dict)
 
 
-def attention_importance(records, receptive_fields, metadata=None) -> ImportanceMap:
-    """Attention rollout over one recorded eval-mode forward pass."""
-    if not records:
-        raise ValueError("attention_importance needs at least the aggregation record")
-    layer_records = [r for r in records if r.layer >= 0]
-    out_records = [r for r in records if r.layer < 0]
-    if len(out_records) != 1:
-        raise ValueError("expected exactly one aggregation record")
-    agg = out_records[0]
+def attention_importance(attn, receptive_fields, metadata=None) -> ImportanceMap:
+    """Attention rollout over one eval-mode forward's attention weights: one
+    (1, n, n) array per layer in order, then the (1, 1, n) aggregation row."""
+    if not attn:
+        raise ValueError("attention_importance needs at least the aggregation weights")
+    *layers, agg = attn
+    if attn[0].ndim != 3 or attn[0].shape[0] != 1:
+        raise DimensionError("attention weights must come from a single-observation forward")
 
-    attn0 = (layer_records[0].attn if layer_records else agg.attn)
-    if attn0.ndim != 3 or attn0.shape[0] != 1:
-        raise DimensionError("records must come from a single-observation forward")
-
-    n = agg.attn.shape[-1]
+    n = agg.shape[-1]
     rollout = np.eye(n)
-    for rec in sorted(layer_records, key=lambda r: r.layer):
-        a = rec.attn[0]
-        rollout = (0.5 * a + 0.5 * np.eye(n)) @ rollout
-    weights = agg.attn[0][0] @ rollout
+    for a in layers:
+        rollout = (0.5 * a[0] + 0.5 * np.eye(n)) @ rollout
+    weights = agg[0][0] @ rollout
     total = weights.sum()
     if total <= 0:
         raise ValueError("all aggregation paths are masked; importance undefined")
@@ -92,13 +86,6 @@ def export_heatmap(imap: ImportanceMap, stem) -> tuple[Path, Path]:
     }
     json_path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
     return pgm_path, json_path
-
-
-def load_heatmap_json(path) -> ImportanceMap:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ImportanceMap(token_importance=np.array(payload["token_importance"]),
-                         pixel_map=np.array(payload["pixel_map"]),
-                         metadata=payload.get("metadata", {}))
 
 
 REPORT_COLUMNS = ("kind", "alpha", "seed_count", "train_return", "test_return",

@@ -404,17 +404,18 @@ def influence_blocking_trial(seed: int, n_perturbations: int = 3) -> tuple[int, 
         if name.endswith("beta"):
             t.data = np.asarray(rng.uniform(-3.0, -0.5), dtype=t.data.dtype)
     obs = rng.random((1, cfg.obs_channels, 16, 16))
-    out = policy.output(obs, mode="eval", want_records=True)
-    relevance = pathmod.effective_input_relevance(out.path_matrix)
+    out = policy.output(obs, mode="eval")
+    relevance = pathmod.effective_input_relevance(pathmod.path_matrix(out.mask_set))
     dead = [i for i in range(relevance.size) if not relevance[i]]
     if not dead:
         return 0, True
 
     from .attention import forward_trunk
+    from .tokenizer import receptive_fields
     from . import autodiff as ad_mod
 
-    rects = out.grid.receptive_fields
-    base = forward_trunk(ad_mod.Tensor(obs.astype(ad_mod.get_default_dtype())),
+    rects = receptive_fields(obs.shape[-2:])
+    base, _, _ = forward_trunk(ad_mod.Tensor(obs.astype(ad_mod.get_default_dtype())),
                          policy.params, cfg, mode="eval",
                          masks_override=out.mask_set)
     tested = 0
@@ -424,10 +425,10 @@ def influence_blocking_trial(seed: int, n_perturbations: int = 3) -> tuple[int, 
             perturbed = obs.copy()
             perturbed[0, :, r0:r1, c0:c1] += rng.standard_normal(
                 (obs.shape[1], r1 - r0, c1 - c0)) * 10.0
-            alt = forward_trunk(
+            alt, _, _ = forward_trunk(
                 ad_mod.Tensor(perturbed.astype(ad_mod.get_default_dtype())),
                 policy.params, cfg, mode="eval", masks_override=out.mask_set)
-            if not np.array_equal(base.features.data, alt.features.data):
+            if not np.array_equal(base.data, alt.data):
                 return tested, False
             tested += 1
     return tested, True

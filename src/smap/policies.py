@@ -6,13 +6,14 @@ input_masked   the attention agent behind a pre-stage: a per-pixel sigmoid
                mask multiplies the observation; the mask net trains from the
                RL loss only
 sparse_masked  the attention agent with sampled binary masks on its
-               attention weights; exposes the mask set and path counts for
+               attention weights; its mask set gives the path counts for
                the sparsity loss
 
 The three attention agents run one body, ``AttentionPolicy._attend``, and
-differ only by the pixel-mask pre-stage or the sampled masks. All variants
-share the extractor architecture and the action/value head shapes, so PPO
-treats them interchangeably.
+differ only by the pixel-mask pre-stage or the sampled masks; ``output``
+returns what it computed, with the attention weights and mask set. All
+variants share the extractor architecture and the action/value head shapes,
+so PPO treats them interchangeably.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ class PolicyOutput:
     action_logits: Tensor               # (B, n_actions)
     value: Tensor                       # (B,)
     mask_set: Optional[MaskSet] = None
-    path_matrix: Optional[PathMatrix] = None
-    records: Optional[list] = None
-    grid: object = None
+    attn: Optional[list[Tensor]] = None     # per layer (B, n, n), then aggregation (B, 1, n)
 
 
 @dataclass
@@ -67,10 +66,7 @@ def _heads(params: dict, features: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def _obs_tensor(obs: np.ndarray) -> Tensor:
-    arr = np.asarray(obs, dtype=ad.get_default_dtype())
-    if arr.ndim == 3:
-        arr = arr[None]
-    return Tensor(arr)
+    return Tensor(np.asarray(obs, dtype=ad.get_default_dtype()))
 
 
 class PolicyBase:
@@ -88,8 +84,7 @@ class PolicyBase:
     def _build(self, rng, init_scale: float) -> None:
         raise NotImplementedError
 
-    def output(self, obs, mode: str = "eval", noise_rng=None,
-               want_records: bool = False, want_paths: bool = True) -> PolicyOutput:
+    def output(self, obs, mode: str = "eval", noise_rng=None) -> PolicyOutput:
         raise NotImplementedError
 
     def parameter_count(self) -> int:
@@ -98,10 +93,9 @@ class PolicyBase:
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             greedy: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample (or argmax) actions without recording gradients."""
-        out = self.output(obs, mode="eval" if greedy else "train", want_paths=False)
+        out = self.output(obs, mode="eval" if greedy else "train")
         logits = out.action_logits.data
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        log_probs = ad.log_softmax(out.action_logits).data
         if greedy:
             actions = np.argmax(logits, axis=-1)
         else:
@@ -123,11 +117,12 @@ class PolicyBase:
         log_prob = ad.gather_rows(logp_all, np.asarray(actions))
         probs = ad.softmax_rows(out.action_logits)
         entropy = ad.neg(ad.tmean(ad.tsum(ad.mul(probs, logp_all), axis=-1)))
-        frac = None
-        if out.path_matrix is not None:
-            frac = ad.scale(out.path_matrix.total, 1.0 / out.path_matrix.mu)
+        pm = frac = None
+        if out.mask_set is not None:
+            pm = pathmod.path_matrix(out.mask_set)
+            frac = ad.scale(pm.total, 1.0 / pm.mu)
         return ActionEval(log_prob=log_prob, entropy=entropy, value=out.value,
-                          path_fraction=frac, mask_loss_input=out.path_matrix)
+                          path_fraction=frac, mask_loss_input=pm)
 
 
 class CnnPolicy(PolicyBase):
@@ -135,7 +130,7 @@ class CnnPolicy(PolicyBase):
 
     def _build(self, rng, init_scale):
         cfg = self.cfg
-        self.params = init_extractor(rng, cfg.obs_channels, DEFAULT_STACK, scale=init_scale)
+        self.params = init_extractor(rng, cfg.obs_channels, scale=init_scale)
         h2, w2 = conv_output_dims((cfg.obs_size, cfg.obs_size))
         flat = DEFAULT_STACK[-1].filters * h2 * w2
         hidden = 128
@@ -144,8 +139,7 @@ class CnnPolicy(PolicyBase):
         self.params["mlp.b1"] = ad.parameter(np.zeros(hidden), "mlp.b1")
         _head_init(self.params, rng, hidden, cfg.n_actions, init_scale)
 
-    def output(self, obs, mode="eval", noise_rng=None, want_records=False,
-               want_paths=True) -> PolicyOutput:
+    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
         x = extract(_obs_tensor(obs), self.params)
         b = x.shape[0]
         flat = ad.reshape(x, (b, x.shape[1] * x.shape[2] * x.shape[3]))
@@ -161,21 +155,15 @@ class AttentionPolicy(PolicyBase):
         self.params = init_trunk_params(rng, self.cfg, with_masks=False, scale=init_scale)
         _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
 
-    def _attend(self, x: Tensor, mode: str, noise_rng, want_records: bool,
-                want_paths: bool) -> PolicyOutput:
-        """The body of every attention agent: the trunk, path counts when it
-        sampled masks, then the heads."""
-        trunk = forward_trunk(x, self.params, self.cfg, mode=mode, noise_rng=noise_rng,
-                              want_records=want_records)
-        pm = (pathmod.path_matrix(trunk.masks)
-              if want_paths and trunk.masks is not None else None)
-        logits, value = _heads(self.params, trunk.features)
-        return PolicyOutput(action_logits=logits, value=value, mask_set=trunk.masks,
-                            path_matrix=pm, records=trunk.records, grid=trunk.grid)
+    def _attend(self, x: Tensor, mode: str, noise_rng) -> PolicyOutput:
+        """The body of every attention agent: the trunk, then the heads."""
+        features, masks, attn = forward_trunk(x, self.params, self.cfg, mode=mode,
+                                              noise_rng=noise_rng)
+        logits, value = _heads(self.params, features)
+        return PolicyOutput(action_logits=logits, value=value, mask_set=masks, attn=attn)
 
-    def output(self, obs, mode="eval", noise_rng=None, want_records=False,
-               want_paths=True) -> PolicyOutput:
-        return self._attend(_obs_tensor(obs), mode, noise_rng, want_records, want_paths)
+    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
+        return self._attend(_obs_tensor(obs), mode, noise_rng)
 
 
 class InputMaskedPolicy(AttentionPolicy):
@@ -205,11 +193,9 @@ class InputMaskedPolicy(AttentionPolicy):
         m = ad.sigmoid(ad.add(m, ad.reshape(self.params["masknet.conv1.b"], (1, 1, 1))))
         return m        # (B, 1, H, W) in (0, 1)
 
-    def output(self, obs, mode="eval", noise_rng=None, want_records=False,
-               want_paths=True) -> PolicyOutput:
+    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
         x = _obs_tensor(obs)
-        return self._attend(ad.mul(x, self.pixel_mask(x)), mode, noise_rng, want_records,
-                            want_paths)
+        return self._attend(ad.mul(x, self.pixel_mask(x)), mode, noise_rng)
 
 
 class SparseMaskedPolicy(AttentionPolicy):
@@ -219,11 +205,10 @@ class SparseMaskedPolicy(AttentionPolicy):
         self.params = init_trunk_params(rng, self.cfg, with_masks=True, scale=init_scale)
         _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
 
-    def output(self, obs, mode="eval", noise_rng=None, want_records=False,
-               want_paths=True) -> PolicyOutput:
+    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
         if mode in ("train", "soft") and noise_rng is None:
             noise_rng = self._noise.next()
-        return self._attend(_obs_tensor(obs), mode, noise_rng, want_records, want_paths)
+        return self._attend(_obs_tensor(obs), mode, noise_rng)
 
 
 _POLICY_CLASSES = {

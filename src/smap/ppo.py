@@ -89,8 +89,6 @@ class VecRunner:
         self.level_seeds = list(level_seeds)
         self._sampler = stream(seed, "level_sampler")
         self.states: list[envs.EnvState] = []
-        self.episode_returns: list[float] = []
-        self._running: list[float] = []
 
     def _fresh_state(self) -> envs.EnvState:
         seed = self.level_seeds[int(self._sampler.integers(0, len(self.level_seeds)))]
@@ -98,7 +96,6 @@ class VecRunner:
 
     def start(self, n_envs: int) -> None:
         self.states = [self._fresh_state() for _ in range(n_envs)]
-        self._running = [0.0] * n_envs
 
     def observations(self) -> np.ndarray:
         return np.stack([envs.render_obs(s) for s in self.states])
@@ -109,10 +106,7 @@ class VecRunner:
         for i, action in enumerate(actions):
             state, reward, done = envs.step(self.states[i], int(action))
             rewards[i] = reward
-            self._running[i] += reward
             if done:
-                self.episode_returns.append(self._running[i])
-                self._running[i] = 0.0
                 state = self._fresh_state()
             self.states[i] = state
             dones[i] = float(done)
@@ -243,8 +237,8 @@ def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],
     while alive:
         obs = np.stack([envs.render_obs(states[i]) for i in alive])
         out = policy.output(obs, mode="eval")
-        if out.path_matrix is not None:
-            fr = paths.path_fraction(out.path_matrix)
+        if out.mask_set is not None:
+            fr = paths.path_fraction(paths.path_matrix(out.mask_set))
             frac_sum += float(fr.sum())
             frac_n += fr.size
         actions = np.argmax(out.action_logits.data, axis=-1)

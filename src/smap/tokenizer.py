@@ -1,9 +1,10 @@
 """Observation tokenizer: conv features plus 2D sinusoidal position codes.
 
-The default stack is two valid 2x2/stride-2 convolutions with ReLU (16 then
-32 filters), so a 16x16 observation becomes a 4x4 grid of 16 tokens with
-dimension 32, and every token's receptive field is a disjoint 4x4 pixel
-block tiling the image.
+The one stack, ``DEFAULT_STACK``, is two valid 2x2/stride-2 convolutions with
+ReLU (16 then 32 filters), so a 16x16 observation becomes a 4x4 grid of 16
+tokens with dimension 32, and every token's receptive field is a disjoint 4x4
+pixel block tiling the image; ``receptive_fields`` gives these blocks from the
+observation shape alone.
 """
 
 from __future__ import annotations
@@ -30,33 +31,26 @@ class ConvSpec:
 DEFAULT_STACK = (ConvSpec(16, 2, 2), ConvSpec(32, 2, 2))
 
 
-@dataclass
-class TokenGrid:
-    tokens: Tensor                    # (B, n, d)
-    grid_dims: tuple[int, int]
-    receptive_fields: tuple[tuple[int, int, int, int], ...]  # (r0, r1, c0, c1), half-open
-
-
-def conv_output_dims(in_hw: tuple[int, int], stack=DEFAULT_STACK) -> tuple[int, int]:
+def conv_output_dims(in_hw: tuple[int, int]) -> tuple[int, int]:
     h, w = in_hw
-    for spec in stack:
+    for spec in DEFAULT_STACK:
         if h < spec.kernel or (h - spec.kernel) % spec.stride or \
            w < spec.kernel or (w - spec.kernel) % spec.stride:
-            raise DimensionError(f"conv stack {stack} incompatible with input {in_hw}")
+            raise DimensionError(f"conv stack {DEFAULT_STACK} incompatible with input {in_hw}")
         h = (h - spec.kernel) // spec.stride + 1
         w = (w - spec.kernel) // spec.stride + 1
     return h, w
 
 
 @lru_cache(maxsize=8)
-def receptive_fields(in_hw: tuple[int, int], stack=DEFAULT_STACK
-                     ) -> tuple[tuple[int, int, int, int], ...]:
-    """Input-pixel rectangle seen by each output cell, row-major token order."""
+def receptive_fields(in_hw: tuple[int, int]) -> tuple[tuple[int, int, int, int], ...]:
+    """Input-pixel rectangle (r0, r1, c0, c1), half-open, seen by each output
+    cell, row-major token order."""
     size, step = 1, 1
-    for spec in stack:
+    for spec in DEFAULT_STACK:
         size = size + (spec.kernel - 1) * step
         step = step * spec.stride
-    h2, w2 = conv_output_dims(in_hw, stack)
+    h2, w2 = conv_output_dims(in_hw)
     rects = []
     for r in range(h2):
         for c in range(w2):
@@ -94,10 +88,10 @@ def encode_positions(grid_dims: tuple[int, int], d: int) -> np.ndarray:
 
 
 def init_extractor(rng: np.random.Generator, in_channels: int,
-                   stack=DEFAULT_STACK, scale: float = 1.0) -> dict[str, Tensor]:
+                   scale: float = 1.0) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     c = in_channels
-    for i, spec in enumerate(stack):
+    for i, spec in enumerate(DEFAULT_STACK):
         fan_in = c * spec.kernel * spec.kernel
         w = rng.standard_normal((spec.filters, c, spec.kernel, spec.kernel)) * scale / np.sqrt(fan_in)
         params[f"extractor.conv{i}.w"] = ad.parameter(w, f"extractor.conv{i}.w")
@@ -106,22 +100,20 @@ def init_extractor(rng: np.random.Generator, in_channels: int,
     return params
 
 
-def extract(x: Tensor, params: dict[str, Tensor], stack=DEFAULT_STACK) -> Tensor:
+def extract(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     """The conv stack, conv -> bias -> ReLU per layer, on a (B, C, H, W) batch."""
-    for i, spec in enumerate(stack):
+    for i, spec in enumerate(DEFAULT_STACK):
         x = ad.conv2d(x, params[f"extractor.conv{i}.w"], stride=spec.stride)
         x = ad.relu(ad.add(x, ad.reshape(params[f"extractor.conv{i}.b"], (spec.filters, 1, 1))))
     return x
 
 
-def tokenize(obs: Tensor, params: dict[str, Tensor], stack=DEFAULT_STACK) -> TokenGrid:
+def tokenize(obs: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Run the conv stack on a (B, C, H, W) batch and add positional
-    encodings, one token per cell."""
-    x = extract(obs, params, stack)
+    encodings: (B, n, d) tokens, one per cell."""
+    x = extract(obs, params)
     b, d, h2, w2 = x.shape
     n = h2 * w2
     tokens = ad.transpose(ad.reshape(x, (b, d, n)))          # (B, n, d)
     pos = Tensor(encode_positions((h2, w2), d))
-    tokens = ad.add(tokens, pos)
-    return TokenGrid(tokens=tokens, grid_dims=(h2, w2),
-                     receptive_fields=receptive_fields(obs.shape[2:], stack))
+    return ad.add(tokens, pos)

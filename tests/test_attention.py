@@ -158,19 +158,18 @@ def test_zero_depth_trunk_is_aggregation_only(f64):
     params = init_trunk_params(stream(10, "init"), cfg, with_masks=True)
     rng = np.random.default_rng(10)
     obs = Tensor(rng.random((1, 4, 16, 16)))
-    out = forward_trunk(obs, params, cfg, mode="eval")
-    assert out.features.shape == (1, cfg.d_model)
-    assert out.masks.layers == []
+    feats, masks, attn = forward_trunk(obs, params, cfg, mode="eval")
+    assert feats.shape == (1, cfg.d_model)
+    assert masks.layers == []
+    assert [a.shape for a in attn] == [(1, 1, 16)]
 
 
 def test_trunk_determinism_under_fixed_noise(f64):
     params = _params(11)
     obs = Tensor(np.random.default_rng(11).random((2, 4, 16, 16)))
-    a = forward_trunk(obs, params, CFG, mode="train",
-                      noise_rng=stream(99, "noise")).features.data
-    b = forward_trunk(obs, params, CFG, mode="train",
-                      noise_rng=stream(99, "noise")).features.data
-    assert np.array_equal(a, b)
+    a, _, _ = forward_trunk(obs, params, CFG, mode="train", noise_rng=stream(99, "noise"))
+    b, _, _ = forward_trunk(obs, params, CFG, mode="train", noise_rng=stream(99, "noise"))
+    assert np.array_equal(a.data, b.data)
 
 
 def test_no_nan_for_any_mask_pattern(f64):
@@ -196,9 +195,9 @@ def test_masked_layer_gradients_match_soft_relaxation(f64):
                      "agg.qm", "agg.beta", "agg.wv")]
 
     def loss_fn(ts):
-        out = forward_trunk(Tensor(obs), params, CFG, mode="soft",
-                            noise_rng=stream(77, "noise"))
-        return ad.tsum(ad.square(out.features))
+        feats, _, _ = forward_trunk(Tensor(obs), params, CFG, mode="soft",
+                                    noise_rng=stream(77, "noise"))
+        return ad.tsum(ad.square(feats))
 
     grads = analytic_grads(loss_fn, grad_tensors)
     picker = np.random.default_rng(14)
@@ -232,19 +231,18 @@ def test_dense_stack_without_masks_equals_all_ones_override(f64):
             params[name].requires_grad = True
             params[name].zero_grad()
         with Tape() as tape:
-            feats, masks, records = run_attention_stack(
-                tokens, params, CFG, masks_override=override, want_records=True)
+            feats, masks, attn = run_attention_stack(tokens, params, CFG,
+                                                     masks_override=override)
             loss = ad.tsum(ad.mul(feats, weights))
         ad.backward(tape, loss)
-        return feats.data, masks, records, [params[k].grad.copy() for k in grad_names]
+        return feats.data, masks, attn, [params[k].grad.copy() for k in grad_names]
 
-    feats, masks, records, grads = run(None)
-    ref_feats, _, ref_records, ref_grads = run(ones_mask_set(3, 16, CFG.n_layers))
+    feats, masks, attn, grads = run(None)
+    ref_feats, _, ref_attn, ref_grads = run(ones_mask_set(3, 16, CFG.n_layers))
     assert masks is None
     assert np.array_equal(feats, ref_feats)
-    for rec, ref in zip(records, ref_records):
-        assert rec.layer == ref.layer
-        assert np.array_equal(rec.attn, ref.attn)
-        assert np.array_equal(rec.mask, ref.mask)
+    assert [a.shape for a in attn] == [(3, 16, 16)] * CFG.n_layers + [(3, 1, 16)]
+    for a, ref in zip(attn, ref_attn):
+        assert np.array_equal(a.data, ref.data)
     for g, r in zip(grads, ref_grads):
         assert np.max(np.abs(g - r)) < 1e-10

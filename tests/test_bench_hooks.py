@@ -1,0 +1,40 @@
+"""The benchmark's traced run wraps public ``smap`` names from outside; this
+guard fails when a refactor removes or moves one of them, or stops calling it
+through the name the tracer replaces."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from smap import envs
+from smap.attention import TrunkConfig
+from smap.policies import make_policy
+from smap.rng import stream
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def spans_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    return spans
+
+
+def test_tracer_installs_and_sees_every_trunk_stage(spans_module):
+    obs = np.stack([envs.render_obs(envs.reset(envs.generate_level("DodgeGrid", s)))
+                    for s in range(2)])
+    policy = make_policy("sparse_masked", TrunkConfig(), seed=0)
+    tracer = spans_module.Tracer()
+    tracer.install()
+    try:
+        actions, _, _ = policy.act(obs, stream(0, "act"))
+        policy.evaluate_actions(obs, actions, mode="train")
+    finally:
+        tracer.uninstall()
+    names = {s.name for s in tracer.spans}
+    assert {"policies.act", "policies.evaluate_actions", "policies.output.sparse_masked",
+            "policies.forward_trunk", "tokenizer.tokenize", "attention.run_attention_stack",
+            "attention.masked_attention_layer", "attention.sample_mask_values",
+            "attention.aggregate", "paths.path_matrix"} <= names

@@ -4,15 +4,13 @@ import pytest
 from smap import autodiff as ad
 from smap.attention import TrunkConfig
 from smap.checkpoint import save_params
-from smap.cli import EXIT_OK, EXIT_USAGE, _load_run_policy, main
+from smap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _load_run_policy, main
 from smap.config import ExperimentConfig, save_config
 from smap.policies import make_policy
 
 
-@pytest.fixture(scope="module")
-def cnn_run(tmp_path_factory):
-    """A one-iteration cnn run made by ``smap train``: (run dir, scratch dir)."""
-    root = tmp_path_factory.mktemp("cli")
+def _tiny_cnn_config(root):
+    """Write a one-iteration cnn config that trains into ``root / "runs"``."""
     cfg = ExperimentConfig()
     cfg.policy = "cnn"
     cfg.out_dir = str(root / "runs")
@@ -20,7 +18,14 @@ def cnn_run(tmp_path_factory):
     cfg.ppo.rollout_len, cfg.ppo.n_envs, cfg.ppo.minibatch_size = 32, 4, 64
     cfg.ppo.total_timesteps = cfg.ppo.rollout_len * cfg.ppo.n_envs
     save_config(cfg, root / "tiny.txt")
-    assert main(["train", "--config", str(root / "tiny.txt")]) == EXIT_OK
+    return root / "tiny.txt"
+
+
+@pytest.fixture(scope="module")
+def cnn_run(tmp_path_factory):
+    """A one-iteration cnn run made by ``smap train``: (run dir, scratch dir)."""
+    root = tmp_path_factory.mktemp("cli")
+    assert main(["train", "--config", str(_tiny_cnn_config(root))]) == EXIT_OK
     (run_dir,) = (root / "runs").iterdir()
     return run_dir, root
 
@@ -64,3 +69,26 @@ def test_float64_run_reloads_at_float64(tmp_path):
     for name, t in policy.params.items():
         assert t.data.dtype == np.float64, name
         assert np.array_equal(t.data, trained.params[name].data), name
+
+
+def test_visualize_with_every_aggregation_path_closed_is_a_check_failure(tmp_path, capsys):
+    cfg = ExperimentConfig()
+    policy = make_policy(cfg.policy, TrunkConfig(), seed=cfg.ppo.seed)
+    beta = policy.params["agg.beta"]
+    beta.data = np.full_like(beta.data, -50.0)      # eval mode closes every aggregation mask
+    save_config(cfg, tmp_path / "config.txt")
+    save_params(tmp_path / "checkpoint.smap", policy.params)
+    assert main(["visualize", "--run", str(tmp_path), "--level", "0",
+                 "--out", str(tmp_path / "viz")]) == EXIT_CHECK_FAILED
+    assert "all aggregation paths are masked" in capsys.readouterr().err
+
+
+def test_sweep_writes_one_report_row_per_alpha(tmp_path):
+    config = str(_tiny_cnn_config(tmp_path))
+    assert main(["sweep", "--config", config, "--alphas", "0.1,0.5"]) == EXIT_OK
+    assert len((tmp_path / "runs" / "sweep_report.csv").read_text().splitlines()) == 3
+    assert main(["sweep", "--config", config, "--alphas", "0.2,0.2"]) == EXIT_USAGE
+
+
+def test_gradcheck_with_one_instance_passes():
+    assert main(["gradcheck", "--instances", "1"]) == EXIT_OK

@@ -1,29 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
-from smap.attention import AttnRecord
 from smap.envs import KIND_DODGE, KIND_MAZE, RETURN_BOUNDS
 from smap.errors import ConfigError, DimensionError
-from smap.evaluation import (attention_importance, export_heatmap, load_heatmap_json,
-                             normalize_return)
+from smap.evaluation import attention_importance, export_heatmap, normalize_return
 from smap.tokenizer import receptive_fields
 
 N = 16
 RECTS = receptive_fields((16, 16))
 
 
-def _record(layer, attn):
-    attn = np.asarray(attn, dtype=np.float64)
-    return AttnRecord(layer=layer, attn=attn, mask=np.ones_like(attn))
-
-
 def _uniform_layers(count):
-    return [_record(l, np.full((1, N, N), 1.0 / N)) for l in range(count)]
+    return [np.full((1, N, N), 1.0 / N) for _ in range(count)]
 
 
 def test_uniform_attention_gives_uniform_importance():
-    records = _uniform_layers(2) + [_record(-1, np.full((1, 1, N), 1.0 / N))]
-    imap = attention_importance(records, RECTS, metadata={"level": 3})
+    attn = _uniform_layers(2) + [np.full((1, 1, N), 1.0 / N)]
+    imap = attention_importance(attn, RECTS, metadata={"level": 3})
     assert np.allclose(imap.token_importance, 1.0 / N)
     assert np.allclose(imap.pixel_map, 1.0 / (16 * 16))
     assert imap.metadata == {"level": 3}
@@ -32,8 +27,7 @@ def test_uniform_attention_gives_uniform_importance():
 def test_one_hot_aggregation_puts_the_map_on_that_tokens_field():
     agg = np.zeros((1, 1, N))
     agg[0, 0, 5] = 1.0
-    identity = _record(0, np.eye(N)[None])
-    imap = attention_importance([identity, _record(-1, agg)], RECTS)
+    imap = attention_importance([np.eye(N)[None], agg], RECTS)
     assert np.array_equal(imap.token_importance, np.eye(N)[5])
     r0, r1, c0, c1 = RECTS[5]
     inside = np.zeros((16, 16), dtype=bool)
@@ -43,30 +37,26 @@ def test_one_hot_aggregation_puts_the_map_on_that_tokens_field():
 
 
 def test_importance_rejects_malformed_records():
-    agg = _record(-1, np.full((1, 1, N), 1.0 / N))
     with pytest.raises(ValueError):
         attention_importance([], RECTS)
-    with pytest.raises(ValueError):
-        attention_importance([agg, agg], RECTS)
     with pytest.raises(DimensionError):
-        attention_importance([_record(0, np.full((2, N, N), 1.0 / N)),
-                              _record(-1, np.full((2, 1, N), 1.0 / N))], RECTS)
+        attention_importance([np.full((2, N, N), 1.0 / N),
+                              np.full((2, 1, N), 1.0 / N)], RECTS)
     with pytest.raises(ValueError):
-        attention_importance(_uniform_layers(1) + [_record(-1, np.zeros((1, 1, N)))], RECTS)
+        attention_importance(_uniform_layers(1) + [np.zeros((1, 1, N))], RECTS)
 
 
 def test_heatmap_json_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     agg = rng.random((1, 1, N))
-    records = [_record(0, rng.dirichlet(np.ones(N), size=N)[None]),
-               _record(-1, agg / agg.sum())]
-    imap = attention_importance(records, RECTS, metadata={"kind": KIND_DODGE, "level": 7})
+    attn = [rng.dirichlet(np.ones(N), size=N)[None], agg / agg.sum()]
+    imap = attention_importance(attn, RECTS, metadata={"kind": KIND_DODGE, "level": 7})
     pgm, js = export_heatmap(imap, tmp_path / "heat")
     assert pgm.read_bytes().startswith(b"P5\n16 16\n255\n")
-    back = load_heatmap_json(js)
-    assert np.array_equal(back.token_importance, imap.token_importance)
-    assert np.array_equal(back.pixel_map, imap.pixel_map)
-    assert back.metadata == imap.metadata
+    back = json.loads(js.read_text(encoding="utf-8"))
+    assert np.array_equal(back["token_importance"], imap.token_importance)
+    assert np.array_equal(back["pixel_map"], imap.pixel_map)
+    assert back["metadata"] == imap.metadata
 
 
 def test_normalize_return_clips_to_unit_interval():

@@ -3,6 +3,7 @@ import pytest
 
 from smap import autodiff as ad
 from smap import envs
+from smap import paths as pathmod
 from smap.attention import TrunkConfig
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
@@ -125,7 +126,8 @@ def test_sparse_eval_mode_is_deterministic():
     a = policy.output(obs, mode="eval")
     b = policy.output(obs, mode="eval")
     assert np.array_equal(a.action_logits.data, b.action_logits.data)
-    assert np.array_equal(a.path_matrix.total.data, b.path_matrix.total.data)
+    assert np.array_equal(pathmod.path_matrix(a.mask_set).total.data,
+                          pathmod.path_matrix(b.mask_set).total.data)
 
 
 def test_default_alpha_preset_round_trips():
@@ -181,7 +183,7 @@ def test_sparse_act_draws_its_counter_stream_in_order():
     for counter in range(2):
         actions, logp, values = policy.act(obs, stream(counter, "act"))
         assert policy._noise.calls == counter + 1
-        out = policy.output(obs, mode="train", want_paths=False,
+        out = policy.output(obs, mode="train",
                             noise_rng=stream(12, "sparse_masked.mask_noise", counter))
         logits = out.action_logits.data
         shifted = logits - logits.max(axis=-1, keepdims=True)

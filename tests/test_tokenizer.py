@@ -7,7 +7,7 @@ from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError, DimensionError
 from smap.gradcheck import analytic_grads, fd_coordinate, rel_error
 from smap.rng import stream
-from smap.tokenizer import (DEFAULT_STACK, conv_output_dims, encode_positions,
+from smap.tokenizer import (conv_output_dims, encode_positions,
                             init_extractor, receptive_fields, tokenize)
 
 
@@ -54,8 +54,8 @@ def test_zero_weights_give_pure_positional_tokens(f64):
     for t in params.values():
         t.data = np.zeros_like(t.data)
     obs = Tensor(np.zeros((1, 4, 16, 16)))
-    grid = tokenize(obs, params)
-    assert np.allclose(grid.tokens.data[0], encode_positions((4, 4), 32))
+    tokens = tokenize(obs, params)
+    assert np.allclose(tokens.data[0], encode_positions((4, 4), 32))
     with pytest.raises(DimensionError):         # an unbatched observation
         tokenize(Tensor(obs.data[0]), params)
 
@@ -67,8 +67,8 @@ def test_channel_permutation_symmetry(f64):
     perm = [2, 0, 3, 1]
     params_p = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in params.items()}
     params_p["extractor.conv0.w"].data = params["extractor.conv0.w"].data[:, perm]
-    out = tokenize(Tensor(obs), params).tokens.data
-    out_p = tokenize(Tensor(obs[:, perm]), params_p).tokens.data
+    out = tokenize(Tensor(obs), params).data
+    out_p = tokenize(Tensor(obs[:, perm]), params_p).data
     assert np.allclose(out, out_p, atol=1e-12)
 
 
@@ -76,17 +76,17 @@ def test_receptive_field_locality(f64):
     rng = np.random.default_rng(1)
     params = init_extractor(stream(2, "init"), in_channels=4)
     obs = rng.random((1, 4, 16, 16))
-    base = tokenize(Tensor(obs), params).tokens.data[0]
+    base = tokenize(Tensor(obs), params).data[0]
     rects = receptive_fields((16, 16))
     token = 5
     r0, r1, c0, c1 = rects[token]
     outside = obs.copy()
     outside[0, :, (r1 + 1) % 16, (c1 + 1) % 16] += 3.0
-    moved = tokenize(Tensor(outside), params).tokens.data[0]
+    moved = tokenize(Tensor(outside), params).data[0]
     assert np.array_equal(moved[token], base[token])
     inside = obs.copy()
     inside[0, :, r0, c0] += 3.0
-    moved_in = tokenize(Tensor(inside), params).tokens.data[0]
+    moved_in = tokenize(Tensor(inside), params).data[0]
     assert not np.array_equal(moved_in[token], base[token])
 
 
@@ -97,7 +97,7 @@ def test_tokenize_differentiable(f64):
     tensors = [obs] + list(params.values())
 
     def loss_fn(ts):
-        return ad.tsum(ad.square(tokenize(ts[0], params).tokens))
+        return ad.tsum(ad.square(tokenize(ts[0], params)))
 
     grads = analytic_grads(loss_fn, tensors)
     worst = 0.0
@@ -113,15 +113,15 @@ def test_tokenize_differentiable(f64):
 def test_tokenize_deterministic():
     params = init_extractor(stream(4, "init"), in_channels=4)
     obs = Tensor(np.random.default_rng(5).random((1, 4, 16, 16)))
-    a = tokenize(obs, params).tokens.data
-    b = tokenize(obs, params).tokens.data
+    a = tokenize(obs, params).data
+    b = tokenize(obs, params).data
     assert np.array_equal(a, b)
 
 
 def test_cached_geometry_equals_fresh_values_and_is_read_only():
     rects = receptive_fields((16, 16))
     assert rects is receptive_fields((16, 16))
-    assert rects == receptive_fields.__wrapped__((16, 16), DEFAULT_STACK)
+    assert rects == receptive_fields.__wrapped__((16, 16))
     assert rects == tuple((4 * r, 4 * r + 4, 4 * c, 4 * c + 4)
                           for r in range(4) for c in range(4))
     fresh = tokenizer._position_table.__wrapped__((4, 4), 32, np.float64)
