@@ -40,22 +40,28 @@ def save_params(path, params: dict[str, Tensor]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; ValueError for any malformed file."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:len(MAGIC)] != MAGIC:
         raise ValueError(f"{path} is not a parameter checkpoint (bad magic)")
-    off = len(MAGIC)
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    off = len(MAGIC) + 4
+    hlen = struct.unpack_from("<I", raw, len(MAGIC))[0] if len(raw) >= off else None
+    if hlen is None or off + hlen > len(raw):
+        raise ValueError(f"{path} is truncated (short header)")
     manifest = json.loads(raw[off:off + hlen].decode("utf-8"))
     off += hlen
     out: dict[str, np.ndarray] = {}
     for entry in manifest:
-        dtype = _TAG_DTYPES[entry["dtype"]]
-        shape = tuple(entry["shape"])
+        try:
+            name, shape, dtype = entry["name"], tuple(entry["shape"]), _TAG_DTYPES[entry["dtype"]]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{path}: bad manifest entry {entry!r}") from e
         count = int(np.prod(shape)) if shape else 1
+        if off + count * dtype.itemsize > len(raw):
+            raise ValueError(f"{path} is truncated (short data for {name!r})")
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
-        out[entry["name"]] = arr.astype(dtype.newbyteorder("="))
+        out[name] = arr.astype(dtype.newbyteorder("="))
         off += count * dtype.itemsize
     return out
 

@@ -56,7 +56,10 @@ def _load_run_policy(run_dir: Path):
     cfg = load_config(run_dir / "config.txt")
     with ad.precision(cfg.precision):
         policy = make_policy(cfg.policy, TrunkConfig(), seed=cfg.ppo.seed)
-    load_into(run_dir / "checkpoint.smap", policy.params)
+    try:
+        load_into(run_dir / "checkpoint.smap", policy.params)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot load the run's checkpoint: {e}") from e
     return cfg, policy
 
 

@@ -44,9 +44,11 @@ class PPOConfig:
         for name in ("gamma", "gae_lambda", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("epochs", "minibatch_size", "rollout_len", "n_envs", "eval_every"):
+        for name in ("epochs", "rollout_len", "n_envs", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.minibatch_size < 2:     # the update splits each minibatch into two halves
+            raise ConfigError("minibatch_size must be at least 2")
         if self.total_timesteps < self.rollout_len * self.n_envs:
             raise ConfigError("total_timesteps must cover at least one rollout")
 

@@ -28,9 +28,10 @@ its fields on first use, so a spec that is never stepped costs nothing:
   projectile moves up, down, left or right next step.
 
 ``step``, ``render_obs`` and generation's safe-policy check read only these
-tables; ``hazards`` stays on the spec for the oracles. The tables must stay
-dense arrays: a layout of per-timestep sets and index arrays raised the peak
-memory of a DodgeGrid training run by 13.6%.
+tables. ``codes`` is built from ``hazards``, one read-only int16 (N, 7) array
+of projectile rows sorted by t (12 KB a level), which the oracles decode on
+their own. The tables must stay dense arrays: a layout of per-timestep sets
+and index arrays raised the peak memory of a DodgeGrid training run by 13.6%.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class LevelSpec:
     emitters: tuple[Emitter, ...] = ()
     item: Optional[tuple[int, int]] = None
     goal: Optional[tuple[int, int]] = None
-    # per timestep: projectile cells now, where each moves next (-1,-1 when it
-    # leaves the arena), and the cell just behind it (trail, -1,-1 if none)
-    hazards: Optional[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = None
+    # (N, 7) int16, a row per projectile in flight, sorted by t: (t, cell, next
+    # cell (-1,-1 when it leaves the arena), cell just behind it (-1,-1 if none))
+    hazards: Optional[np.ndarray] = None
 
     @cached_property
     def base(self) -> np.ndarray:
@@ -130,20 +131,18 @@ class LevelSpec:
         docstring); None without hazards."""
         if self.hazards is None:
             return None
-        t = np.repeat(np.arange(len(self.hazards)), [len(f[0]) for f in self.hazards])
-        cur, nxt, trail = (np.concatenate([f[i] for f in self.hazards]).astype(np.intp).T
-                           for i in range(3))
-        codes = np.zeros((len(self.hazards), GRID, GRID), dtype=np.uint8)
-        drawn = trail[0] >= 0
-        drawn[drawn] = ~self.walls[trail[0][drawn], trail[1][drawn]]
+        t, r, c, nr, nc, tr, tc = self.hazards.T.astype(np.intp)
+        codes = np.zeros((self.horizon + 1, GRID, GRID), dtype=np.uint8)
+        drawn = tr >= 0
+        drawn[drawn] = ~self.walls[tr[drawn], tc[drawn]]
         # shade 1 (trail) before 2 (projectile), so the brighter one wins
-        codes[t[drawn], trail[0][drawn], trail[1][drawn]] = 1
-        codes[t, cur[0], cur[1]] = 2 | HAZARD
-        moving = nxt[0] >= 0
-        dr, dc = nxt[:, moving] - cur[:, moving]
+        codes[t[drawn], tr[drawn], tc[drawn]] = 1
+        codes[t, r, c] = 2 | HAZARD
+        moving = nr >= 0
+        dr, dc = nr[moving] - r[moving], nc[moving] - c[moving]
         if np.any(np.abs(dr) + np.abs(dc) != 1):
             raise ValueError("projectiles must move one cell per step")
-        np.bitwise_or.at(codes, (t[moving], cur[0][moving], cur[1][moving]),
+        np.bitwise_or.at(codes, (t[moving], r[moving], c[moving]),
                          _MOVE_BIT_BY_STEP[(dr + 1) * 3 + dc + 1])
         codes[:, self.item[0], self.item[1]] |= SHADE     # shade 3, hazard bits kept
         codes.setflags(write=False)
@@ -163,27 +162,25 @@ def _emitter_cell(e: Emitter, x: int) -> tuple[int, int]:
     return (e.line, coord) if e.axis == 0 else (coord, e.line)
 
 
-def _hazard_tables(emitters: tuple[Emitter, ...], horizon: int
-                   ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per timestep 0..horizon: the cells of the projectiles in flight, the
-    cells they move to next ((-1, -1) at the span's end) and the cells just
-    behind them ((-1, -1) at its start), emitter by emitter, in flight order."""
+def _hazard_tables(emitters: tuple[Emitter, ...], horizon: int) -> np.ndarray:
+    """``LevelSpec.hazards`` for t = 0..horizon: the projectiles in flight,
+    emitter by emitter in flight order, the cells they move to next ((-1, -1)
+    at the span's end) and the cells just behind them ((-1, -1) at its start)."""
     dead = (-1, -1)
     slots = [(e, x) for e in emitters for x in range(e.span_len)]
-    cur = np.array([_emitter_cell(e, x) for e, x in slots], dtype=np.int16)
-    nxt = np.array([_emitter_cell(e, x + 1) if x + 1 < e.span_len else dead
-                    for e, x in slots], dtype=np.int16)
-    trail = np.array([_emitter_cell(e, x - 1) if x >= 1 else dead
-                      for e, x in slots], dtype=np.int16)
+    cells = np.array([_emitter_cell(e, x)
+                      + (_emitter_cell(e, x + 1) if x + 1 < e.span_len else dead)
+                      + (_emitter_cell(e, x - 1) if x >= 1 else dead)
+                      for e, x in slots], dtype=np.int16).reshape(-1, 6)
     offset = np.array([x for _, x in slots])
     period = np.array([e.period for e, _ in slots])
     phase = np.array([e.phase for e, _ in slots])
     t = np.arange(horizon + 1).reshape(-1, 1)
     flying = (t >= offset) & ((t - offset - phase) % period == 0)
-    _, slot = np.nonzero(flying)
-    bounds = np.cumsum(flying.sum(axis=1))[:-1]
-    return tuple(zip(np.split(cur[slot], bounds), np.split(nxt[slot], bounds),
-                     np.split(trail[slot], bounds)))
+    t, slot = np.nonzero(flying)
+    rows = np.column_stack((t.astype(np.int16), cells[slot]))
+    rows.setflags(write=False)
+    return rows
 
 
 def _line_runs(free_line: np.ndarray) -> list[tuple[int, int]]:

@@ -102,15 +102,19 @@ def _target_maps(walls: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return maps
 
 
-def _dodge_q_values(level: LevelSpec, values: np.ndarray, t: int, hazards,
-                    maps) -> np.ndarray:
+def _projectiles(level: LevelSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells and next cells ((-1, -1) when leaving) of the projectiles at t."""
+    rows = level.hazards[level.hazards[:, 0] == t]
+    return rows[:, 1:3], rows[:, 3:5]
+
+
+def _dodge_q_values(level: LevelSpec, values: np.ndarray, t: int, maps) -> np.ndarray:
     """Q[a, r, c]: return of action a from (r, c) at time t, then V[t + 1]."""
     item = level.item
-    cur, nxt, _ = hazards[t]
-    at2 = hazards[t + 1][0]
+    cur, nxt = _projectiles(level, t)
+    at2, _ = _projectiles(level, t + 1)
     occ2 = np.zeros((GRID, GRID), dtype=bool)
-    if at2.size:
-        occ2[at2[:, 0], at2[:, 1]] = True
+    occ2[at2[:, 0], at2[:, 1]] = True
     moving = nxt[:, 0] >= 0
     p, q = cur[moving].T, nxt[moving].T
     q_values = np.full((len(DELTAS), GRID, GRID), -np.inf)
@@ -126,24 +130,20 @@ def _dodge_q_values(level: LevelSpec, values: np.ndarray, t: int, hazards,
     return q_values
 
 
-def dodge_optimal_values(level: LevelSpec, start_t: int = 0,
-                         hazards=None) -> np.ndarray:
+def dodge_optimal_values(level: LevelSpec, start_t: int = 0) -> np.ndarray:
     """V[t, r, c]: best achievable return from (r, c) at time t (free cells)."""
-    hazards = hazards if hazards is not None else level.hazards
     maps = _target_maps(level.walls)
     values = np.zeros((level.horizon + 1, GRID, GRID))
     for t in range(level.horizon - 1, start_t - 1, -1):
-        best = _dodge_q_values(level, values, t, hazards, maps).max(axis=0)
+        best = _dodge_q_values(level, values, t, maps).max(axis=0)
         best[level.walls] = 0.0
         values[t] = best
     return values
 
 
-def dodge_optimal_actions(level: LevelSpec, values: np.ndarray, t: int,
-                          hazards=None) -> np.ndarray:
+def dodge_optimal_actions(level: LevelSpec, values: np.ndarray, t: int) -> np.ndarray:
     """Greedy action grid at time t under the given value table (first-max)."""
-    hazards = hazards if hazards is not None else level.hazards
-    q_values = _dodge_q_values(level, values, t, hazards, _target_maps(level.walls))
+    q_values = _dodge_q_values(level, values, t, _target_maps(level.walls))
     return np.argmax(q_values, axis=0)
 
 
@@ -173,11 +173,10 @@ def dodge_reachable_states(level: LevelSpec, max_t: int | None = None) -> list[t
     reach[level.agent_start] = True
     out = [(level.agent_start, 0)]
     for t in range(horizon):
-        cur, nxt, _ = level.hazards[t]
-        at2 = level.hazards[t + 1][0]
+        cur, nxt = _projectiles(level, t)
+        at2, _ = _projectiles(level, t + 1)
         occ2 = np.zeros((GRID, GRID), dtype=bool)
-        if at2.size:
-            occ2[at2[:, 0], at2[:, 1]] = True
+        occ2[at2[:, 0], at2[:, 1]] = True
         new_reach = reach & ~occ2
         for dr, dc in DELTAS[:4]:
             tgt = _shift(reach, dr, dc) & ~level.walls
@@ -211,8 +210,7 @@ def blanked_level(level: LevelSpec, pos: tuple[int, int], t: int,
     walls[interior & ~window] = False
 
     kept = []
-    cur = level.hazards[t][0]
-    nxt = level.hazards[t][1]
+    cur, nxt = _projectiles(level, t)
     for j in range(cur.shape[0]):
         p = (int(cur[j, 0]), int(cur[j, 1]))
         q = (int(nxt[j, 0]), int(nxt[j, 1]))
@@ -221,36 +219,31 @@ def blanked_level(level: LevelSpec, pos: tuple[int, int], t: int,
         kept.append((p, (q[0] - p[0], q[1] - p[1])))
 
     horizon = level.horizon
-    frames = []
+    rows = []
     dead = (-1, -1)
-    for s in range(horizon + 1):
-        cur_s, nxt_s, trail_s = [], [], []
-        if s >= t:
-            k = s - t
-            flying = []
-            for (p, d) in kept:
-                cell = (p[0] + k * d[0], p[1] + k * d[1])
-                if not (0 <= cell[0] < GRID and 0 <= cell[1] < GRID) or walls[cell]:
-                    continue            # the flight ends at the first remaining wall
-                flying.append((p, d))
-                nxt_cell = (cell[0] + d[0], cell[1] + d[1])
-                if not (0 <= nxt_cell[0] < GRID and 0 <= nxt_cell[1] < GRID) or walls[nxt_cell]:
-                    nxt_cell = dead
-                prev_cell = (cell[0] - d[0], cell[1] - d[1])
-                if k == 0 or not (0 <= prev_cell[0] < GRID and 0 <= prev_cell[1] < GRID):
-                    prev_cell = dead
-                cur_s.append(cell)
-                nxt_s.append(nxt_cell)
-                trail_s.append(prev_cell)
-            kept = flying
-        frames.append((np.array(cur_s, dtype=np.int16).reshape(-1, 2),
-                       np.array(nxt_s, dtype=np.int16).reshape(-1, 2),
-                       np.array(trail_s, dtype=np.int16).reshape(-1, 2)))
+    for s in range(t, horizon + 1):
+        k = s - t
+        flying = []
+        for (p, d) in kept:
+            cell = (p[0] + k * d[0], p[1] + k * d[1])
+            if not (0 <= cell[0] < GRID and 0 <= cell[1] < GRID) or walls[cell]:
+                continue            # the flight ends at the first remaining wall
+            flying.append((p, d))
+            nxt_cell = (cell[0] + d[0], cell[1] + d[1])
+            if not (0 <= nxt_cell[0] < GRID and 0 <= nxt_cell[1] < GRID) or walls[nxt_cell]:
+                nxt_cell = dead
+            prev_cell = (cell[0] - d[0], cell[1] - d[1])
+            if k == 0 or not (0 <= prev_cell[0] < GRID and 0 <= prev_cell[1] < GRID):
+                prev_cell = dead
+            rows.append((s,) + cell + nxt_cell + prev_cell)
+        kept = flying
+    hazards = np.array(rows, dtype=np.int16).reshape(-1, 7)
     walls.setflags(write=False)
+    hazards.setflags(write=False)
     return LevelSpec(kind=level.kind, seed=level.seed, walls=walls,
                      agent_start=level.agent_start, palette=level.palette,
                      horizon=horizon, emitters=(), item=level.item,
-                     hazards=tuple(frames))
+                     hazards=hazards)
 
 
 def dodge_sparse_dependence_fraction(level: LevelSpec, sample: int = 300,
@@ -405,7 +398,7 @@ def influence_blocking_trial(seed: int, n_perturbations: int = 3) -> tuple[int, 
             t.data = np.asarray(rng.uniform(-3.0, -0.5), dtype=t.data.dtype)
     obs = rng.random((1, cfg.obs_channels, 16, 16))
     out = policy.output(obs, mode="eval")
-    relevance = pathmod.effective_input_relevance(pathmod.path_matrix(out.mask_set))
+    relevance = pathmod.effective_input_relevance(pathmod.path_matrix(out.mask_set))[0]
     dead = [i for i in range(relevance.size) if not relevance[i]]
     if not dead:
         return 0, True

@@ -72,7 +72,6 @@ def path_fraction(pm: PathMatrix) -> np.ndarray:
 def effective_input_relevance(pm: PathMatrix) -> np.ndarray:
     """Token i influences the output iff any path from it survives.
 
-    Returns a boolean (B, n) array (or (n,) for a single sample).
+    Returns a boolean (B, n) array.
     """
-    rel = pm.a_out.data[:, 0, :] > 0
-    return rel[0] if rel.shape[0] == 1 else rel
+    return pm.a_out.data[:, 0, :] > 0

@@ -59,3 +59,18 @@ def test_name_mismatch_rejected(tmp_path):
     wrong = {"other": Tensor(np.zeros(3))}
     with pytest.raises(ValueError, match="mismatch"):
         load_into(path, wrong)
+
+
+@pytest.mark.parametrize("case", ["short_length_field", "short_manifest", "short_data",
+                                  "unknown_dtype"])
+def test_malformed_checkpoint_raises_value_error(tmp_path, case):
+    path = tmp_path / "ck.smap"
+    save_params(path, _params(np.float32))
+    full = path.read_bytes()
+    raw = {"short_length_field": MAGIC + b"\x10\x00",
+           "short_manifest": full[:len(MAGIC) + 4 + 3],
+           "short_data": full[:-1],
+           "unknown_dtype": full.replace(b'"f4"', b'"i4"')}[case]
+    path.write_bytes(raw)
+    with pytest.raises(ValueError):
+        load_params(path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smap import autodiff as ad
+from smap import oracles
 from smap.attention import TrunkConfig
 from smap.checkpoint import save_params
 from smap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _load_run_policy, main
@@ -92,3 +93,35 @@ def test_sweep_writes_one_report_row_per_alpha(tmp_path):
 
 def test_gradcheck_with_one_instance_passes():
     assert main(["gradcheck", "--instances", "1"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["evaluate", "visualize"])
+@pytest.mark.parametrize("case", ["missing", "truncated", "not_a_checkpoint"])
+def test_bad_checkpoint_is_a_usage_error(tmp_path, command, case, capsys):
+    cfg = ExperimentConfig()
+    save_config(cfg, tmp_path / "config.txt")
+    ckpt = tmp_path / "checkpoint.smap"
+    if case == "truncated":
+        save_params(ckpt, make_policy(cfg.policy, TrunkConfig(), seed=0).params)
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    elif case == "not_a_checkpoint":
+        ckpt.write_text("step,policy_kind\n")
+    extra = (["--split", "test"] if command == "evaluate"
+             else ["--level", "0", "--out", str(tmp_path / "viz")])
+    assert main([command, "--run", str(tmp_path)] + extra) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_oracle_exit_codes_and_patterns(monkeypatch, capsys):
+    calls = []
+
+    def fake_suite(patterns, progress=None):
+        calls.append(patterns)
+        return [("mu_closed_form", True, ""), ("split_disjoint", len(calls) == 1, "")]
+
+    monkeypatch.setattr(oracles, "run_oracle_suite", fake_suite)
+    assert main(["oracle", "--patterns", "7"]) == EXIT_OK
+    assert "all 2 oracle checks passed" in capsys.readouterr().out
+    assert main(["oracle"]) == EXIT_CHECK_FAILED
+    assert "FAILED: split_disjoint" in capsys.readouterr().out
+    assert calls == [7, 10_000]

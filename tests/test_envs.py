@@ -202,20 +202,22 @@ def test_render_ppm(tmp_path):
 
 
 def _ref_hazard_tables(emitters, horizon):
-    frames = []
+    rows = []
     dead = (-1, -1)
     for t in range(horizon + 1):
-        cur, nxt, trail = [], [], []
         for e in emitters:
             for x in range(e.span_len):
                 if t - x >= 0 and (t - x - e.phase) % e.period == 0:
-                    cur.append(envs._emitter_cell(e, x))
-                    nxt.append(envs._emitter_cell(e, x + 1) if x + 1 < e.span_len else dead)
-                    trail.append(envs._emitter_cell(e, x - 1) if x - 1 >= 0 else dead)
-        frames.append((np.array(cur, dtype=np.int16).reshape(-1, 2),
-                       np.array(nxt, dtype=np.int16).reshape(-1, 2),
-                       np.array(trail, dtype=np.int16).reshape(-1, 2)))
-    return tuple(frames)
+                    rows.append((t,) + envs._emitter_cell(e, x)
+                                + (envs._emitter_cell(e, x + 1) if x + 1 < e.span_len else dead)
+                                + (envs._emitter_cell(e, x - 1) if x - 1 >= 0 else dead))
+    return np.array(rows, dtype=np.int16).reshape(-1, 7)
+
+
+def _frame(hazards, t):
+    """(cells, next cells, trail cells) of the projectiles in flight at t."""
+    rows = hazards[hazards[:, 0] == t]
+    return rows[:, 1:3], rows[:, 3:5], rows[:, 5:7]
 
 
 def _ref_shift(grid, dr, dc):
@@ -227,14 +229,14 @@ def _ref_shift(grid, dr, dc):
 
 def _ref_safe_policy_exists(walls, hazards, start, horizon):
     free = ~walls
-    if any(tuple(p) == start for p in hazards[0][0]):
+    if any(tuple(p) == start for p in _frame(hazards, 0)[0]):
         return False
     reach = np.zeros_like(free)
     reach[start] = True
     for t in range(horizon):
-        cur, nxt, _ = hazards[t]
+        cur, nxt, _ = _frame(hazards, t)
         occ2 = np.zeros_like(free)
-        at2 = hazards[t + 1][0]
+        at2 = _frame(hazards, t + 1)[0]
         occ2[at2[:, 0], at2[:, 1]] = True
         new_reach = reach & ~occ2
         for dr, dc in DELTAS[:4]:
@@ -266,8 +268,8 @@ def _ref_step(state, action):
     if level.kind == KIND_DODGE:
         if new_pos == level.item:
             return replace(state, pos=new_pos, t=t2, done=True), envs.GOAL_REWARD, True
-        cur, nxt, _ = level.hazards[state.t]
-        at2 = level.hazards[t2][0]
+        cur, nxt, _ = _frame(level.hazards, state.t)
+        at2 = _frame(level.hazards, t2)[0]
         hit = any(tuple(p) == new_pos for p in at2)
         if not hit:
             for j in range(cur.shape[0]):
@@ -292,7 +294,7 @@ def _ref_render_obs(state, dtype):
     obs[1][state.pos] = 1.0
     if level.kind == KIND_DODGE:
         obs[2][level.item] = 1.0
-        cur, _, trail = level.hazards[state.t]
+        cur, _, trail = _frame(level.hazards, state.t)
         for j in range(trail.shape[0]):
             cell = tuple(trail[j])
             if cell != (-1, -1) and not level.walls[cell]:
@@ -339,10 +341,8 @@ def test_hazard_tables_match_reference():
         level = generate_level(KIND_DODGE, seed)
         got = envs._hazard_tables(level.emitters, level.horizon)
         want = _ref_hazard_tables(level.emitters, level.horizon)
-        assert len(got) == len(want) == level.horizon + 1
-        for g, w in zip(got, want):
-            for a, b in zip(g, w):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert 0 <= got[:, 0].min() and got[:, 0].max() == level.horizon
 
 
 def _arena(extra_walls=()):
@@ -353,16 +353,14 @@ def _arena(extra_walls=()):
     return walls
 
 
-def _handmade(frames, start, item=(12, 12), walls=None, horizon=4):
+def _handmade(flights, start, item=(12, 12), walls=None, horizon=4):
     """A DodgeGrid spec from {t: [(cell, next cell, trail cell), ...]}."""
-    hazards = []
-    for t in range(horizon + 1):
-        rows = frames.get(t, [])
-        hazards.append(tuple(np.array([row[i] for row in rows], dtype=np.int16).reshape(-1, 2)
-                             for i in range(3)))
+    hazards = np.array([(t,) + cur + nxt + trail for t in sorted(flights)
+                        for cur, nxt, trail in flights[t]], dtype=np.int16).reshape(-1, 7)
+    hazards.setflags(write=False)
     return LevelSpec(kind=KIND_DODGE, seed=0, walls=_arena() if walls is None else walls,
                      agent_start=start, palette=4, horizon=horizon, item=item,
-                     hazards=tuple(hazards))
+                     hazards=hazards)
 
 
 def test_swap_collision():
@@ -433,7 +431,7 @@ def test_blanked_projectile_stops_at_first_wall():
     level = generate_level(KIND_DODGE, 4)
     blanked = oracles.blanked_level(level, (7, 7), 18)
     assert blanked.walls[7, 5]
-    cells = [{tuple(map(int, c)) for c in blanked.hazards[s][0]} for s in range(18, 23)]
+    cells = [{tuple(map(int, c)) for c in _frame(blanked.hazards, s)[0]} for s in range(18, 23)]
     assert (7, 7) in cells[0] and (7, 6) in cells[1]
     assert not any(c[0] == 7 and c[1] < 6 for frame in cells[2:] for c in frame)
 
@@ -501,6 +499,35 @@ def test_layouts_match_pinned_digest():
                             level.palette)).encode())
     assert digest.hexdigest() == \
         "83994a15ac118002c2826be8d4e46b3871a7c4273a1b34ae13476e01a8ad0198"
+
+
+def test_level_codes_match_pinned_digest():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update(generate_level(KIND_DODGE, seed).codes.tobytes())
+    assert digest.hexdigest() == \
+        "b53809e1c43c6c4e2050a2e0603bca6db2b7ccc7ea3077e9eef534e63b994be1"
+
+
+def _assert_hazard_table(level):
+    hazards = level.hazards
+    assert hazards.dtype == np.int16 and hazards.ndim == 2 and hazards.shape[1] == 7
+    assert np.all(np.diff(hazards[:, 0]) >= 0)
+    with pytest.raises(ValueError):
+        hazards[0, 0] = 1
+
+
+def test_hazards_are_one_small_read_only_table():
+    sizes = []
+    for seed in range(200):
+        level = generate_level(KIND_DODGE, seed)
+        _assert_hazard_table(level)
+        sizes.append(level.hazards.nbytes)
+    assert np.mean(sizes) <= 16 * 1024
+    level = generate_level(KIND_DODGE, 0)
+    _assert_hazard_table(oracles.blanked_level(level, level.agent_start, 3))
+    _assert_hazard_table(_handmade({0: [((5, 6), (5, 5), (5, 7))]}, start=(9, 9)))
+    assert generate_level(KIND_MAZE, 0).hazards is None
 
 
 def test_level_tables_are_small_and_read_only():

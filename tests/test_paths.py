@@ -84,7 +84,7 @@ def test_relevance_example():
     layer[:, 2] = 0.0
     ms = _mask_set([layer], [1.0, 1.0, 0.0])
     rel = pathmod.effective_input_relevance(pathmod.path_matrix(ms))
-    assert rel.tolist() == [True, True, False]
+    assert rel.tolist() == [[True, True, False]]
 
 
 def test_relevance_all_open_and_all_masked():

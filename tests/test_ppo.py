@@ -8,7 +8,7 @@ from smap import ppo
 from smap.attention import TrunkConfig
 from smap.autodiff import Tape, Tensor
 from smap.config import ExperimentConfig, PPOConfig
-from smap.errors import DimensionError
+from smap.errors import ConfigError, DimensionError
 from smap.optim import Adam
 from smap.policies import make_policy
 from smap.ppo import RolloutBatch, compute_gae, ppo_update
@@ -158,6 +158,13 @@ def test_ppo_update_identity_ratio_surrogate():
                                   cfg.gamma, cfg.gae_lambda, batch.bootstrap_values)
     stats = ppo_update(batch, policy, cfg, opt, stream(4, "s"))
     assert abs(stats.policy_loss - (-adv_expected.mean())) < 1e-5
+
+
+def test_minibatch_below_two_rejected():
+    # the update splits each minibatch into two halves and skips any below 2
+    with pytest.raises(ConfigError, match="minibatch_size"):
+        PPOConfig(minibatch_size=1).validate()
+    PPOConfig(minibatch_size=2).validate()
 
 
 def test_ppo_update_aborts_on_nan():
