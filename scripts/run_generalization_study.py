@@ -49,12 +49,12 @@ def pooled_comparison(run_dirs, env_kind):
     return diff, pooled_se, rep_sparse, rep_dense
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/study")
     parser.add_argument("--seeds", default="0,1,2,3,4")
     parser.add_argument("--timesteps", type=int, default=400_000)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     seeds = [int(s) for s in args.seeds.split(",")]
     out_root = Path(args.out)

@@ -1,10 +1,11 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Everything the networks need is built from the operations in this module.
-Ops record onto the active ``Tape`` (if any) whenever an input requires
-gradients; ``backward`` replays the tape in reverse and accumulates into
-the ``grad`` slot of leaf tensors. Gradients accumulate additively until
-``zero_grad`` is called.
+An op with an input that requires gradients adds an entry to the active
+``Tape`` (if any). A tape retains the arrays each op's backward reads and the
+leaf tensors, never intermediate Tensors; ``Node`` records stand in for those.
+``backward`` replays the tape in reverse and accumulates into the ``grad``
+slot of leaf tensors, again on every replay, until ``zero_grad`` is called.
 
 Precision is a process-global setting: training runs at float32, the
 verification suites switch to float64 via the ``precision`` context
@@ -44,7 +45,7 @@ import itertools
 import math
 import threading
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -183,6 +184,18 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype), dtype=dtype)
 
 
+class Node(NamedTuple):
+    """What a tape keeps of an op's output or of an input it does not hold."""
+    node_id: int
+    requires_grad: bool
+    shape: tuple
+    dtype: np.dtype
+
+    @classmethod
+    def of(cls, t: Tensor) -> "Node":
+        return cls(t.node_id, t.requires_grad, t.data.shape, t.data.dtype)
+
+
 class _TapeStack(threading.local):
     def __init__(self):
         self.tapes: list["Tape"] = []
@@ -194,10 +207,12 @@ _TAPES = _TapeStack()
 class Tape:
     """Ordered record of operations; inputs always precede their consumers.
 
+    An entry is (output ``Node``, inputs, backward function): a leaf input
+    that takes gradients is kept as its ``Tensor``, any other as a ``Node``.
     A tape records only the ops of the thread that entered it."""
 
     def __init__(self):
-        self.entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self.entries: list[tuple[Node, tuple[Tensor | Node, ...], object]] = []
         self._produced: set[int] = set()
 
     def __enter__(self):
@@ -211,8 +226,10 @@ class Tape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
         out.requires_grad = True
+        kept = tuple(t if t.requires_grad and t.node_id not in self._produced else Node.of(t)
+                     for t in inputs)
         self._produced.add(out.node_id)
-        self.entries.append((out, inputs, backward_fn))
+        self.entries.append((Node.of(out), kept, backward_fn))
 
 
 def active_tape() -> Optional[Tape]:
@@ -297,7 +314,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(a, b, forward, backward_a, backward_b):
+def _binary(a, b, forward, grad_a, grad_b):
+    """For an operand that takes gradients, ``grad_a(x, y)`` (``grad_b``) maps
+    the operand arrays to a g -> gradient closure over just what it reads."""
     dtype = a.data.dtype if isinstance(a, Tensor) else b.data.dtype
     a = _as_tensor(a, dtype)
     b = _as_tensor(b, dtype)
@@ -306,32 +325,35 @@ def _binary(a, b, forward, backward_a, backward_b):
     except ValueError as e:
         raise DimensionError(f"incompatible shapes {a.shape} and {b.shape}") from e
     out = Tensor(out_data, dtype=out_data.dtype)
+    fa = grad_a(a.data, b.data) if a.requires_grad else None
+    fb = grad_b(a.data, b.data) if b.requires_grad else None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
-        ga = _unbroadcast(backward_a(g, a.data, b.data), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(backward_b(g, a.data, b.data), b.shape) if b.requires_grad else None
-        return ga, gb
+        return (None if fa is None else _unbroadcast(fa(g), a_shape),
+                None if fb is None else _unbroadcast(fb(g), b_shape))
 
     return _emit(out, (a, b), bwd)
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, np.add, lambda x, y: lambda g: g, lambda x, y: lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, np.subtract, lambda x, y: lambda g: g, lambda x, y: lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, np.multiply, lambda x, y: lambda g: g * y,
+                   lambda x, y: lambda g: g * x)
 
 
 def minimum(a, b) -> Tensor:
     """Pointwise min; ties route the gradient to the first argument."""
     return _binary(a, b, np.minimum,
-                   lambda g, x, y: g * (x <= y),
-                   lambda g, x, y: g * (x > y))
+                   lambda x, y: lambda g: g * (x <= y),
+                   lambda x, y: lambda g: g * (x > y))
 
 
 def scale(t: Tensor, s: float) -> Tensor:
@@ -355,7 +377,8 @@ def exp(t: Tensor) -> Tensor:
 
 
 def square(t: Tensor) -> Tensor:
-    return _unary(t, t.data * t.data, lambda g: g * 2.0 * t.data)
+    x = t.data
+    return _unary(t, x * x, lambda g: g * 2.0 * x)
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -398,12 +421,13 @@ class capture_kinks:
 def _reduce(t: Tensor, op, axis, scale_back: float) -> Tensor:
     out_data = op(t.data, axis=axis)
     out = Tensor(np.asarray(out_data, dtype=t.data.dtype), dtype=t.data.dtype)
+    shape = t.data.shape
 
     def bwd(g):
         ga = np.asarray(g)
         if axis is not None:
             ga = np.expand_dims(ga, axis)
-        return (np.broadcast_to(ga, t.shape) * scale_back,)
+        return (np.broadcast_to(ga, shape) * scale_back,)
 
     return _emit(out, (t,), bwd)
 
@@ -432,17 +456,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     out = Tensor(_mm(a.data, b.data), dtype=a.data.dtype)
+    # each operand's gradient reads the other operand's array
+    x = a.data if b.requires_grad else None
+    y = b.data if a.requires_grad else None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
-                k = a.shape[-1]
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+        if y is not None:
+            ga = _unbroadcast(_mm(g, np.swapaxes(y, -1, -2)), a_shape)
+        if x is not None:
+            if len(b_shape) == 2 and x.ndim > 2:
+                gb = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+                gb = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), b_shape)
         return ga, gb
 
     return _emit(out, (a, b), bwd)
@@ -456,12 +483,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = _mm(x.data, w.data)
     out_data += b.data
     out = Tensor(out_data, dtype=out_data.dtype)
+    xd = x.data if w.requires_grad else None
+    wd = w.data if x.requires_grad else None
+    b_shape = b.data.shape if b.requires_grad else None
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gx = _mm(g, w.data.T) if x.requires_grad else None
-        gw = x.data.reshape(-1, w.shape[0]).T @ g2 if w.requires_grad else None
-        gb = _unbroadcast(g2, b.shape) if b.requires_grad else None
+        gx = None if wd is None else _mm(g, wd.T)
+        gw = None if xd is None else xd.reshape(-1, xd.shape[-1]).T @ g2
+        gb = None if b_shape is None else _unbroadcast(g2, b_shape)
         return gx, gw, gb
 
     return _emit(out, (x, w, b), bwd)
@@ -474,9 +504,9 @@ def transpose(t: Tensor) -> Tensor:
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = Tensor(t.data.reshape(shape), dtype=t.data.dtype)
-    return _emit(out, (t,), lambda g: (g.reshape(t.shape),))
+    in_shape = t.data.shape
+    out = Tensor(t.data.reshape(tuple(shape)), dtype=t.data.dtype)
+    return _emit(out, (t,), lambda g: (g.reshape(in_shape),))
 
 
 def clip(t: Tensor, lo: float, hi: float) -> Tensor:
@@ -549,15 +579,15 @@ def masked_softmax(scores: Tensor, mask: Tensor) -> Tensor:
     attn = z / r_safe
     attn *= nonempty                 # 0/0 := 0 for all-masked rows
     out = Tensor(attn, dtype=scores.data.dtype)
+    z = z if scores.requires_grad else None
+    e = e if mask.requires_grad else None
 
     def bwd(g):
         inner = (g * attn).sum(axis=-1, keepdims=True)
         dz = g - inner
         dz /= r_safe
         dz *= nonempty
-        g_scores = dz * z if scores.requires_grad else None
-        g_mask = dz * e if mask.requires_grad else None
-        return g_scores, g_mask
+        return (None if z is None else dz * z), (None if e is None else dz * e)
 
     return _emit(out, (scores, mask), bwd)
 
@@ -576,14 +606,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xh * gain.data
     out_data += bias.data
     out = Tensor(out_data, dtype=x.data.dtype)
+    gd = gain.data if x.requires_grad else None
+    gain_shape = gain.data.shape if gain.requires_grad else None
+    bias_shape = bias.data.shape if bias.requires_grad else None
 
     def bwd(g):
-        g_gain = _unbroadcast(g * xh, gain.shape) if gain.requires_grad else None
-        g_bias = _unbroadcast(g, bias.shape) if bias.requires_grad else None
+        g_gain = None if gain_shape is None else _unbroadcast(g * xh, gain_shape)
+        g_bias = None if bias_shape is None else _unbroadcast(g, bias_shape)
         gx = None
-        if x.requires_grad:
+        if gd is not None:
             # inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), built in dxh
-            dxh = g * gain.data
+            dxh = g * gd
             proj = dxh * xh
             proj_mean = row_mean(proj)
             np.multiply(xh, proj_mean, out=proj)
@@ -603,9 +636,10 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     rows = np.arange(t.shape[0])
     out = Tensor(t.data[rows, idx], dtype=t.data.dtype)
+    shape, dtype = t.data.shape, t.data.dtype
 
     def bwd(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(shape, dtype=dtype)
         full[rows, idx] = g
         return (full,)
 
@@ -653,18 +687,22 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     wmat = kernels.data.transpose(0, 2, 3, 1).reshape(f_out, n_cols)
     out_data = (pmat @ wmat.T).reshape(b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
     out = Tensor(out_data, dtype=x.data.dtype)
+    # the kernel gradient reads the patches, the input gradient the kernels
+    pmat = pmat if kernels.requires_grad else None
+    wmat = wmat if x.requires_grad else None
+    dtype = xd.dtype
 
     def bwd(g):
         g_out = g.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
         gk = gx = None
-        if kernels.requires_grad:
+        if pmat is not None:
             gk = (pmat.T @ g_out).T.reshape(f_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-        if x.requires_grad:
+        if wmat is not None:
             # scatter the patch gradients channels-last, one block of at most
             # stride x stride kernel offsets per add: offsets in a block never
             # reach the same input cell
             g_patches = (g_out @ wmat).reshape(b_sz, h2, w2, kh, kw, c_in)
-            gx = np.zeros((b_sz, h, w, c_in), dtype=xd.dtype).transpose(0, 3, 1, 2)
+            gx = np.zeros((b_sz, h, w, c_in), dtype=dtype).transpose(0, 3, 1, 2)
             t0, t1, t2, t3 = gx.strides
             for i in range(0, kh, stride):
                 for j in range(0, kw, stride):

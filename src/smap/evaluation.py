@@ -88,7 +88,7 @@ def export_heatmap(imap: ImportanceMap, stem) -> tuple[Path, Path]:
     return pgm_path, json_path
 
 
-REPORT_COLUMNS = ("kind", "alpha", "seed_count", "train_return", "test_return",
+REPORT_COLUMNS = ("env", "kind", "alpha", "seed_count", "train_return", "test_return",
                   "test_return_norm", "gap", "se")
 
 
@@ -115,10 +115,10 @@ def read_metrics(path) -> list[dict]:
 
 
 def generalization_report(run_dirs) -> list[dict]:
-    """Aggregate final returns per (policy kind, alpha) across seed runs."""
+    """Aggregate final returns per (env, policy kind, alpha) across seed runs."""
     from .config import load_config
 
-    per_group: dict[tuple[str, float], dict] = {}
+    per_group: dict[tuple[str, str, float], dict] = {}
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
         metrics_path = run_dir / "metrics.csv" if run_dir.is_dir() else run_dir
@@ -127,24 +127,25 @@ def generalization_report(run_dirs) -> list[dict]:
             raise ConfigError(f"metrics file {metrics_path} has no rows")
         cfg = load_config(metrics_path.parent / "config.txt")
         finals = _final_split_returns(rows)
-        key = (rows[-1]["policy_kind"], float(rows[-1]["alpha"]))
-        group = per_group.setdefault(key, {"train": [], "test": [], "kind": cfg.env_kind})
+        key = (cfg.env_kind, rows[-1]["policy_kind"], float(rows[-1]["alpha"]))
+        group = per_group.setdefault(key, {"train": [], "test": []})
         group["train"].append(finals.get("train", float("nan")))
         group["test"].append(finals.get("test", float("nan")))
 
     report = []
-    for (policy_kind, alpha), group in sorted(per_group.items()):
+    for (env_kind, policy_kind, alpha), group in sorted(per_group.items()):
         train = np.array(group["train"])
         test = np.array(group["test"])
         k = len(test)
         se = float(test.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
         report.append({
+            "env": env_kind,
             "kind": policy_kind,
             "alpha": alpha,
             "seed_count": k,
             "train_return": float(train.mean()),
             "test_return": float(test.mean()),
-            "test_return_norm": normalize_return(float(test.mean()), group["kind"]),
+            "test_return_norm": normalize_return(float(test.mean()), env_kind),
             "gap": float(train.mean() - test.mean()),
             "se": se,
         })
@@ -164,11 +165,12 @@ def _fmt(v) -> str:
 
 
 def format_report(report: list[dict]) -> str:
-    header = f"{'kind':<16}{'alpha':>7}{'seeds':>7}{'train':>10}{'test':>10}" \
+    header = f"{'env':<11}{'kind':<16}{'alpha':>7}{'seeds':>7}{'train':>10}{'test':>10}" \
              f"{'norm':>8}{'gap':>9}{'se':>9}"
     lines = [header, "-" * len(header)]
     for row in report:
-        lines.append(f"{row['kind']:<16}{row['alpha']:>7.3f}{row['seed_count']:>7d}"
+        lines.append(f"{row['env']:<11}{row['kind']:<16}{row['alpha']:>7.3f}"
+                     f"{row['seed_count']:>7d}"
                      f"{row['train_return']:>10.3f}{row['test_return']:>10.3f}"
                      f"{row['test_return_norm']:>8.3f}{row['gap']:>9.3f}{row['se']:>9.3f}")
     return "\n".join(lines)

@@ -27,3 +27,32 @@ def tiny_cfg():
     cfg.n_train_levels = 4
     cfg.n_test_levels = 4
     return cfg
+
+
+def _fake_train(cfg, run_dir) -> list[dict]:
+    """Stands in for ``ppo.train``: writes the run's config copy and a final
+    train and test row to metrics.csv, without training. The test return is
+    10 on DodgeGrid and 1 on MazeGrid, plus the seed; the train return is
+    one more."""
+    from pathlib import Path
+
+    from smap.config import save_config
+    from smap.ppo import MetricsWriter
+
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, run_dir / "config.txt")
+    test_return = (10.0 if cfg.env_kind == "DodgeGrid" else 1.0) + cfg.ppo.seed
+    metrics = MetricsWriter(run_dir / "metrics.csv")
+    for split, ret in (("train", test_return + 1.0), ("test", test_return)):
+        metrics.write(step=cfg.ppo.total_timesteps, policy_kind=cfg.policy,
+                      alpha=cfg.ppo.alpha, split=split, mean_return=ret, std_return=0.0,
+                      path_fraction=1.0, mask_loss=0.0, policy_loss=0.0, value_loss=0.0,
+                      entropy=0.0)
+    metrics.close()
+    return metrics.rows
+
+
+@pytest.fixture
+def fake_train():
+    return _fake_train

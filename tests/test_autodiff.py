@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from smap import autodiff as ad
+from smap.attention import TrunkConfig
 from smap.autodiff import Tape, Tensor
 from smap.errors import DimensionError
 from smap.gradcheck import (analytic_grads, max_rel_error_coordinatewise, primitive_cases,
                             run_primitive_suite)
+from smap.policies import POLICY_KINDS, make_policy
 
 
 def test_matmul_identity():
@@ -353,7 +355,7 @@ def test_threads_record_their_own_tapes_on_shared_params(f64):
             grads: dict = {}
             ad.backward(tape, loss, grads)
             results.setdefault(i, []).append([grads[p] for p in params])
-            ids.setdefault(i, []).extend(out.node_id for out, _, _ in tape.entries)
+            ids.setdefault(i, []).extend(node.node_id for node, _, _ in tape.entries)
 
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -590,10 +592,54 @@ def test_every_checked_op_keeps_float32():
                 loss = fn(tensors)
             assert loss.data.dtype == np.float32, name
             for out, inputs, backward_fn in tape.entries:
-                assert out.data.dtype == np.float32, name
-                for t, g in zip(inputs, backward_fn(np.ones_like(out.data))):
+                assert out.dtype == np.float32, name
+                for t, g in zip(inputs, backward_fn(np.ones(out.shape, dtype=out.dtype))):
                     if g is not None and t.requires_grad:
                         assert np.asarray(g).dtype == np.float32, name
+                        assert np.shape(g) == t.shape, name
+
+
+def _captured(fn) -> list:
+    """The values a backward function's closure holds, through nested closures."""
+    held, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            v = cell.cell_contents
+            (todo if getattr(v, "__closure__", None) is not None else held).append(v)
+    return held
+
+
+def assert_tape_keeps_no_intermediate(tape: Tape) -> None:
+    """Outputs are Nodes, inputs are Nodes or leaf Tensors that take
+    gradients, and no backward closure holds a Tensor."""
+    produced = {node.node_id for node, _, _ in tape.entries}
+    for node, inputs, backward_fn in tape.entries:
+        assert isinstance(node, ad.Node)
+        for t in inputs:
+            if isinstance(t, Tensor):
+                assert t.requires_grad and t.node_id not in produced
+            else:
+                assert isinstance(t, ad.Node)
+        assert not any(isinstance(v, Tensor) for v in _captured(backward_fn)), \
+            backward_fn.__qualname__
+
+
+def test_tape_keeps_only_what_backward_reads():
+    for name, make in primitive_cases(np.random.default_rng(25)).items():
+        tensors, fn = make()
+        with Tape() as tape:
+            fn(tensors)
+        assert tape.entries, name
+        assert_tape_keeps_no_intermediate(tape)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_agent_tapes_keep_only_what_backward_reads(kind):
+    policy = make_policy(kind, TrunkConfig(), seed=2)
+    obs = np.random.default_rng(26).random((3, 4, 16, 16))
+    with Tape() as tape:
+        policy.evaluate_actions(obs, np.arange(3), mode="train")
+    assert_tape_keeps_no_intermediate(tape)
 
 
 def test_transpose_is_a_view_and_ops_leave_inputs_intact():

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from smap.config import ExperimentConfig
 from smap.envs import KIND_DODGE, KIND_MAZE, RETURN_BOUNDS
 from smap.errors import ConfigError, DimensionError
-from smap.evaluation import attention_importance, export_heatmap, normalize_return
+from smap.evaluation import (REPORT_COLUMNS, attention_importance, export_heatmap,
+                             format_report, generalization_report, normalize_return,
+                             write_report)
 from smap.tokenizer import receptive_fields
 
 N = 16
@@ -67,3 +70,24 @@ def test_normalize_return_clips_to_unit_interval():
     assert normalize_return(10.0, KIND_MAZE) == 1.0
     with pytest.raises(ConfigError):
         normalize_return(1.0, "Nope")
+
+
+def test_report_keeps_each_env_apart(tmp_path, fake_train):
+    """One agent on two envs gives two rows, each normalised by its own env."""
+    dirs = []
+    for env in (KIND_MAZE, KIND_DODGE):
+        cfg = ExperimentConfig(env_kind=env, policy="sparse_masked")
+        fake_train(cfg, tmp_path / env)
+        dirs.append(tmp_path / env)
+    report = generalization_report(dirs)
+    assert [(r["env"], r["kind"], r["seed_count"], r["test_return"]) for r in report] == \
+        [(KIND_DODGE, "sparse_masked", 1, 10.0), (KIND_MAZE, "sparse_masked", 1, 1.0)]
+    for row in report:
+        assert row["test_return_norm"] == normalize_return(row["test_return"], row["env"])
+    write_report(report, tmp_path / "report.csv")
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[0] == ",".join(REPORT_COLUMNS) and lines[0].startswith("env,kind,")
+    assert [line.split(",")[0] for line in lines[1:]] == [KIND_DODGE, KIND_MAZE]
+    table = format_report(report).splitlines()
+    assert table[0].split()[:2] == ["env", "kind"]
+    assert [line.split()[0] for line in table[2:]] == [KIND_DODGE, KIND_MAZE]

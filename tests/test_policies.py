@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,27 @@ def test_train_mode_tape_length(kind, entries):
     with Tape() as tape:
         policy.evaluate_actions(obs, np.zeros(4, dtype=np.int64), mode="train")
     assert len(tape.entries) == entries
+
+
+@pytest.mark.parametrize("kind,bound_mb", [("sparse_masked", 27), ("attention", 22)])
+def test_train_step_traced_peak(kind, bound_mb):
+    """A B=256 train-mode forward plus backward, as in one update shard, stays
+    under a traced peak. Its tape keeps the arrays backward reads and the
+    leaves, not every forward value; keeping every intermediate Tensor, the
+    peaks were about 36 and 28 MB."""
+    with ad.precision(np.float32):
+        policy = make_policy(kind, CFG, seed=5)
+        obs = np.tile(_obs_batch(8), (32, 1, 1, 1))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ev = policy.evaluate_actions(obs, np.arange(256) % 5, mode="train")
+                loss = ad.add(ad.tmean(ev.log_prob), ev.entropy)
+            ad.backward(tape, loss, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound_mb * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("kind", ["cnn", "attention", "input_masked"])
