@@ -15,7 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from smap.config import ExperimentConfig
+from smap.config import ExperimentConfig, load_config
+from smap.errors import ConfigError
 from smap.evaluation import format_report, generalization_report, write_report
 from smap.ppo import train
 
@@ -23,7 +24,10 @@ from smap.ppo import train
 def run_study(out_root: Path, seeds, env_kinds=("DodgeGrid", "MazeGrid"),
               policies=("sparse_masked", "attention"), total_timesteps=400_000,
               quiet=False):
-    """Train each (env, policy, seed) combination; returns run dirs per pair."""
+    """Train each (env, policy, seed) combination; returns run dirs per pair.
+
+    A run directory with a checkpoint is reused only when its ``config.txt``
+    equals the requested config; otherwise this raises ``ConfigError``."""
     run_dirs: dict[tuple[str, str], list[Path]] = {}
     for env_kind in env_kinds:
         for policy in policies:
@@ -32,7 +36,12 @@ def run_study(out_root: Path, seeds, env_kinds=("DodgeGrid", "MazeGrid"),
                 cfg.ppo.seed = seed
                 cfg.ppo.total_timesteps = total_timesteps
                 run_dir = out_root / f"{env_kind}_{policy}_{cfg.ppo.alpha:g}_{seed}"
-                if not (run_dir / "checkpoint.smap").exists():
+                if (run_dir / "checkpoint.smap").exists():
+                    # the name omits most of the config: reuse only an equal one
+                    if load_config(run_dir / "config.txt") != cfg:
+                        raise ConfigError(f"{run_dir} holds a run at another config; "
+                                          "remove it or choose another --out")
+                else:
                     if not quiet:
                         print(f"training {run_dir.name} ...", flush=True)
                     train(cfg, run_dir)

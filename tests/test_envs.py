@@ -454,12 +454,29 @@ def _random_candidate(rng):
                      hazards=_ref_hazard_tables(tuple(emitters), envs.DODGE_HORIZON))
 
 
+def _row_wrap_level(row, col, direction):
+    """Three open cells: two on ``row`` at the grid's edge, swept from the
+    start cell (row, col) every other step, and the start's neighbour in
+    row-major order across the row boundary. Only a move that wraps a row
+    would escape, so no safe policy exists."""
+    edge = (row, 14 if col == 15 else 1)
+    other = (row + 1, 0) if col == 15 else (row - 1, 15)
+    walls = np.ones((GRID, GRID), dtype=bool)
+    for cell in ((row, col), edge, other):
+        walls[cell] = False
+    emitters = (Emitter(0, row, min(col, edge[1]), 2, 2, 1, direction),)
+    return LevelSpec(kind=KIND_DODGE, seed=0, walls=walls, agent_start=(row, col),
+                     palette=0, horizon=16, emitters=emitters, item=other,
+                     hazards=_ref_hazard_tables(emitters, 16))
+
+
 def test_safe_policy_check_matches_reference():
     rng = np.random.default_rng(5)
     candidates = [_random_candidate(rng) for _ in range(40)]
     candidates += [generate_level(KIND_DODGE, s) for s in range(5)]
     # a projectile on the start cell at t = 0, gone from then on
     candidates.append(_handmade({0: [((5, 5), (5, 6), (-1, -1))]}, start=(5, 5)))
+    candidates += [_row_wrap_level(5, 15, -1), _row_wrap_level(6, 0, 1)]
     verdicts = []
     for level in candidates:
         want = _ref_safe_policy_exists(level.walls, level.hazards, level.agent_start,
@@ -507,6 +524,17 @@ def test_level_codes_match_pinned_digest():
         digest.update(generate_level(KIND_DODGE, seed).codes.tobytes())
     assert digest.hexdigest() == \
         "b53809e1c43c6c4e2050a2e0603bca6db2b7ccc7ea3077e9eef534e63b994be1"
+    # the held-out levels every evaluation runs on
+    _, test_seeds = make_split(KIND_DODGE, 20, 20)
+    assert min(test_seeds) >= envs.TEST_SEED_BASE
+    digest = hashlib.sha256()
+    for seed in test_seeds:
+        level = generate_level(KIND_DODGE, seed)
+        digest.update(level.codes.tobytes())
+        digest.update(level.walls.tobytes())
+        digest.update(repr((level.agent_start, level.item, level.emitters)).encode())
+    assert digest.hexdigest() == \
+        "b4ddd9834f2664ccabc3bf9bb3b15a8ff9669955116d0f2dd226d0217a60e835"
 
 
 def _assert_hazard_table(level):

@@ -5,6 +5,10 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from smap.errors import ConfigError
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_generalization_study.py"
 
 
@@ -32,12 +36,14 @@ def test_study_reports_one_row_per_env_and_agent(tmp_path, monkeypatch, fake_tra
     assert "DodgeGrid: sparse - dense test return = +0.000" in out
     assert "MazeGrid: sparse - dense test return = +0.000" in out
 
-    # finished runs are not trained again
+    # finished runs are reused at their own config and never at another
     monkeypatch.setattr(study, "train", None)
     for run_dir in tmp_path.iterdir():
         if run_dir.is_dir():
             (run_dir / "checkpoint.smap").touch()
-    run_dirs = study.run_study(tmp_path, [0, 1], quiet=True)
+    with pytest.raises(ConfigError, match="DodgeGrid_sparse_masked_0.05_0"):
+        study.run_study(tmp_path, [0, 1], quiet=True)
+    run_dirs = study.run_study(tmp_path, [0, 1], total_timesteps=4096, quiet=True)
     assert sorted(run_dirs) == [(env, agent) for env in ("DodgeGrid", "MazeGrid")
                                 for agent in ("attention", "sparse_masked")]
     assert all(len(dirs) == 2 for dirs in run_dirs.values())
