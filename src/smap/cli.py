@@ -2,20 +2,26 @@
 
 Subcommands: train, evaluate, sweep, visualize, gradcheck, oracle.
 Exit codes: 0 success, 1 check failure, 2 usage or config error.
+
+``train``, ``sweep`` and ``scripts/run_generalization_study.py`` train
+through one scheduler, ``train_runs``, which names each run by its config.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
+import os
 import sys
-import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import autodiff as ad
 from . import envs, evaluation, oracles
 from .attention import TrunkConfig
 from .checkpoint import load_into
-from .config import ExperimentConfig, load_config, save_config
+from .config import ExperimentConfig, load_config, to_text
 from .errors import ConfigError
 from .policies import make_policy
 from .ppo import evaluate_policy, train
@@ -26,26 +32,53 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _run_dir_name(cfg: ExperimentConfig) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return f"{cfg.env_kind}_{cfg.policy}_{cfg.ppo.alpha:g}_{cfg.ppo.seed}_{stamp}"
+def _run_text(cfg: ExperimentConfig) -> str:
+    """The config's text with ``out_dir`` blanked: the parent directory records it."""
+    return to_text(dataclasses.replace(cfg, out_dir=""))
 
 
-def _prepare_run_dir(cfg: ExperimentConfig, force: bool) -> Path:
-    run_dir = Path(cfg.out_dir) / _run_dir_name(cfg)
-    if run_dir.exists() and any(run_dir.iterdir()):
-        if not force:
-            raise ConfigError(f"run directory {run_dir} already exists; use --force to overwrite")
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+def train_runs(cfgs: list[ExperimentConfig]) -> list[Path]:
+    """Train each config into ``out_dir / env_policy_alpha_seed_hash``, the hash
+    being 8 hex digits of the sha256 of its ``_run_text``; return the run dirs.
+
+    Training is bit-for-bit reproducible, so a dir holding ``checkpoint.smap``
+    is a finished run, reused when its ``config.txt`` gives the same text (else
+    ``ConfigError``); a dir without one was interrupted and trains again. All
+    configs are checked first. One run left trains here; more train side by
+    side, a process each up to the CPU count, with the bytes they have alone."""
+    run_dirs, todo = [], []
+    for cfg in cfgs:
+        cfg.validate()
+        text = _run_text(cfg)
+        h = hashlib.sha256(text.encode()).hexdigest()[:8]
+        name = f"{cfg.env_kind}_{cfg.policy}_{cfg.ppo.alpha:g}_{cfg.ppo.seed}_{h}"
+        run_dir = Path(cfg.out_dir) / name
+        if run_dir in run_dirs:
+            raise ConfigError(f"two runs share one config: {run_dir.name}")
+        run_dirs.append(run_dir)
+        if not (run_dir / "checkpoint.smap").exists():
+            todo.append((cfg, run_dir))
+        elif _run_text(load_config(run_dir / "config.txt")) != text:
+            raise ConfigError(f"{run_dir} holds a run at another config; "
+                              "remove it or choose another out_dir")
+    if len(todo) == 1:
+        train(*todo[0])
+    elif todo:
+        with ProcessPoolExecutor(min(len(todo), os.cpu_count() or 1)) as pool:
+            for future in [pool.submit(train, cfg, run_dir) for cfg, run_dir in todo]:
+                future.result()
+    return run_dirs
 
 
-def cmd_train(args) -> int:
+def _load_config_arg(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.ppo.seed = args.seed
-    run_dir = _prepare_run_dir(cfg, args.force)
-    train(cfg, run_dir)
+    return cfg
+
+
+def cmd_train(args) -> int:
+    (run_dir,) = train_runs([_load_config_arg(args)])
     print(f"run complete: {run_dir}")
     return EXIT_OK
 
@@ -84,30 +117,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    alphas = _parse_alphas(args.alphas)
-    base = load_config(args.config)
-    run_dirs = []
-    jobs = []
-    for alpha in alphas:
-        cfg = load_config(args.config)
-        cfg.ppo.alpha = alpha
-        if args.seed is not None:
-            cfg.ppo.seed = args.seed
-        run_dir = _prepare_run_dir(cfg, args.force)
-        save_config(cfg, run_dir / "config.txt")
-        jobs.append((cfg, run_dir))
-        run_dirs.append(run_dir)
-
-    if args.parallel > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            futures = [pool.submit(_sweep_worker, str(run_dir)) for _, run_dir in jobs]
-            for f in futures:
-                f.result()
-    else:
-        for cfg, run_dir in jobs:
-            train(cfg, run_dir)
-
+    base = _load_config_arg(args)
+    run_dirs = train_runs([dataclasses.replace(base, ppo=dataclasses.replace(base.ppo, alpha=a))
+                           for a in _parse_alphas(args.alphas)])
     report = evaluation.generalization_report(run_dirs)
     report_path = Path(base.out_dir) / "sweep_report.csv"
     evaluation.write_report(report, report_path)
@@ -116,25 +128,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(run_dir: str) -> None:
-    cfg = load_config(Path(run_dir) / "config.txt")
-    train(cfg, run_dir)
-
-
 def _parse_alphas(raw: str) -> list[float]:
     parts = [p for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError("sweep needs a non-empty comma-separated alpha list")
     try:
-        alphas = [float(p) for p in parts]
+        return [float(p) for p in parts]
     except ValueError as e:
         raise ConfigError(f"cannot parse alpha list {raw!r}") from e
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ConfigError(f"alpha {a} outside [0, 1]")
-    if len({f"{a:g}" for a in alphas}) != len(alphas):
-        raise ConfigError(f"alpha list {raw!r} repeats a value; runs are named by alpha:g")
-    return alphas
 
 
 def cmd_visualize(args) -> int:
@@ -195,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="sparse masked attention policies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train one policy from a config file")
+    p = sub.add_parser("train", help="train one policy from a config file, or reuse the "
+                       "finished run at that config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a finished run on a level split")
@@ -206,12 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="train once per sparsity target alpha")
+    p = sub.add_parser("sweep", help="train once per sparsity target alpha, side by side on "
+                       "the available CPUs, and report")
     p.add_argument("--config", required=True)
-    p.add_argument("--alphas", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--alphas", required=True, help="comma-separated alphas in [0, 1]")
+    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("visualize", help="export attention importance heatmaps")

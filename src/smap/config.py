@@ -13,8 +13,7 @@ from pathlib import Path
 
 from .envs import KINDS
 from .errors import ConfigError
-
-POLICY_KINDS = ("cnn", "attention", "input_masked", "sparse_masked")
+from .policies import POLICY_KINDS
 
 
 @dataclass

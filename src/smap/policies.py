@@ -27,7 +27,6 @@ from . import autodiff as ad
 from . import paths as pathmod
 from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params
 from .autodiff import Tensor
-from .config import POLICY_KINDS
 from .errors import ConfigError
 from .paths import PathMatrix
 from .rng import CounterStream, stream
@@ -211,12 +210,9 @@ class SparseMaskedPolicy(AttentionPolicy):
         return self._attend(_obs_tensor(obs), mode, noise_rng)
 
 
-_POLICY_CLASSES = {
-    "cnn": CnnPolicy,
-    "attention": AttentionPolicy,
-    "input_masked": InputMaskedPolicy,
-    "sparse_masked": SparseMaskedPolicy,
-}
+_POLICY_CLASSES = {cls.kind: cls for cls in (CnnPolicy, AttentionPolicy, InputMaskedPolicy,
+                                               SparseMaskedPolicy)}
+POLICY_KINDS = tuple(_POLICY_CLASSES)
 
 
 def make_policy(kind: str, cfg: TrunkConfig, seed: int,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from smap import cli, ppo
-from smap.config import ExperimentConfig
+from smap.config import ExperimentConfig, save_config
 
 PINNED_NUMPY = "2.4.6"
 FILES = ("metrics.csv", "checkpoint.smap", "params.txt")
@@ -73,8 +73,7 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("env,kind", list(PINS))
-def test_tiny_run_bytes_match_pins(tmp_path, env, kind):
+def _pinned_config(env, kind) -> ExperimentConfig:
     """Seed 7: 1,024 steps, 4 envs x 64, minibatch 128, 4 + 4 levels, eval every 2."""
     cfg = ExperimentConfig(env_kind=env, policy=kind, n_train_levels=4, n_test_levels=4)
     cfg.ppo.seed = 7
@@ -83,8 +82,13 @@ def test_tiny_run_bytes_match_pins(tmp_path, env, kind):
     cfg.ppo.n_envs = 4
     cfg.ppo.minibatch_size = 128
     cfg.ppo.eval_every = 2
+    return cfg
+
+
+@pytest.mark.parametrize("env,kind", list(PINS))
+def test_tiny_run_bytes_match_pins(tmp_path, env, kind):
     run_dir = tmp_path / "run"
-    ppo.train(cfg, run_dir)
+    ppo.train(_pinned_config(env, kind), run_dir)
     stack = f"numpy {np.__version__}, pins from numpy {PINNED_NUMPY}"
     assert [_sha256(run_dir / f) for f in FILES] == list(PINS[env, kind]), stack
     if HEATMAP_PIN[:2] == (env, kind):
@@ -93,3 +97,16 @@ def test_tiny_run_bytes_match_pins(tmp_path, env, kind):
         assert cli.main(["visualize", "--run", str(run_dir), "--level", str(level),
                          "--out", str(out)]) == cli.EXIT_OK
         assert _sha256(out / f"importance_{env}_{level}.json") == HEATMAP_PIN[3], stack
+
+
+def test_runs_trained_side_by_side_match_pins(tmp_path):
+    """``smap sweep`` trains its two alphas in a process pool; the alpha 0.05
+    run is the pinned DodgeGrid cnn run and keeps its bytes."""
+    cfg = _pinned_config("DodgeGrid", "cnn")
+    cfg.out_dir = str(tmp_path / "runs")
+    save_config(cfg, tmp_path / "tiny.txt")
+    assert cli.main(["sweep", "--config", str(tmp_path / "tiny.txt"),
+                     "--alphas", "0.05,0.5"]) == cli.EXIT_OK
+    (run_dir,) = (tmp_path / "runs").glob("DodgeGrid_cnn_0.05_7_*")
+    stack = f"numpy {np.__version__}, pins from numpy {PINNED_NUMPY}"
+    assert [_sha256(run_dir / f) for f in FILES] == list(PINS["DodgeGrid", "cnn"]), stack

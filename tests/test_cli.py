@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from smap import autodiff as ad
-from smap import oracles
+from smap import cli, oracles
 from smap.attention import TrunkConfig
 from smap.checkpoint import save_params
 from smap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _load_run_policy, main
@@ -36,6 +38,33 @@ def test_train_writes_metrics_and_checkpoint(cnn_run):
     assert (run_dir / "checkpoint.smap").is_file()
     lines = (run_dir / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("step,policy_kind") and len(lines) == 3   # train + test rows
+
+
+def test_train_names_a_run_by_its_config_and_reuses_it(tmp_path, monkeypatch, capsys):
+    config = str(_tiny_cnn_config(tmp_path))
+    assert main(["train", "--config", config]) == EXIT_OK
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert re.fullmatch(r"DodgeGrid_cnn_0\.05_0_[0-9a-f]{8}", run_dir.name)
+    checkpoint = (run_dir / "checkpoint.smap").read_bytes()
+
+    def no_training(cfg, run_dir):
+        raise AssertionError("a finished run trained again")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "train", no_training)
+        assert main(["train", "--config", config]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(f"run complete: {run_dir}\n")
+
+    # a run without a checkpoint was interrupted: it trains again, to the same bytes
+    (run_dir / "checkpoint.smap").unlink()
+    assert main(["train", "--config", config]) == EXIT_OK
+    assert (run_dir / "checkpoint.smap").read_bytes() == checkpoint
+    assert list((tmp_path / "runs").iterdir()) == [run_dir]
+
+    text = (run_dir / "config.txt").read_text()
+    (run_dir / "config.txt").write_text(text.replace("gamma = 0.99", "gamma = 0.9"))
+    assert main(["train", "--config", config]) == EXIT_USAGE
+    assert "holds a run at another config" in capsys.readouterr().err
 
 
 def test_evaluate_finished_run(cnn_run):

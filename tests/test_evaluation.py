@@ -73,15 +73,18 @@ def test_normalize_return_clips_to_unit_interval():
 
 
 def test_report_keeps_each_env_apart(tmp_path, fake_train):
-    """One agent on two envs gives two rows, each normalised by its own env."""
+    """One agent on two envs gives two rows, each normalised by its own env and
+    averaging its own env's seeds: test returns 10 + {0, 1} on DodgeGrid."""
     dirs = []
-    for env in (KIND_MAZE, KIND_DODGE):
+    for env, seed in ((KIND_MAZE, 0), (KIND_DODGE, 0), (KIND_DODGE, 1)):
         cfg = ExperimentConfig(env_kind=env, policy="sparse_masked")
-        fake_train(cfg, tmp_path / env)
-        dirs.append(tmp_path / env)
+        cfg.ppo.seed = seed
+        fake_train(cfg, tmp_path / f"{env}_{seed}")
+        dirs.append(tmp_path / f"{env}_{seed}")
     report = generalization_report(dirs)
     assert [(r["env"], r["kind"], r["seed_count"], r["test_return"]) for r in report] == \
-        [(KIND_DODGE, "sparse_masked", 1, 10.0), (KIND_MAZE, "sparse_masked", 1, 1.0)]
+        [(KIND_DODGE, "sparse_masked", 2, 10.5), (KIND_MAZE, "sparse_masked", 1, 1.0)]
+    assert [(r["gap"], r["se"]) for r in report] == [(1.0, pytest.approx(0.5)), (1.0, 0.0)]
     for row in report:
         assert row["test_return_norm"] == normalize_return(row["test_return"], row["env"])
     write_report(report, tmp_path / "report.csv")

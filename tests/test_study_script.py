@@ -1,15 +1,19 @@
-"""The generalization study script, from its run loop to its report, with
-training stubbed out."""
+"""The generalization study script, from its grid of runs through the
+scheduler to its report, with real tiny training."""
 
 import csv
+import dataclasses
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from smap.errors import ConfigError
+from smap import cli, ppo
+from smap.config import ExperimentConfig
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_generalization_study.py"
+AGENTS = ("attention", "cnn", "input_masked", "sparse_masked")
 
 
 def _load_study():
@@ -19,31 +23,53 @@ def _load_study():
     return module
 
 
-def test_study_reports_one_row_per_env_and_agent(tmp_path, monkeypatch, fake_train, capsys):
-    study = _load_study()
-    monkeypatch.setattr(study, "train", fake_train)
-    study.main(["--out", str(tmp_path), "--seeds", "0,1", "--timesteps", "4096"])
+def _digests(run_dir):
+    return [hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+            for f in ("metrics.csv", "checkpoint.smap", "params.txt")]
 
-    with open(tmp_path / "study_report.csv") as fh:
+
+def test_study_reports_one_row_per_env_and_agent(tmp_path, monkeypatch, capsys):
+    """2 envs x 4 agents x 1 seed, 256 steps each, trained side by side."""
+    study = _load_study()
+    base = ExperimentConfig(out_dir=str(tmp_path / "study"), n_train_levels=2, n_test_levels=2)
+    base.ppo.rollout_len, base.ppo.n_envs, base.ppo.minibatch_size = 32, 8, 64
+    base.ppo.total_timesteps = 256
+    run_dirs = study.run_study(base, [0])
+    study.report_study(run_dirs, tmp_path / "study")
+
+    assert sorted(run_dirs) == [(env, agent) for env in ("DodgeGrid", "MazeGrid")
+                                for agent in AGENTS]
+    assert all(len(dirs) == 1 for dirs in run_dirs.values())
+    with open(tmp_path / "study" / "study_report.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["env"], r["kind"], r["seed_count"]) for r in rows] == [
-        ("DodgeGrid", "attention", "2"), ("DodgeGrid", "sparse_masked", "2"),
-        ("MazeGrid", "attention", "2"), ("MazeGrid", "sparse_masked", "2")]
-    # each row averages its own env's seeds: 10 + {0, 1} on DodgeGrid, 1 + {0, 1} on MazeGrid
-    assert [float(r["test_return"]) for r in rows] == [10.5, 10.5, 1.5, 1.5]
-    assert all(float(r["gap"]) == 1.0 for r in rows)
+        (env, agent, "1") for env in ("DodgeGrid", "MazeGrid") for agent in AGENTS]
+    assert all(float(r["se"]) == 0.0 for r in rows)
     out = capsys.readouterr().out
-    assert "DodgeGrid: sparse - dense test return = +0.000" in out
-    assert "MazeGrid: sparse - dense test return = +0.000" in out
+    for env in ("DodgeGrid", "MazeGrid"):
+        for baseline in ("attention", "cnn", "input_masked"):
+            assert f"{env}: sparse_masked - {baseline} test return = " in out
+    assert out.count("(pooled SE 0.000, +nan SE)") == 6     # one seed has no SE
 
-    # finished runs are reused at their own config and never at another
-    monkeypatch.setattr(study, "train", None)
-    for run_dir in tmp_path.iterdir():
-        if run_dir.is_dir():
-            (run_dir / "checkpoint.smap").touch()
-    with pytest.raises(ConfigError, match="DodgeGrid_sparse_masked_0.05_0"):
-        study.run_study(tmp_path, [0, 1], quiet=True)
-    run_dirs = study.run_study(tmp_path, [0, 1], total_timesteps=4096, quiet=True)
-    assert sorted(run_dirs) == [(env, agent) for env in ("DodgeGrid", "MazeGrid")
-                                for agent in ("attention", "sparse_masked")]
-    assert all(len(dirs) == 2 for dirs in run_dirs.values())
+    # a run from the pool has the bytes it has when trained alone
+    (sparse_dir,) = run_dirs["DodgeGrid", "sparse_masked"]
+    alone = dataclasses.replace(base, policy="sparse_masked")
+    ppo.train(alone, tmp_path / "alone")
+    assert _digests(tmp_path / "alone") == _digests(sparse_dir)
+
+    # a second study at the same configs reuses every run
+    monkeypatch.setattr(cli, "train", None)
+    assert study.run_study(base, [0]) == run_dirs
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seeds", ""], "non-empty comma-separated seed list"),
+    (["--seeds", "0,x"], "cannot parse seed list"),
+    (["--seeds", "0,0"], "two runs share one config"),
+    (["--timesteps", "5"], "total_timesteps must cover at least one rollout"),
+])
+def test_study_config_errors_exit_2(tmp_path, capsys, argv, message):
+    study = _load_study()
+    assert study.main(["--out", str(tmp_path)] + argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
