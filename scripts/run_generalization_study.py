@@ -26,25 +26,19 @@ from smap.evaluation import format_report, generalization_report, write_report
 from smap.policies import POLICY_KINDS
 
 
-def run_study(base: ExperimentConfig, seeds, env_kinds=KINDS, policies=POLICY_KINDS):
-    """Train ``base`` at each (env, policy, seed) into ``base.out_dir``;
-    returns the run dirs per (env, policy)."""
-    grid = [(env_kind, policy, seed) for env_kind in env_kinds for policy in policies
-            for seed in seeds]
-    run_dirs = train_runs([dataclasses.replace(base, env_kind=env_kind, policy=policy,
-                                               ppo=dataclasses.replace(base.ppo, seed=seed))
-                           for env_kind, policy, seed in grid])
-    groups: dict[tuple[str, str], list[Path]] = {}
-    for (env_kind, policy, _), run_dir in zip(grid, run_dirs):
-        groups.setdefault((env_kind, policy), []).append(run_dir)
-    return groups
+def run_study(base: ExperimentConfig, seeds) -> list[Path]:
+    """Train ``base`` for every env, policy and seed into ``base.out_dir``;
+    returns the run dirs."""
+    return train_runs([dataclasses.replace(base, env_kind=env_kind, policy=policy,
+                                           ppo=dataclasses.replace(base.ppo, seed=seed))
+                       for env_kind in KINDS for policy in POLICY_KINDS for seed in seeds])
 
 
-def report_study(run_dirs, out_root: Path) -> None:
+def report_study(run_dirs: list[Path], out_root: Path) -> None:
     """Print the report and, per env, each baseline's test-return difference
     from sparse_masked in pooled standard errors; write the report to
     ``out_root / study_report.csv``."""
-    report = generalization_report([d for dirs in run_dirs.values() for d in dirs])
+    report = generalization_report(run_dirs)
     print(format_report(report))
     write_report(report, out_root / "study_report.csv")
     rows = {(row["env"], row["kind"]): row for row in report}

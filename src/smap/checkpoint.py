@@ -3,11 +3,13 @@
 Layout: the magic string ``SMAP1``, a little-endian uint32 manifest length,
 a JSON manifest listing (name, shape, dtype) per tensor, then the raw
 little-endian scalar data in manifest order. Round-trips are bit-exact.
+A checkpoint is written to a ``.part`` file renamed into place: it is whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -31,12 +33,14 @@ def save_params(path, params: dict[str, Tensor]) -> None:
         manifest.append({"name": name, "shape": list(t.shape), "dtype": tag})
         blobs.append(np.ascontiguousarray(t.data, dtype="<" + tag).tobytes())
     header = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
+    part = f"{path}.part"
+    with open(part, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for blob in blobs:
             fh.write(blob)
+    os.replace(part, path)
 
 
 def load_params(path) -> dict[str, np.ndarray]:

@@ -41,11 +41,12 @@ def train_runs(cfgs: list[ExperimentConfig]) -> list[Path]:
     """Train each config into ``out_dir / env_policy_alpha_seed_hash``, the hash
     being 8 hex digits of the sha256 of its ``_run_text``; return the run dirs.
 
-    Training is bit-for-bit reproducible, so a dir holding ``checkpoint.smap``
-    is a finished run, reused when its ``config.txt`` gives the same text (else
-    ``ConfigError``); a dir without one was interrupted and trains again. All
-    configs are checked first. One run left trains here; more train side by
-    side, a process each up to the CPU count, with the bytes they have alone."""
+    Training is reproducible and writes ``checkpoint.smap`` last, atomically,
+    so a dir holding one is a finished run, reused when its ``config.txt``
+    gives the same text (else ``ConfigError``); a dir without one was cut
+    short and trains again, so two calls must not share an ``out_dir`` at
+    once. One run left trains here; more train side by side, a process each
+    up to the CPUs this process may use, with the bytes they have alone."""
     run_dirs, todo = [], []
     for cfg in cfgs:
         cfg.validate()
@@ -61,10 +62,14 @@ def train_runs(cfgs: list[ExperimentConfig]) -> list[Path]:
         elif _run_text(load_config(run_dir / "config.txt")) != text:
             raise ConfigError(f"{run_dir} holds a run at another config; "
                               "remove it or choose another out_dir")
+    todo_dirs = {run_dir for _, run_dir in todo}
+    for run_dir in run_dirs:
+        print(f"{'training' if run_dir in todo_dirs else 'reusing'} {run_dir}", flush=True)
     if len(todo) == 1:
         train(*todo[0])
     elif todo:
-        with ProcessPoolExecutor(min(len(todo), os.cpu_count() or 1)) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(min(len(todo), cpus or 1)) as pool:
             for future in [pool.submit(train, cfg, run_dir) for cfg, run_dir in todo]:
                 future.result()
     return run_dirs

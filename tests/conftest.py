@@ -29,11 +29,15 @@ def tiny_cfg():
     return cfg
 
 
+_FAKE_POLICY_RANK = {"sparse_masked": 0, "input_masked": 1, "attention": 2, "cnn": 3}
+
+
 def _fake_train(cfg, run_dir) -> list[dict]:
     """Stands in for ``ppo.train``: writes the run's config copy and a final
     train and test row to metrics.csv, without training. The test return is
-    10 on DodgeGrid and 1 on MazeGrid, plus the seed; the train return is
-    one more."""
+    10 on DodgeGrid and 1 on MazeGrid, plus (k + 1) * seed - 2k for the
+    policy's rank k in ``_FAKE_POLICY_RANK`` (so sparse_masked scores
+    10 + seed and 1 + seed); the train return is one more."""
     from pathlib import Path
 
     from smap.config import save_config
@@ -42,7 +46,8 @@ def _fake_train(cfg, run_dir) -> list[dict]:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, run_dir / "config.txt")
-    test_return = (10.0 if cfg.env_kind == "DodgeGrid" else 1.0) + cfg.ppo.seed
+    k = _FAKE_POLICY_RANK[cfg.policy]
+    test_return = (10.0 if cfg.env_kind == "DodgeGrid" else 1.0) + (k + 1) * cfg.ppo.seed - 2 * k
     metrics = MetricsWriter(run_dir / "metrics.csv")
     for split, ret in (("train", test_return + 1.0), ("test", test_return)):
         metrics.write(step=cfg.ppo.total_timesteps, policy_kind=cfg.policy,

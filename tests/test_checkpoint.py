@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smap import autodiff as ad
+from smap import checkpoint
 from smap.autodiff import Tensor
 from smap.checkpoint import MAGIC, load_into, load_params, save_params
 
@@ -25,6 +26,22 @@ def test_roundtrip_bit_exact(tmp_path, dtype):
         assert loaded[name].dtype == t.data.dtype
         assert np.array_equal(loaded[name], t.data)
         assert loaded[name].tobytes() == t.data.tobytes()
+
+
+def test_write_cut_short_leaves_no_checkpoint(tmp_path, monkeypatch):
+    """A checkpoint appears only whole, by the rename that ends the write."""
+    path = tmp_path / "ck.smap"
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checkpoint.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        save_params(path, _params(np.float32))
+    assert not path.exists()
+    monkeypatch.undo()
+    save_params(path, _params(np.float32))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.smap"]
 
 
 def test_magic_prefix(tmp_path):

@@ -53,7 +53,7 @@ def test_train_names_a_run_by_its_config_and_reuses_it(tmp_path, monkeypatch, ca
     with monkeypatch.context() as m:
         m.setattr(cli, "train", no_training)
         assert main(["train", "--config", config]) == EXIT_OK
-    assert capsys.readouterr().out.endswith(f"run complete: {run_dir}\n")
+    assert capsys.readouterr().out.endswith(f"reusing {run_dir}\nrun complete: {run_dir}\n")
 
     # a run without a checkpoint was interrupted: it trains again, to the same bytes
     (run_dir / "checkpoint.smap").unlink()
