@@ -10,7 +10,9 @@ aggregation step attends from one learned query over the last layer's tokens
 Mask sampling uses the hard binary concrete / Gumbel-softmax construction:
 logistic noise on the logits, a sigmoid relaxation, and a straight-through
 hard threshold. Evaluation mode thresholds the noiseless sigmoid at 0.5
-(strictly above), with no gradient.
+(strictly above), with no gradient. The noise is an input, one row per
+sample (``noise_rows``), so a forward that is given a sample's noise again
+samples the same masks.
 
 A forward returns the features, the mask set (None for dense attention) and
 the attention weights: one (B, n, n) tensor per layer, then the (B, 1, n)
@@ -27,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .tokenizer import init_extractor, tokenize
+from .tokenizer import conv_output_dims, init_extractor, tokenize
 
 LN_EPS = 1e-5
 
@@ -103,12 +105,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return ad.layer_norm(x, gain, bias, eps=LN_EPS)
 
 
-def sample_mask_values(logits: Tensor, mode: str, tau: float,
-                       rng: Optional[np.random.Generator]) -> tuple[Optional[Tensor], Tensor]:
-    """Turn mask logits into (soft, hard) mask tensors; only ``hard`` gates
-    attention.
+def noise_rows(rng: np.random.Generator, batch: int, cfg: TrunkConfig) -> np.ndarray:
+    """Logistic mask noise for ``batch`` samples at the working dtype, one row
+    each: its L (n, n) layer blocks row-major, then its (1, n) aggregation row."""
+    n = int(np.prod(conv_output_dims((cfg.obs_size, cfg.obs_size))))
+    return rng.logistic(size=(batch, cfg.n_layers * n * n + n)).astype(ad.get_default_dtype())
 
-    train: logistic noise, sigmoid relaxation, straight-through threshold.
+
+def sample_mask_values(logits: Tensor, mode: str, tau: float,
+                       noise: Optional[np.ndarray]) -> tuple[Optional[Tensor], Tensor]:
+    """Turn mask logits into (soft, hard) mask tensors; only ``hard`` gates
+    attention. ``noise`` is logistic noise of the logits' shape.
+
+    train: logits plus noise, sigmoid relaxation, straight-through threshold.
     eval:  deterministic threshold sigmoid(logits) > 0.5, no noise, no grad,
            and no relaxation: ``soft`` is None.
     soft:  like train but without the hard threshold (verification mode).
@@ -120,12 +129,10 @@ def sample_mask_values(logits: Tensor, mode: str, tau: float,
         return None, Tensor(hard_vals, dtype=logits.data.dtype)
     if mode not in ("train", "soft"):
         raise ConfigError(f"unknown mask sampling mode {mode!r}")
-    if rng is None:
-        raise ConfigError("train-mode mask sampling requires an rng")
-    u = np.clip(rng.random(logits.shape), 1e-12, 1.0 - 1e-12)
-    noise = Tensor((np.log(u) - np.log1p(-u)).astype(logits.data.dtype),
-                   dtype=logits.data.dtype)
-    soft = ad.sigmoid(ad.scale(ad.add(logits, noise), 1.0 / tau))
+    if noise is None:
+        raise ConfigError("train-mode mask sampling requires noise")
+    noisy = ad.add(logits, Tensor(noise, dtype=logits.data.dtype))
+    soft = ad.sigmoid(ad.scale(noisy, 1.0 / tau))
     if mode == "soft":
         return soft, soft
     return soft, ad.st_round(soft)
@@ -174,16 +181,21 @@ def aggregate(tokens: Tensor, params: dict[str, Tensor], mask_out: Optional[Tens
 
 
 def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkConfig,
-                        mode: str = "train",
-                        noise_rng: Optional[np.random.Generator] = None,
+                        mode: str = "train", noise: Optional[np.ndarray] = None,
                         masks_override: Optional[MaskSet] = None,
                         ) -> tuple[Tensor, Optional[MaskSet], list[Tensor]]:
     """Layer stack plus aggregation, sampling masks from evolving tokens;
     returns (features, masks, attention weights), the weights not copied.
 
-    Without mask parameters or an override, attention is dense and the mask
-    set is None."""
+    Train and soft modes sample with ``noise``, one ``noise_rows`` row per
+    token set. Without mask parameters or an override, attention is dense and
+    the mask set is None."""
     sampling = masks_override is None and "agg.qm" in params
+    n = tokens.shape[1]
+    blocks = [None] * (cfg.n_layers + 1)
+    if sampling and noise is not None:
+        blocks = np.split(noise.reshape(len(noise), cfg.n_layers * n + 1, n),
+                          [n * (l + 1) for l in range(cfg.n_layers)], axis=1)
     x = tokens
     layer_masks: list[Tensor] = []
     attn: list[Tensor] = []
@@ -193,7 +205,7 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
             hard = masks_override.layers[l]
         elif sampling:
             _, hard = sample_mask_values(_mask_logits(x, params, f"layer{l}."), mode,
-                                         cfg.tau, noise_rng)
+                                         cfg.tau, blocks[l])
             layer_masks.append(hard)
         x, layer_attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_k)
         attn.append(layer_attn)
@@ -204,7 +216,7 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
         out_hard = masks_override.out
     elif sampling:
         _, out_hard = sample_mask_values(_agg_mask_logits(x, params), mode, cfg.tau,
-                                         noise_rng)
+                                         blocks[-1])
         masks = MaskSet(layers=layer_masks, out=out_hard)
     features, agg_attn = aggregate(x, params, out_hard, cfg.d_k)
     attn.append(agg_attn)
@@ -212,10 +224,9 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
 
 
 def forward_trunk(obs: Tensor, params: dict[str, Tensor], cfg: TrunkConfig,
-                  mode: str = "train",
-                  noise_rng: Optional[np.random.Generator] = None,
+                  mode: str = "train", noise: Optional[np.ndarray] = None,
                   masks_override: Optional[MaskSet] = None,
                   ) -> tuple[Tensor, Optional[MaskSet], list[Tensor]]:
     """tokenize -> masked attention layers -> aggregation: (features, masks, weights)."""
     return run_attention_stack(tokenize(obs, params), params, cfg, mode=mode,
-                               noise_rng=noise_rng, masks_override=masks_override)
+                               noise=noise, masks_override=masks_override)

@@ -233,7 +233,7 @@ def run_network_suite(instances: int = 100, seed: int = 0,
                       progress: Callable[[str], None] | None = None) -> list[CheckResult]:
     """Directional gradient checks through the full policies and the trunk."""
     from . import policies as pz
-    from .attention import TrunkConfig
+    from .attention import TrunkConfig, noise_rows
     from .rng import stream
 
     results = []
@@ -259,12 +259,11 @@ def run_network_suite(instances: int = 100, seed: int = 0,
                 obs = np.asarray(rng_master.standard_normal((2, cfg.obs_channels, 16, 16)))
                 actions = rng_master.integers(0, cfg.n_actions, size=2)
                 mode = "soft" if kind == "sparse_masked" else "eval"
+                noise = noise_rows(stream(seed_i, "eval_actions.noise"), 2, cfg)
 
                 def loss_fn(ts, policy=policy, obs=obs, actions=actions, mode=mode,
-                            seed_i=seed_i):
-                    out = policy.evaluate_actions(
-                        obs, actions, mode=mode,
-                        noise_rng=stream(seed_i, "eval_actions_noise"))
+                            noise=noise):
+                    out = policy.evaluate_actions(obs, actions, mode=mode, noise=noise)
                     total = ad.add(ad.tsum(out.log_prob), ad.tsum(out.value))
                     total = ad.add(total, out.entropy)
                     if out.path_fraction is not None:

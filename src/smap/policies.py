@@ -25,11 +25,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import paths as pathmod
-from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params
+from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params, noise_rows
 from .autodiff import Tensor
 from .errors import ConfigError
 from .paths import PathMatrix
-from .rng import CounterStream, stream
+from .rng import stream
 from .tokenizer import DEFAULT_STACK, conv_output_dims, extract, init_extractor
 
 
@@ -48,6 +48,17 @@ class ActionEval:
     value: Tensor                       # (B,)
     path_fraction: Optional[Tensor]     # (B,) for the sparse agent, else None
     mask_loss_input: Optional[PathMatrix]
+
+
+class Sample(tuple):
+    """``act``'s (actions, log-probs, values), with the (B, L·n² + n) mask
+    noise it drew as ``noise``, None without sampled masks: a tuple of three
+    with a named extra, like ``os.stat_result``, so callers unpack it as one."""
+
+    def __new__(cls, actions, log_probs, values, noise):
+        sample = super().__new__(cls, (actions, log_probs, values))
+        sample.noise = noise
+        return sample
 
 
 def _head_init(params: dict, rng, d_in: int, n_actions: int, scale: float) -> None:
@@ -72,27 +83,29 @@ class PolicyBase:
     """Shared plumbing: parameter registry, acting, and PPO evaluation."""
 
     kind: str = ""
+    samples_masks: bool = False
 
     def __init__(self, cfg: TrunkConfig, seed: int, init_scale: float = 1.0):
         self.cfg = cfg
         self.seed = seed
         self.params: dict[str, Tensor] = {}
-        self._noise = CounterStream(seed, f"{self.kind}.mask_noise")
         self._build(stream(seed, f"{self.kind}.init"), init_scale)
 
     def _build(self, rng, init_scale: float) -> None:
         raise NotImplementedError
 
-    def output(self, obs, mode: str = "eval", noise_rng=None) -> PolicyOutput:
+    def output(self, obs, mode: str = "eval", noise=None) -> PolicyOutput:
         raise NotImplementedError
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
     def act(self, obs: np.ndarray, rng: np.random.Generator,
-            greedy: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample (or argmax) actions without recording gradients."""
-        out = self.output(obs, mode="eval" if greedy else "train")
+            greedy: bool = False) -> Sample:
+        """Sample (or argmax) actions without recording gradients. A sample
+        draws its mask noise from ``rng`` first, then its actions."""
+        noise = noise_rows(rng, len(obs), self.cfg) if self.samples_masks and not greedy else None
+        out = self.output(obs, mode="eval" if greedy else "train", noise=noise)
         logits = out.action_logits.data
         log_probs = ad.log_softmax(out.action_logits).data
         if greedy:
@@ -102,16 +115,18 @@ class PolicyBase:
             cdf = np.cumsum(np.exp(log_probs), axis=-1)
             actions = (u < cdf).argmax(axis=-1)
         picked = log_probs[np.arange(logits.shape[0]), actions]
-        return actions, picked, out.value.data
+        return Sample(actions, picked, out.value.data, noise)
 
     def evaluate_actions(self, obs: np.ndarray, actions: np.ndarray,
                          mode: str = "train",
-                         noise_rng: Optional[np.random.Generator] = None) -> ActionEval:
+                         noise: Optional[np.ndarray] = None) -> ActionEval:
         """Differentiable log-probs/entropy/value (and path stats) for PPO.
 
-        Without ``noise_rng``, the sparse agent draws its mask noise from its
-        own counter stream; the other agents draw none."""
-        out = self.output(obs, mode=mode, noise_rng=noise_rng)
+        ``noise`` is the sparse agent's mask noise for these rows, as ``act``
+        returned it; then the log-probs equal ``act``'s bit for bit. Without
+        it, a train-mode call draws noise from the policy's seed, the same on
+        every call. The other agents take no noise."""
+        out = self.output(obs, mode=mode, noise=noise)
         logp_all = ad.log_softmax(out.action_logits)
         log_prob = ad.gather_rows(logp_all, np.asarray(actions))
         probs = ad.softmax_rows(out.action_logits)
@@ -138,7 +153,7 @@ class CnnPolicy(PolicyBase):
         self.params["mlp.b1"] = ad.parameter(np.zeros(hidden), "mlp.b1")
         _head_init(self.params, rng, hidden, cfg.n_actions, init_scale)
 
-    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
+    def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
         x = extract(_obs_tensor(obs), self.params)
         b = x.shape[0]
         flat = ad.reshape(x, (b, x.shape[1] * x.shape[2] * x.shape[3]))
@@ -154,15 +169,15 @@ class AttentionPolicy(PolicyBase):
         self.params = init_trunk_params(rng, self.cfg, with_masks=False, scale=init_scale)
         _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
 
-    def _attend(self, x: Tensor, mode: str, noise_rng) -> PolicyOutput:
+    def _attend(self, x: Tensor, mode: str, noise) -> PolicyOutput:
         """The body of every attention agent: the trunk, then the heads."""
         features, masks, attn = forward_trunk(x, self.params, self.cfg, mode=mode,
-                                              noise_rng=noise_rng)
+                                              noise=noise)
         logits, value = _heads(self.params, features)
         return PolicyOutput(action_logits=logits, value=value, mask_set=masks, attn=attn)
 
-    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
-        return self._attend(_obs_tensor(obs), mode, noise_rng)
+    def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
+        return self._attend(_obs_tensor(obs), mode, noise)
 
 
 class InputMaskedPolicy(AttentionPolicy):
@@ -192,22 +207,23 @@ class InputMaskedPolicy(AttentionPolicy):
         m = ad.sigmoid(ad.add(m, ad.reshape(self.params["masknet.conv1.b"], (1, 1, 1))))
         return m        # (B, 1, H, W) in (0, 1)
 
-    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
+    def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
         x = _obs_tensor(obs)
-        return self._attend(ad.mul(x, self.pixel_mask(x)), mode, noise_rng)
+        return self._attend(ad.mul(x, self.pixel_mask(x)), mode, noise)
 
 
 class SparseMaskedPolicy(AttentionPolicy):
     kind = "sparse_masked"
+    samples_masks = True
 
     def _build(self, rng, init_scale):
         self.params = init_trunk_params(rng, self.cfg, with_masks=True, scale=init_scale)
         _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
 
-    def output(self, obs, mode="eval", noise_rng=None) -> PolicyOutput:
-        if mode in ("train", "soft") and noise_rng is None:
-            noise_rng = self._noise.next()
-        return self._attend(_obs_tensor(obs), mode, noise_rng)
+    def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
+        if mode != "eval" and noise is None:
+            noise = noise_rows(stream(self.seed, f"{self.kind}.noise"), len(obs), self.cfg)
+        return self._attend(_obs_tensor(obs), mode, noise)
 
 
 _POLICY_CLASSES = {cls.kind: cls for cls in (CnnPolicy, AttentionPolicy, InputMaskedPolicy,

@@ -9,11 +9,13 @@ Every minibatch runs as two fixed halves: the calling thread runs the first
 half's forward and backward, one worker thread the second, each on its own
 tape. The loss is a mean of per-sample terms, so each half's loss is scaled
 by its share of the minibatch and the minibatch gradient is the sum of the
-halves' gradients, always added first + second; the sparse agent's two
-mask-noise generators are drawn on the calling thread in the same order. A
-run therefore reproduces bit for bit however the threads interleave, and the
-shard count is fixed at two so results do not depend on the core count. A
-non-finite loss term on either half raises before the optimizer steps.
+halves' gradients, always added first + second. The sparse agent's mask
+noise is part of each sample: the rollout stores the noise ``act`` drew, and
+the update replays it, so its importance ratio is exactly 1 at unchanged
+parameters and the update draws nothing but its permutation. A run therefore
+reproduces bit for bit however the threads interleave, and the shard count
+is fixed at two so results do not depend on the core count. A non-finite
+loss term on either half raises before the optimizer steps.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ class RolloutBatch:
     rewards: np.ndarray           # (T, K)
     dones: np.ndarray             # (T, K) float 0/1
     bootstrap_values: np.ndarray  # (K,)
+    noise: np.ndarray | None = None   # (T, K, L·n²+n) mask noise, sparse agent only
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
@@ -123,9 +126,15 @@ def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
     val_buf = np.zeros((rollout_len, k))
     rew_buf = np.zeros((rollout_len, k))
     done_buf = np.zeros((rollout_len, k))
+    noise_buf = None
     for t in range(rollout_len):
         obs = runner.observations()
-        actions, logp, values = policy.act(obs, action_rng)
+        sample = policy.act(obs, action_rng)
+        actions, logp, values = sample
+        if sample.noise is not None:
+            if noise_buf is None:      # filled in place: stacking a list doubles the peak
+                noise_buf = np.empty((rollout_len,) + sample.noise.shape, sample.noise.dtype)
+            noise_buf[t] = sample.noise
         rewards, dones = runner.step(actions)
         obs_buf[t] = obs
         act_buf[t] = actions
@@ -136,7 +145,7 @@ def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
     _, _, bootstrap = policy.act(runner.observations(), action_rng, greedy=True)
     return RolloutBatch(observations=obs_buf, actions=act_buf, old_log_probs=logp_buf,
                         values=val_buf, rewards=rew_buf, dones=done_buf,
-                        bootstrap_values=bootstrap)
+                        bootstrap_values=bootstrap, noise=noise_buf)
 
 
 @dataclass
@@ -159,19 +168,19 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
     flat_old_logp = batch.old_log_probs.reshape(n)
     flat_returns = returns.reshape(n)
     flat_adv = adv.reshape(n)
+    noise = None if batch.noise is None else batch.noise.reshape(n, -1)
     if cfg.advantage_norm:
         flat_adv = (flat_adv - flat_adv.mean()) / (flat_adv.std() + 1e-8)
 
     dtype = ad.get_default_dtype()
-    draws_noise = policy.kind == "sparse_masked"
-    uses_mask = cfg.lambda_mask > 0 and draws_noise
 
-    def run_shard(part: np.ndarray, weight: float, noise_rng) -> tuple[dict, dict]:
+    def run_shard(part: np.ndarray, weight: float) -> tuple[dict, dict]:
         """Forward and backward of one shard, its loss scaled by ``weight``,
         its share of the minibatch; returns its loss terms and leaf grads."""
         with Tape() as tape:
-            out = policy.evaluate_actions(flat_obs[part], flat_actions[part], mode="train",
-                                          noise_rng=noise_rng)
+            out = policy.evaluate_actions(
+                flat_obs[part], flat_actions[part], mode="train",
+                noise=None if noise is None else noise[part])
             mb_adv = Tensor(flat_adv[part].astype(dtype))
             ratio = ad.exp(ad.sub(out.log_prob, Tensor(flat_old_logp[part].astype(dtype))))
             clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
@@ -183,7 +192,7 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
             mask_term = None
             if out.mask_loss_input is not None:
                 mask_term = paths.mask_loss(out.mask_loss_input, cfg.alpha)
-                if uses_mask:
+                if cfg.lambda_mask > 0:
                     loss = ad.add(loss, ad.scale(mask_term, cfg.lambda_mask))
             loss = ad.scale(loss, weight)
         terms = {"policy_loss": -surrogate.item(), "value_loss": value_loss.item(),
@@ -206,8 +215,7 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
                 idx = perm[lo:lo + cfg.minibatch_size]
                 if idx.size < 2:
                     continue
-                shards = [(part, part.size / idx.size,
-                           policy._noise.next() if draws_noise else None)
+                shards = [(part, part.size / idx.size)
                           for part in (idx[:idx.size // 2], idx[idx.size // 2:])]
                 future = pool.submit(run_shard, *shards[1])
                 try:
@@ -215,7 +223,7 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
                 finally:
                     second = future.result()
                 optimizer.zero_grad()
-                for (terms, grads), (_, weight, _) in zip((first, second), shards):
+                for (terms, grads), (_, weight) in zip((first, second), shards):
                     for p, g in grads.items():
                         p.grad = g if p.grad is None else p.grad + g
                     for key in sums:

@@ -2,8 +2,8 @@
 
 Every consumer of randomness gets its own named stream derived from the
 experiment seed, so adding a consumer never perturbs the draws seen by the
-others. ``CounterStream`` hands out a fresh generator per call (counter-based),
-which keeps parallel forward passes reproducible regardless of interleaving.
+others. Draws that a later computation must replay, such as a sample's mask
+noise, are stored with what they produced, not drawn again.
 """
 
 from __future__ import annotations
@@ -17,21 +17,8 @@ def _purpose_key(purpose: str) -> int:
     return zlib.crc32(purpose.encode("utf-8"))
 
 
-def stream(seed: int, purpose: str, counter: int = 0) -> np.random.Generator:
+def stream(seed: int, purpose: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
-                                spawn_key=(_purpose_key(purpose), int(counter)))
+                                spawn_key=(_purpose_key(purpose), 0))
     return np.random.default_rng(ss)
 
-
-class CounterStream:
-    """Per-call generator factory with an internal call counter."""
-
-    def __init__(self, seed: int, purpose: str):
-        self.seed = int(seed)
-        self.purpose = purpose
-        self.calls = 0
-
-    def next(self) -> np.random.Generator:
-        g = stream(self.seed, self.purpose, self.calls)
-        self.calls += 1
-        return g

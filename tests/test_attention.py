@@ -4,7 +4,7 @@ import pytest
 from smap import autodiff as ad
 from smap import oracles
 from smap.attention import (MaskSet, TrunkConfig, aggregate, forward_trunk,
-                            init_trunk_params, masked_attention_layer,
+                            init_trunk_params, masked_attention_layer, noise_rows,
                             run_attention_stack, sample_mask_values)
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
@@ -32,7 +32,8 @@ def ones_mask_set(batch, n, n_layers):
 def test_saturated_logits_always_open(f64):
     logits = Tensor(np.full((1, 4, 4), 1e6))
     for _ in range(5):
-        _, hard = sample_mask_values(logits, "train", 1.0, np.random.default_rng(_))
+        noise = np.random.default_rng(_).logistic(size=logits.shape)
+        _, hard = sample_mask_values(logits, "train", 1.0, noise)
         assert np.all(hard.data == 1.0)
 
 
@@ -45,21 +46,23 @@ def test_eval_threshold_is_strict(f64):
 
 def test_train_sampling_matches_bernoulli_rate(f64):
     logits = Tensor(np.zeros((100, 10, 100)))
-    _, hard = sample_mask_values(logits, "train", 1.0, np.random.default_rng(7))
+    noise = np.random.default_rng(7).logistic(size=logits.shape)
+    _, hard = sample_mask_values(logits, "train", 1.0, noise)
     assert abs(hard.data.mean() - 0.5) < 0.01
 
 
 def test_nonpositive_temperature_rejected():
     with pytest.raises(ConfigError):
-        sample_mask_values(Tensor(np.zeros((1, 2, 2))), "train", 0.0,
-                           np.random.default_rng(0))
+        sample_mask_values(Tensor(np.zeros((1, 2, 2))), "train", 0.0, np.zeros((1, 2, 2)))
 
 
 def test_mask_set_shapes_and_binarity(f64):
     params = _params(1)
     rng = np.random.default_rng(1)
-    _, masks, _ = run_attention_stack(_tokens(rng, b=2), params, CFG, mode="train",
-                                      noise_rng=np.random.default_rng(2))
+    tokens = _tokens(rng, b=2)
+    noise = noise_rows(np.random.default_rng(2), 2, CFG)
+    assert noise.shape == (2, CFG.n_layers * 16 * 16 + 16)
+    _, masks, _ = run_attention_stack(tokens, params, CFG, mode="train", noise=noise)
     assert len(masks.layers) == CFG.n_layers
     for hard in masks.layers + [masks.out]:
         assert isinstance(hard, Tensor)
@@ -67,9 +70,14 @@ def test_mask_set_shapes_and_binarity(f64):
     assert all(hard.shape == (2, 16, 16) for hard in masks.layers)
     assert masks.out.shape == (2, 1, 16)
     logits = Tensor(rng.standard_normal((2, 16, 16)))
-    soft, hard = sample_mask_values(logits, "train", CFG.tau, np.random.default_rng(3))
+    soft, hard = sample_mask_values(logits, "train", CFG.tau,
+                                    np.random.default_rng(3).logistic(size=logits.shape))
     assert np.all((soft.data > 0) & (soft.data < 1))
     assert np.array_equal(hard.data, (soft.data > 0.5).astype(hard.data.dtype))
+    with pytest.raises(ValueError):
+        run_attention_stack(tokens, params, CFG, mode="train", noise=noise[:, :-1])
+    with pytest.raises(ConfigError):
+        run_attention_stack(tokens, params, CFG, mode="train")
 
 
 def test_open_mask_equals_dense_reference(f64):
@@ -167,8 +175,10 @@ def test_zero_depth_trunk_is_aggregation_only(f64):
 def test_trunk_determinism_under_fixed_noise(f64):
     params = _params(11)
     obs = Tensor(np.random.default_rng(11).random((2, 4, 16, 16)))
-    a, _, _ = forward_trunk(obs, params, CFG, mode="train", noise_rng=stream(99, "noise"))
-    b, _, _ = forward_trunk(obs, params, CFG, mode="train", noise_rng=stream(99, "noise"))
+    a, _, _ = forward_trunk(obs, params, CFG, mode="train",
+                            noise=noise_rows(stream(99, "noise"), 2, CFG))
+    b, _, _ = forward_trunk(obs, params, CFG, mode="train",
+                            noise=noise_rows(stream(99, "noise"), 2, CFG))
     assert np.array_equal(a.data, b.data)
 
 
@@ -190,13 +200,13 @@ def test_masked_layer_gradients_match_soft_relaxation(f64):
     rng = np.random.default_rng(13)
     params = _params(13, scale=0.5)
     obs = np.asarray(rng.random((1, 4, 16, 16)))
+    noise = noise_rows(stream(77, "noise"), 1, CFG)
     grad_tensors = [params[k] for k in
                     ("layer0.wqm", "layer0.wkm", "layer0.beta", "layer0.wq",
                      "agg.qm", "agg.beta", "agg.wv")]
 
     def loss_fn(ts):
-        feats, _, _ = forward_trunk(Tensor(obs), params, CFG, mode="soft",
-                                    noise_rng=stream(77, "noise"))
+        feats, _, _ = forward_trunk(Tensor(obs), params, CFG, mode="soft", noise=noise)
         return ad.tsum(ad.square(feats))
 
     grads = analytic_grads(loss_fn, grad_tensors)

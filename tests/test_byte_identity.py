@@ -38,8 +38,8 @@ PINS = {
         "dddc9d1e5d3108b64c9930d4aba9019bdf830050b8e3962998e995b60c282c46",
     ),
     ("DodgeGrid", "sparse_masked"): (
-        "7b2eb56101e1909b7f5efc30638375f0dea5578fe9859dce20b9328236ecfc39",
-        "65dcb499767609d2305aedb5aeb9b13d4924031080823db83123996523db615b",
+        "36430ce361830673680bc862ccac6a41f9074426c57c2b865cb2373a33198544",
+        "1cd3cfb6bb8cccea35da637babeafe513984173dde7a8304fde0dabdcbeec7b1",
         "e560d667b5f9472ae950d7551747aa2db2b50db90543fb4e78dde826dcfb564a",
     ),
     ("MazeGrid", "cnn"): (
@@ -58,8 +58,8 @@ PINS = {
         "dddc9d1e5d3108b64c9930d4aba9019bdf830050b8e3962998e995b60c282c46",
     ),
     ("MazeGrid", "sparse_masked"): (
-        "d26b32bcb2eb8dc02b8884c7a2874ce8aa760d8fc17378f2158a5bd452260c18",
-        "3708b2f7421745ff654bd801a409aa4f40063330e3aa27f6a8f57e36a8f7873f",
+        "7211f95ef93e054006a8d4b64fda3a0b05a23cc2abadddf35f83e72f19ea8a2e",
+        "e6c968d33a4cabe5af5335e39786a753e660b4ce8108832803a91f958fa37efa",
         "e560d667b5f9472ae950d7551747aa2db2b50db90543fb4e78dde826dcfb564a",
     ),
 }

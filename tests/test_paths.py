@@ -143,8 +143,10 @@ def test_gradient_flows_through_straight_through_masks(f64):
     logits = Tensor(np.zeros((1, 3, 3)), requires_grad=True)
     out_logits = Tensor(np.zeros((1, 1, 3)), requires_grad=True)
     with Tape() as tape:
-        _, hard = sample_mask_values(logits, "train", 1.0, stream(0, "a"))
-        _, out_hard = sample_mask_values(out_logits, "train", 1.0, stream(0, "b"))
+        _, hard = sample_mask_values(logits, "train", 1.0,
+                                     stream(0, "a").logistic(size=logits.shape))
+        _, out_hard = sample_mask_values(out_logits, "train", 1.0,
+                                         stream(0, "b").logistic(size=out_logits.shape))
         ms = MaskSet(layers=[hard], out=out_hard)
         loss = pathmod.mask_loss(pathmod.path_matrix(ms), 0.3)
     ad.backward(tape, loss)

@@ -6,7 +6,7 @@ import pytest
 from smap import autodiff as ad
 from smap import envs
 from smap import paths as pathmod
-from smap.attention import TrunkConfig
+from smap.attention import TrunkConfig, noise_rows
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
 from smap.policies import POLICY_KINDS, make_policy
@@ -192,26 +192,39 @@ def test_train_step_traced_peak(kind, bound_mb):
 
 
 @pytest.mark.parametrize("kind", ["cnn", "attention", "input_masked"])
-def test_only_the_sparse_agent_draws_mask_noise(kind):
+def test_non_sparse_act_returns_no_noise(kind):
+    """Agents without sampled masks draw only their actions from ``act``'s rng."""
     policy = make_policy(kind, CFG, seed=11)
-    obs = _obs_batch(2)
-    policy.act(obs, stream(0, "act"))
-    policy.evaluate_actions(obs, np.zeros(2, dtype=np.int64), mode="train")
-    assert policy._noise.calls == 0
+    rng = stream(0, "act")
+    assert policy.act(_obs_batch(2), rng).noise is None
+    ref = stream(0, "act")
+    ref.random((2, 1))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_sparse_act_draws_its_counter_stream_in_order():
+def test_sparse_output_replays_act_noise():
     policy = make_policy("sparse_masked", CFG, seed=12)
     obs = _obs_batch(3)
-    for counter in range(2):
-        actions, logp, values = policy.act(obs, stream(counter, "act"))
-        assert policy._noise.calls == counter + 1
-        out = policy.output(obs, mode="train",
-                            noise_rng=stream(12, "sparse_masked.mask_noise", counter))
+    for seed in range(2):
+        actions, logp, values = sample = policy.act(obs, stream(seed, "act"))
+        assert np.array_equal(sample.noise, noise_rows(stream(seed, "act"), 3, CFG))
+        assert sample.noise.shape == (3, CFG.n_layers * 16 * 16 + 16)
+        assert sample.noise.dtype == ad.get_default_dtype()
+        out = policy.output(obs, mode="train", noise=sample.noise)
         logits = out.action_logits.data
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         assert np.array_equal(values, out.value.data)
         assert np.array_equal(logp, log_probs[np.arange(3), actions])
-    policy.evaluate_actions(obs, actions, mode="train")
-    assert policy._noise.calls == 3
+
+
+def test_sparse_train_evaluate_without_noise_is_stateless():
+    policy = make_policy("sparse_masked", CFG, seed=13)
+    obs = _obs_batch(3)
+    actions = np.arange(3)
+    a = policy.evaluate_actions(obs, actions, mode="train")
+    policy.act(obs, stream(0, "act"))
+    b = policy.evaluate_actions(obs, actions, mode="train")
+    for x, y in ((a.log_prob, b.log_prob), (a.value, b.value),
+                 (a.path_fraction, b.path_fraction)):
+        assert np.array_equal(x.data, y.data)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from smap import autodiff as ad
-from smap import ppo
-from smap.attention import TrunkConfig
+from smap import envs, ppo
+from smap.attention import TrunkConfig, noise_rows
 from smap.autodiff import Tape, Tensor
 from smap.config import ExperimentConfig, PPOConfig
 from smap.errors import ConfigError, DimensionError
 from smap.optim import Adam
-from smap.policies import make_policy
+from smap.policies import POLICY_KINDS, make_policy
 from smap.ppo import RolloutBatch, compute_gae, ppo_update
 from smap.rng import stream
 
@@ -98,7 +98,7 @@ class BanditPolicy:
         values = np.zeros(b)
         return actions, logp[actions], values
 
-    def evaluate_actions(self, obs, actions, mode="train", noise_rng=None):
+    def evaluate_actions(self, obs, actions, mode="train", noise=None):
         b = obs.shape[0]
         logits = ad.reshape(self.params["logits"], (1, -1))
         tiled = ad.matmul(Tensor(np.ones((b, 1))), logits)
@@ -160,6 +160,33 @@ def test_ppo_update_identity_ratio_surrogate():
     assert abs(stats.policy_loss - (-adv_expected.mean())) < 1e-5
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_ratio_is_exactly_one_on_a_real_rollout(kind, precision):
+    """At the rollout's parameters, ``evaluate_actions`` with the batch's
+    noise scores every sample as ``act`` did: the PPO ratio is 1, bit for bit.
+    The attention agents are scored over the whole batch at once, as the
+    update scores them. The cnn agent is scored one rollout step at a time:
+    its MLP layer is one 2-d GEMM over the batch, whose rounding depends on
+    the number of rows, so at B=256 its log-probs differ from B=8 ones in the
+    last bits."""
+    with ad.precision(precision):
+        train_seeds, _ = envs.make_split("DodgeGrid", 4, 1)
+        policy = make_policy(kind, TrunkConfig(), seed=3)
+        runner = ppo.VecRunner("DodgeGrid", train_seeds, seed=3)
+        runner.start(8)
+        batch = ppo.collect_rollout(policy, runner, 32, stream(3, "rollout_actions"))
+        assert (batch.noise is None) == (kind != "sparse_masked")
+        steps = [slice(t * 8, t * 8 + 8) for t in range(32)] if kind == "cnn" else [slice(None)]
+        obs = batch.observations.reshape((256,) + batch.observations.shape[2:])
+        noise = None if batch.noise is None else batch.noise.reshape(256, -1)
+        new = np.concatenate([
+            policy.evaluate_actions(obs[rows], batch.actions.reshape(256)[rows], mode="train",
+                                    noise=None if noise is None else noise[rows]).log_prob.data
+            for rows in steps])
+    assert np.array_equal(new.astype(np.float64), batch.old_log_probs.reshape(256))
+
+
 def test_minibatch_below_two_rejected():
     # the update splits each minibatch into two halves and skips any below 2
     with pytest.raises(ConfigError, match="minibatch_size"):
@@ -209,7 +236,7 @@ def _random_batch(cfg: TrunkConfig, seed: int, t_len: int = 64, k: int = 8) -> R
         bootstrap_values=rng.standard_normal(k))
 
 
-def _reference_grads(policy, cfg: PPOConfig, batch: RolloutBatch, parts, rngs) -> dict:
+def _reference_grads(policy, cfg: PPOConfig, batch: RolloutBatch, parts, noises) -> dict:
     """The PPO loss of each part on one tape, on this thread, weighted by the
     part's share of the minibatch; gradients summed over parts in order."""
     adv, returns = compute_gae(batch.rewards, batch.values, batch.dones, cfg.gamma,
@@ -219,10 +246,10 @@ def _reference_grads(policy, cfg: PPOConfig, batch: RolloutBatch, parts, rngs) -
     obs = batch.observations.reshape((adv.size,) + batch.observations.shape[2:])
     n = sum(part.size for part in parts)
     grads = {}
-    for part, noise_rng in zip(parts, rngs):
+    for part, noise in zip(parts, noises):
         with Tape() as tape:
             out = policy.evaluate_actions(obs[part], batch.actions.reshape(-1)[part],
-                                          noise_rng=noise_rng)
+                                          noise=noise)
             ratio = ad.exp(ad.sub(out.log_prob, Tensor(batch.old_log_probs.reshape(-1)[part])))
             a = Tensor(adv[part])
             clipped = ad.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
@@ -266,11 +293,13 @@ def test_sharded_update_gradient_equals_one_tape(f64, kind):
 def test_sharded_sparse_update_equals_serial_halves(f64):
     cfg = PPOConfig(epochs=1, minibatch_size=512)
     batch = _random_batch(TrunkConfig(), seed=12)
-    got = _sharded_grads("sparse_masked", cfg, batch)
     twin = make_policy("sparse_masked", TrunkConfig(), seed=3)
+    noise = noise_rows(stream(12, "noise"), 512, TrunkConfig())
+    batch.noise = noise.reshape(64, 8, -1)
+    got = _sharded_grads("sparse_masked", cfg, batch)
     perm = stream(4, "shuffle").permutation(512)
-    rngs = [twin._noise.next(), twin._noise.next()]
-    ref = _reference_grads(twin, cfg, batch, [perm[:256], perm[256:]], rngs)
+    halves = [perm[:256], perm[256:]]
+    ref = _reference_grads(twin, cfg, batch, halves, [noise[h] for h in halves])
     assert set(got) == set(ref)
     for name in ref:
         assert np.allclose(got[name], ref[name], rtol=1e-10, atol=1e-10), name
