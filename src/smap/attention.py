@@ -58,15 +58,15 @@ class MaskSet:
 
 
 def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
-                      with_masks: bool, scale: float = 1.0) -> dict[str, Tensor]:
-    params = init_extractor(rng, cfg.obs_channels, scale=scale)
+                      with_masks: bool) -> dict[str, Tensor]:
+    params = init_extractor(rng, cfg.obs_channels)
     d, dk, dm, dff = cfg.d_model, cfg.d_k, cfg.d_m, cfg.d_ff
     if dk != d:
         raise ConfigError(f"value/residual dimensions require d_k == d_model, got {dk} vs {d}")
 
     def w(name, *shape, fan=None):
         fan = fan if fan is not None else shape[0]
-        params[name] = ad.parameter(rng.standard_normal(shape) * scale / np.sqrt(fan), name)
+        params[name] = ad.parameter(rng.standard_normal(shape) / np.sqrt(fan), name)
 
     def zeros(name, *shape):
         params[name] = ad.parameter(np.zeros(shape), name)

@@ -9,6 +9,7 @@ A checkpoint is written to a ``.part`` file renamed into place: it is whole.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -61,12 +62,16 @@ def load_params(path) -> dict[str, np.ndarray]:
             name, shape, dtype = entry["name"], tuple(entry["shape"]), _TAG_DTYPES[entry["dtype"]]
         except (KeyError, TypeError) as e:
             raise ValueError(f"{path}: bad manifest entry {entry!r}") from e
-        count = int(np.prod(shape)) if shape else 1
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"{path}: bad shape {list(shape)} for {name!r}")
+        count = math.prod(shape)
         if off + count * dtype.itemsize > len(raw):
             raise ValueError(f"{path} is truncated (short data for {name!r})")
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
         out[name] = arr.astype(dtype.newbyteorder("="))
         off += count * dtype.itemsize
+    if off != len(raw):
+        raise ValueError(f"{path} has {len(raw) - off} bytes after the last tensor")
     return out
 
 

@@ -255,7 +255,10 @@ def run_network_suite(instances: int = 100, seed: int = 0,
             while checked < instances and attempts < max(40, 4 * instances):
                 attempts += 1
                 seed_i = int(rng_master.integers(0, 2 ** 31))
-                policy = pz.make_policy(kind, cfg, seed=seed_i, init_scale=0.5)
+                policy = pz.make_policy(kind, cfg, seed=seed_i)
+                for t in policy.params.values():
+                    if t.data.ndim >= 2:
+                        t.data = t.data * 0.5
                 obs = np.asarray(rng_master.standard_normal((2, cfg.obs_channels, 16, 16)))
                 actions = rng_master.integers(0, cfg.n_actions, size=2)
                 mode = "soft" if kind == "sparse_masked" else "eval"

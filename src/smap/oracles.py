@@ -90,52 +90,55 @@ def dense_reference_stack(tokens: np.ndarray, params: dict, n_layers: int,
 # DodgeGrid dynamic programming
 
 
-def _target_maps(walls: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per action: target row/col index grids (blocked moves stay put)."""
-    rr, cc = np.meshgrid(np.arange(GRID), np.arange(GRID), indexing="ij")
-    maps = []
-    for dr, dc in DELTAS:
-        tr = np.clip(rr + dr, 0, GRID - 1)
-        tc = np.clip(cc + dc, 0, GRID - 1)
-        blocked = walls[tr, tc]
-        maps.append((np.where(blocked, rr, tr), np.where(blocked, cc, tc)))
-    return maps
+def _moves(walls: np.ndarray) -> np.ndarray:
+    """(5, GRID * GRID): the flat cell r * GRID + c that each action leads to
+    from each cell; a move into a wall or off the grid stays put."""
+    rr, cc = np.indices((GRID, GRID))
+    deltas = np.asarray(DELTAS)[:, :, None, None]
+    tr = np.clip(rr + deltas[:, 0], 0, GRID - 1)
+    tc = np.clip(cc + deltas[:, 1], 0, GRID - 1)
+    blocked = walls[tr, tc]
+    return np.where(blocked, rr * GRID + cc, tr * GRID + tc).reshape(len(DELTAS), -1)
 
 
 def _projectiles(level: LevelSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells and next cells ((-1, -1) when leaving) of the projectiles at t."""
+    """Flat cells of the projectiles at t, and their next cells (negative
+    when leaving)."""
     rows = level.hazards[level.hazards[:, 0] == t]
-    return rows[:, 1:3], rows[:, 3:5]
+    cells = rows[:, 1:5:2] * GRID + rows[:, 2:5:2]
+    return cells[:, 0], cells[:, 1]
 
 
-def _dodge_q_values(level: LevelSpec, values: np.ndarray, t: int, maps) -> np.ndarray:
-    """Q[a, r, c]: return of action a from (r, c) at time t, then V[t + 1]."""
-    item = level.item
+def _deaths(level: LevelSpec, t: int, moves: np.ndarray) -> np.ndarray:
+    """(5, GRID * GRID): action a from a cell at t dies, landing on a
+    projectile at t + 1 or swapping cells with one (moving from q into p
+    while it flies p -> q)."""
+    occupied = np.zeros(GRID * GRID, dtype=bool)
+    occupied[_projectiles(level, t + 1)[0]] = True
+    dead = occupied[moves]
     cur, nxt = _projectiles(level, t)
-    at2, _ = _projectiles(level, t + 1)
-    occ2 = np.zeros((GRID, GRID), dtype=bool)
-    occ2[at2[:, 0], at2[:, 1]] = True
-    moving = nxt[:, 0] >= 0
-    p, q = cur[moving].T, nxt[moving].T
-    q_values = np.full((len(DELTAS), GRID, GRID), -np.inf)
-    for a, (tr, tc) in enumerate(maps):
-        val = envs.TICK_REWARD + values[t + 1][tr, tc]
-        collide = occ2[tr, tc]
-        # swap: moving from q into p while the projectile does p -> q
-        swap = (tr[q[0], q[1]] == p[0]) & (tc[q[0], q[1]] == p[1])
-        collide[q[0][swap], q[1][swap]] = True
-        val = np.where(collide, 0.0, val)
-        val = np.where((tr == item[0]) & (tc == item[1]), envs.GOAL_REWARD, val)
-        q_values[a] = val
-    return q_values
+    p, q = cur[nxt >= 0], nxt[nxt >= 0]
+    a, j = np.nonzero(moves[:, q] == p)
+    dead[a, q[j]] = True
+    return dead
+
+
+def _dodge_q_values(level: LevelSpec, next_values: np.ndarray, t: int,
+                    moves: np.ndarray) -> np.ndarray:
+    """Q[a, r, c]: return of action a from (r, c) at time t, then V[t + 1]."""
+    q_values = envs.TICK_REWARD + next_values.ravel()[moves]
+    q_values[_deaths(level, t, moves)] = 0.0
+    # a removed item, (-1, -1), flattens to no cell
+    q_values[moves == level.item[0] * GRID + level.item[1]] = envs.GOAL_REWARD
+    return q_values.reshape(len(DELTAS), GRID, GRID)
 
 
 def dodge_optimal_values(level: LevelSpec, start_t: int = 0) -> np.ndarray:
     """V[t, r, c]: best achievable return from (r, c) at time t (free cells)."""
-    maps = _target_maps(level.walls)
+    moves = _moves(level.walls)
     values = np.zeros((level.horizon + 1, GRID, GRID))
     for t in range(level.horizon - 1, start_t - 1, -1):
-        best = _dodge_q_values(level, values, t, maps).max(axis=0)
+        best = _dodge_q_values(level, values[t + 1], t, moves).max(axis=0)
         best[level.walls] = 0.0
         values[t] = best
     return values
@@ -143,16 +146,7 @@ def dodge_optimal_values(level: LevelSpec, start_t: int = 0) -> np.ndarray:
 
 def dodge_optimal_actions(level: LevelSpec, values: np.ndarray, t: int) -> np.ndarray:
     """Greedy action grid at time t under the given value table (first-max)."""
-    q_values = _dodge_q_values(level, values, t, _target_maps(level.walls))
-    return np.argmax(q_values, axis=0)
-
-
-def _shift(grid: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """out[r, c] = grid[r - dr, c - dc], False beyond the borders."""
-    out = np.zeros_like(grid)
-    out[max(0, dr):GRID + min(0, dr), max(0, dc):GRID + min(0, dc)] = \
-        grid[max(0, -dr):GRID + min(0, -dr), max(0, -dc):GRID + min(0, -dc)]
-    return out
+    return np.argmax(_dodge_q_values(level, values[t + 1], t, _moves(level.walls)), axis=0)
 
 
 def dodge_survives_horizon(level: LevelSpec) -> bool:
@@ -169,24 +163,15 @@ def dodge_survives_horizon(level: LevelSpec) -> bool:
 def dodge_reachable_states(level: LevelSpec, max_t: int | None = None) -> list[tuple[tuple[int, int], int]]:
     """(pos, t) pairs reachable without dying, by forward expansion."""
     horizon = max_t if max_t is not None else level.horizon
+    moves = _moves(level.walls)
     reach = np.zeros((GRID, GRID), dtype=bool)
     reach[level.agent_start] = True
     out = [(level.agent_start, 0)]
     for t in range(horizon):
-        cur, nxt = _projectiles(level, t)
-        at2, _ = _projectiles(level, t + 1)
-        occ2 = np.zeros((GRID, GRID), dtype=bool)
-        occ2[at2[:, 0], at2[:, 1]] = True
-        new_reach = reach & ~occ2
-        for dr, dc in DELTAS[:4]:
-            tgt = _shift(reach, dr, dc) & ~level.walls
-            for j in range(cur.shape[0]):
-                p, q = tuple(cur[j]), tuple(nxt[j])
-                if q != (-1, -1) and (p[0] - q[0], p[1] - q[1]) == (dr, dc) and reach[q]:
-                    tgt[p] = False
-            new_reach |= tgt & ~occ2
-        new_reach[level.item] = False      # collecting ends the episode
-        reach = new_reach
+        alive = reach.ravel() & ~_deaths(level, t, moves)
+        reach = np.zeros((GRID, GRID), dtype=bool)
+        reach.flat[moves[alive]] = True
+        reach[level.item] = False          # collecting ends the episode
         if not reach.any():
             break
         for r, c in np.argwhere(reach):
@@ -212,9 +197,8 @@ def blanked_level(level: LevelSpec, pos: tuple[int, int], t: int,
     kept = []
     cur, nxt = _projectiles(level, t)
     for j in range(cur.shape[0]):
-        p = (int(cur[j, 0]), int(cur[j, 1]))
-        q = (int(nxt[j, 0]), int(nxt[j, 1]))
-        if q == (-1, -1) or not window[p]:
+        p, q = divmod(int(cur[j]), GRID), divmod(int(nxt[j]), GRID)
+        if nxt[j] < 0 or not window[p]:
             continue
         kept.append((p, (q[0] - p[0], q[1] - p[1])))
 

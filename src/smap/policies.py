@@ -61,10 +61,10 @@ class Sample(tuple):
         return sample
 
 
-def _head_init(params: dict, rng, d_in: int, n_actions: int, scale: float) -> None:
+def _head_init(params: dict, rng, d_in: int, n_actions: int) -> None:
     for name, shape, fan in (("head.pi_w", (d_in, n_actions), d_in),
                              ("head.v_w", (d_in, 1), d_in)):
-        params[name] = ad.parameter(rng.standard_normal(shape) * scale / np.sqrt(fan), name)
+        params[name] = ad.parameter(rng.standard_normal(shape) / np.sqrt(fan), name)
     params["head.pi_b"] = ad.parameter(np.zeros(n_actions), "head.pi_b")
     params["head.v_b"] = ad.parameter(np.zeros(1), "head.v_b")
 
@@ -85,13 +85,13 @@ class PolicyBase:
     kind: str = ""
     samples_masks: bool = False
 
-    def __init__(self, cfg: TrunkConfig, seed: int, init_scale: float = 1.0):
+    def __init__(self, cfg: TrunkConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
         self.params: dict[str, Tensor] = {}
-        self._build(stream(seed, f"{self.kind}.init"), init_scale)
+        self._build(stream(seed, f"{self.kind}.init"))
 
-    def _build(self, rng, init_scale: float) -> None:
+    def _build(self, rng) -> None:
         raise NotImplementedError
 
     def output(self, obs, mode: str = "eval", noise=None) -> PolicyOutput:
@@ -142,16 +142,16 @@ class PolicyBase:
 class CnnPolicy(PolicyBase):
     kind = "cnn"
 
-    def _build(self, rng, init_scale):
+    def _build(self, rng):
         cfg = self.cfg
-        self.params = init_extractor(rng, cfg.obs_channels, scale=init_scale)
+        self.params = init_extractor(rng, cfg.obs_channels)
         h2, w2 = conv_output_dims((cfg.obs_size, cfg.obs_size))
         flat = DEFAULT_STACK[-1].filters * h2 * w2
         hidden = 128
         self.params["mlp.w1"] = ad.parameter(
-            rng.standard_normal((flat, hidden)) * init_scale / np.sqrt(flat), "mlp.w1")
+            rng.standard_normal((flat, hidden)) / np.sqrt(flat), "mlp.w1")
         self.params["mlp.b1"] = ad.parameter(np.zeros(hidden), "mlp.b1")
-        _head_init(self.params, rng, hidden, cfg.n_actions, init_scale)
+        _head_init(self.params, rng, hidden, cfg.n_actions)
 
     def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
         x = extract(_obs_tensor(obs), self.params)
@@ -165,9 +165,9 @@ class CnnPolicy(PolicyBase):
 class AttentionPolicy(PolicyBase):
     kind = "attention"
 
-    def _build(self, rng, init_scale):
-        self.params = init_trunk_params(rng, self.cfg, with_masks=False, scale=init_scale)
-        _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
+    def _build(self, rng):
+        self.params = init_trunk_params(rng, self.cfg, with_masks=False)
+        _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions)
 
     def _attend(self, x: Tensor, mode: str, noise) -> PolicyOutput:
         """The body of every attention agent: the trunk, then the heads."""
@@ -185,19 +185,19 @@ class InputMaskedPolicy(AttentionPolicy):
 
     MASK_HIDDEN = 8
 
-    def _build(self, rng, init_scale):
+    def _build(self, rng):
         cfg = self.cfg
-        self.params = init_trunk_params(rng, cfg, with_masks=False, scale=init_scale)
+        self.params = init_trunk_params(rng, cfg, with_masks=False)
         c = cfg.obs_channels
         h = self.MASK_HIDDEN
         self.params["masknet.conv0.w"] = ad.parameter(
-            rng.standard_normal((h, c, 1, 1)) * init_scale / np.sqrt(c), "masknet.conv0.w")
+            rng.standard_normal((h, c, 1, 1)) / np.sqrt(c), "masknet.conv0.w")
         self.params["masknet.conv0.b"] = ad.parameter(np.zeros(h), "masknet.conv0.b")
         self.params["masknet.conv1.w"] = ad.parameter(
-            rng.standard_normal((1, h, 1, 1)) * init_scale / np.sqrt(h), "masknet.conv1.w")
+            rng.standard_normal((1, h, 1, 1)) / np.sqrt(h), "masknet.conv1.w")
         # start close to a pass-through mask
         self.params["masknet.conv1.b"] = ad.parameter(np.full(1, 2.0), "masknet.conv1.b")
-        _head_init(self.params, rng, cfg.d_model, cfg.n_actions, init_scale)
+        _head_init(self.params, rng, cfg.d_model, cfg.n_actions)
 
     def pixel_mask(self, obs_t: Tensor) -> Tensor:
         h = ad.conv2d(obs_t, self.params["masknet.conv0.w"], stride=1)
@@ -216,9 +216,9 @@ class SparseMaskedPolicy(AttentionPolicy):
     kind = "sparse_masked"
     samples_masks = True
 
-    def _build(self, rng, init_scale):
-        self.params = init_trunk_params(rng, self.cfg, with_masks=True, scale=init_scale)
-        _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions, init_scale)
+    def _build(self, rng):
+        self.params = init_trunk_params(rng, self.cfg, with_masks=True)
+        _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions)
 
     def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
         if mode != "eval" and noise is None:
@@ -231,8 +231,7 @@ _POLICY_CLASSES = {cls.kind: cls for cls in (CnnPolicy, AttentionPolicy, InputMa
 POLICY_KINDS = tuple(_POLICY_CLASSES)
 
 
-def make_policy(kind: str, cfg: TrunkConfig, seed: int,
-                init_scale: float = 1.0) -> PolicyBase:
+def make_policy(kind: str, cfg: TrunkConfig, seed: int) -> PolicyBase:
     if kind not in _POLICY_CLASSES:
         raise ConfigError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
-    return _POLICY_CLASSES[kind](cfg, seed, init_scale)
+    return _POLICY_CLASSES[kind](cfg, seed)

@@ -87,13 +87,12 @@ def encode_positions(grid_dims: tuple[int, int], d: int) -> np.ndarray:
     return _position_table(tuple(grid_dims), d, ad.get_default_dtype())
 
 
-def init_extractor(rng: np.random.Generator, in_channels: int,
-                   scale: float = 1.0) -> dict[str, Tensor]:
+def init_extractor(rng: np.random.Generator, in_channels: int) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     c = in_channels
     for i, spec in enumerate(DEFAULT_STACK):
         fan_in = c * spec.kernel * spec.kernel
-        w = rng.standard_normal((spec.filters, c, spec.kernel, spec.kernel)) * scale / np.sqrt(fan_in)
+        w = rng.standard_normal((spec.filters, c, spec.kernel, spec.kernel)) / np.sqrt(fan_in)
         params[f"extractor.conv{i}.w"] = ad.parameter(w, f"extractor.conv{i}.w")
         params[f"extractor.conv{i}.b"] = ad.parameter(np.zeros(spec.filters), f"extractor.conv{i}.b")
         c = spec.filters

@@ -19,8 +19,11 @@ def _tokens(rng, b=1, n=16, d=32):
 
 
 def _params(seed=0, with_masks=True, scale=0.7):
-    return init_trunk_params(stream(seed, "init"), CFG, with_masks=with_masks,
-                             scale=scale)
+    params = init_trunk_params(stream(seed, "init"), CFG, with_masks=with_masks)
+    for t in params.values():
+        if t.data.ndim >= 2:
+            t.data = t.data * scale
+    return params
 
 
 def ones_mask_set(batch, n, n_layers):

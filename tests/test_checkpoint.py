@@ -79,15 +79,22 @@ def test_name_mismatch_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["short_length_field", "short_manifest", "short_data",
-                                  "unknown_dtype"])
+                                  "unknown_dtype", "negative_dim", "fractional_dim",
+                                  "string_dim", "trailing_bytes"])
 def test_malformed_checkpoint_raises_value_error(tmp_path, case):
     path = tmp_path / "ck.smap"
     save_params(path, _params(np.float32))
     full = path.read_bytes()
+    # manifest edits keep its length, so the length field stays valid
     raw = {"short_length_field": MAGIC + b"\x10\x00",
            "short_manifest": full[:len(MAGIC) + 4 + 3],
            "short_data": full[:-1],
-           "unknown_dtype": full.replace(b'"f4"', b'"i4"')}[case]
+           "unknown_dtype": full.replace(b'"f4"', b'"i4"'),
+           "negative_dim": full.replace(b"[3, 4]", b"[-1]  "),
+           "fractional_dim": full.replace(b"[3, 4]", b"[1.5] "),
+           "string_dim": full.replace(b"[3, 4]", b'["12"]'),
+           "trailing_bytes": full + bytes(4)}[case]
     path.write_bytes(raw)
     with pytest.raises(ValueError):
         load_params(path)
+

@@ -154,3 +154,9 @@ def test_oracle_exit_codes_and_patterns(monkeypatch, capsys):
     assert main(["oracle"]) == EXIT_CHECK_FAILED
     assert "FAILED: split_disjoint" in capsys.readouterr().out
     assert calls == [7, 10_000]
+
+
+def test_real_oracle_suite_passes():
+    checks = oracles.run_oracle_suite()
+    assert len(checks) == 7
+    assert [name for name, ok, _ in checks if not ok] == []

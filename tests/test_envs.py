@@ -537,6 +537,22 @@ def test_level_codes_match_pinned_digest():
         "b4ddd9834f2664ccabc3bf9bb3b15a8ff9669955116d0f2dd226d0217a60e835"
 
 
+def test_dodge_oracle_matches_pinned_digest():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        digest.update(oracles.dodge_optimal_values(generate_level(KIND_DODGE, seed)).tobytes())
+    digest.update(oracles.dodge_optimal_values(_trap_level()).tobytes())
+    blanked = oracles.blanked_level(generate_level(KIND_DODGE, 4), (7, 7), 18)
+    digest.update(oracles.dodge_optimal_values(blanked, start_t=18).tobytes())
+    assert digest.hexdigest() == \
+        "6a90c291f61dd3a2ec30928ee71e8381f5836d5c41d626bbd8f01011f363027e"
+    digest = hashlib.sha256()
+    for seed in range(3):
+        digest.update(repr(oracles.dodge_reachable_states(generate_level(KIND_DODGE, seed))).encode())
+    assert digest.hexdigest() == \
+        "d1c562716c27e0ef822fd90bce64a50401fea29fb049cfc3a629ff355862ca86"
+
+
 def _assert_hazard_table(level):
     hazards = level.hazards
     assert hazards.dtype == np.int16 and hazards.ndim == 2 and hazards.shape[1] == 7
