@@ -1,7 +1,7 @@
 """Multi-layer self-attention gated by learned stochastic binary masks.
 
 Attention weights are the renormalized masked softmax
-``(M * exp(QK^T/sqrt(d_k))) / rowsum``, with mask logits produced by separate
+``(M * exp(QK^T/sqrt(d_model))) / rowsum``, with mask logits produced by separate
 mask embeddings from the *current* layer's token representations, so sparsity
 in early layers also sparsifies the mask computation of later layers. A final
 aggregation step attends from one learned query over the last layer's tokens
@@ -28,19 +28,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .envs import GRID, OBS_CHANNELS
 from .errors import ConfigError
 from .tokenizer import conv_output_dims, init_extractor, tokenize
-
-LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
 class TrunkConfig:
-    obs_channels: int = 4
-    obs_size: int = 16
-    n_actions: int = 5
+    """The trunk's architecture; queries, keys and values are ``d_model`` wide."""
     d_model: int = 32
-    d_k: int = 32
     d_m: int = 16
     d_ff: int = 64
     n_layers: int = 2
@@ -59,10 +55,8 @@ class MaskSet:
 
 def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
                       with_masks: bool) -> dict[str, Tensor]:
-    params = init_extractor(rng, cfg.obs_channels)
-    d, dk, dm, dff = cfg.d_model, cfg.d_k, cfg.d_m, cfg.d_ff
-    if dk != d:
-        raise ConfigError(f"value/residual dimensions require d_k == d_model, got {dk} vs {d}")
+    params = init_extractor(rng, OBS_CHANNELS)
+    d, dm, dff = cfg.d_model, cfg.d_m, cfg.d_ff
 
     def w(name, *shape, fan=None):
         fan = fan if fan is not None else shape[0]
@@ -76,8 +70,8 @@ def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
 
     for l in range(cfg.n_layers):
         p = f"layer{l}."
-        w(p + "wq", d, dk)
-        w(p + "wk", d, dk)
+        w(p + "wq", d, d)
+        w(p + "wk", d, d)
         w(p + "wv", d, d)
         w(p + "ffn_w1", d, dff)
         zeros(p + "ffn_b1", dff)
@@ -91,8 +85,8 @@ def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
             w(p + "wqm", d, dm)
             w(p + "wkm", d, dm)
             params[p + "beta"] = ad.parameter(np.asarray(cfg.beta_init), p + "beta")
-    w("agg.q", 1, dk, fan=dk)
-    w("agg.wk", d, dk)
+    w("agg.q", 1, d, fan=d)
+    w("agg.wk", d, d)
     w("agg.wv", d, d)
     if with_masks:
         w("agg.qm", 1, cfg.d_m, fan=cfg.d_m)
@@ -101,14 +95,10 @@ def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
     return params
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return ad.layer_norm(x, gain, bias, eps=LN_EPS)
-
-
 def noise_rows(rng: np.random.Generator, batch: int, cfg: TrunkConfig) -> np.ndarray:
     """Logistic mask noise for ``batch`` samples at the working dtype, one row
     each: its L (n, n) layer blocks row-major, then its (1, n) aggregation row."""
-    n = int(np.prod(conv_output_dims((cfg.obs_size, cfg.obs_size))))
+    n = int(np.prod(conv_output_dims((GRID, GRID))))
     return rng.logistic(size=(batch, cfg.n_layers * n * n + n)).astype(ad.get_default_dtype())
 
 
@@ -160,10 +150,10 @@ def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: st
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
     attn = ad.softmax_rows(scores) if mask is None else ad.masked_softmax(scores, mask)
     mixed = ad.matmul(attn, v)
-    x = layer_norm(ad.add(tokens, mixed), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+    x = ad.layer_norm(ad.add(tokens, mixed), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     hidden = ad.relu(ad.linear(x, params[prefix + "ffn_w1"], params[prefix + "ffn_b1"]))
     ff = ad.linear(hidden, params[prefix + "ffn_w2"], params[prefix + "ffn_b2"])
-    out = layer_norm(ad.add(x, ff), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
+    out = ad.layer_norm(ad.add(x, ff), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
     return out, attn
 
 
@@ -207,7 +197,7 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
             _, hard = sample_mask_values(_mask_logits(x, params, f"layer{l}."), mode,
                                          cfg.tau, blocks[l])
             layer_masks.append(hard)
-        x, layer_attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_k)
+        x, layer_attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_model)
         attn.append(layer_attn)
 
     out_hard = None
@@ -218,7 +208,7 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
         _, out_hard = sample_mask_values(_agg_mask_logits(x, params), mode, cfg.tau,
                                          blocks[-1])
         masks = MaskSet(layers=layer_masks, out=out_hard)
-    features, agg_attn = aggregate(x, params, out_hard, cfg.d_k)
+    features, agg_attn = aggregate(x, params, out_hard, cfg.d_model)
     attn.append(agg_attn)
     return features, masks, attn
 

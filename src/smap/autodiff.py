@@ -515,9 +515,9 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     return _unary(t, out_data, lambda g: g * inside)
 
 
-def st_round(t: Tensor, threshold: float = 0.5) -> Tensor:
-    """Hard threshold in the forward pass, identity gradient (straight-through)."""
-    hard = (t.data > threshold).astype(t.data.dtype)
+def st_round(t: Tensor) -> Tensor:
+    """Hard threshold at 0.5 in the forward pass, identity gradient (straight-through)."""
+    hard = (t.data > 0.5).astype(t.data.dtype)
     return _unary(t, hard, lambda g: g)
 
 

@@ -51,6 +51,7 @@ from . import autodiff as ad
 from .errors import ConfigError, UsageError
 
 GRID = 16
+OBS_CHANNELS = 4            # walls, agent, hazards or goal, palette tint
 MAZE_CELLS = 7
 DODGE_HORIZON = 128
 MAZE_HORIZON = 256
@@ -125,7 +126,7 @@ class LevelSpec:
     @cached_property
     def base(self) -> np.ndarray:
         """(4, 16, 16) float64 frame: walls, item or goal, palette tint."""
-        base = np.zeros((4, GRID, GRID))
+        base = np.zeros((OBS_CHANNELS, GRID, GRID))
         base[0][self.walls] = 1.0
         base[2][self.item if self.kind == KIND_DODGE else self.goal] = 1.0
         base[3] = 0.15 + 0.8 * self.palette / (N_PALETTES - 1)
@@ -427,10 +428,10 @@ def step(state: EnvState, action: int) -> tuple[EnvState, float, bool]:
     return EnvState(level, new_pos, t2, done), TICK_REWARD, done
 
 
-def render_obs(state: EnvState, dtype=None) -> np.ndarray:
-    """(4, 16, 16) observation: walls, agent, hazards/goal, palette tint."""
+def render_obs(state: EnvState) -> np.ndarray:
+    """(4, 16, 16) working-dtype observation: walls, agent, hazards/goal, palette tint."""
     level = state.level
-    obs = level.base.astype(dtype or ad.get_default_dtype())
+    obs = level.base.astype(ad.get_default_dtype())
     if level.kind == KIND_DODGE:
         obs[2] = _SHADE_BY_CODE[level.codes[state.t]]
     obs[1][state.pos] = 1.0

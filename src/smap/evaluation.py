@@ -157,10 +157,11 @@ def write_report(report: list[dict], path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in report:
-            writer.writerow([_fmt(row[c]) for c in REPORT_COLUMNS])
+            writer.writerow([format_cell(row[c]) for c in REPORT_COLUMNS])
 
 
-def _fmt(v) -> str:
+def format_cell(v) -> str:
+    """A CSV cell of ``metrics.csv`` or a report: floats at 6 decimals."""
     return f"{v:.6f}" if isinstance(v, float) else str(v)
 
 

@@ -103,8 +103,9 @@ def _moves(walls: np.ndarray) -> np.ndarray:
 
 def _projectiles(level: LevelSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat cells of the projectiles at t, and their next cells (negative
-    when leaving)."""
-    rows = level.hazards[level.hazards[:, 0] == t]
+    when leaving); the rows of t are one slice of the t-sorted table."""
+    lo, hi = np.searchsorted(level.hazards[:, 0], (t, t + 1))
+    rows = level.hazards[lo:hi]
     cells = rows[:, 1:5:2] * GRID + rows[:, 2:5:2]
     return cells[:, 0], cells[:, 1]
 
@@ -362,13 +363,14 @@ def maze_count_simple_paths(level: LevelSpec) -> int:
 # influence blocking
 
 
-def influence_blocking_trial(seed: int, n_perturbations: int = 3) -> tuple[int, bool]:
+def influence_blocking_trial(seed: int) -> tuple[int, bool]:
     """Check that tokens with zero surviving paths cannot move the output.
 
     Uses eval-mode deterministic masks (betas biased negative so zero-path
     tokens exist), then perturbs the observation inside one token's receptive
-    field while holding the masks fixed. Returns (tokens tested, all exactly
-    invariant). Exactness is bitwise at the active precision.
+    field, three times per token, while holding the masks fixed. Returns
+    (tokens tested, all exactly invariant). Exactness is bitwise at the active
+    precision.
     """
     from . import paths as pathmod
     from .attention import TrunkConfig
@@ -380,7 +382,7 @@ def influence_blocking_trial(seed: int, n_perturbations: int = 3) -> tuple[int, 
     for name, t in policy.params.items():
         if name.endswith("beta"):
             t.data = np.asarray(rng.uniform(-3.0, -0.5), dtype=t.data.dtype)
-    obs = rng.random((1, cfg.obs_channels, 16, 16))
+    obs = rng.random((1, envs.OBS_CHANNELS, GRID, GRID))
     out = policy.output(obs, mode="eval")
     relevance = pathmod.effective_input_relevance(pathmod.path_matrix(out.mask_set))[0]
     dead = [i for i in range(relevance.size) if not relevance[i]]
@@ -398,7 +400,7 @@ def influence_blocking_trial(seed: int, n_perturbations: int = 3) -> tuple[int, 
     tested = 0
     for i in dead:
         r0, r1, c0, c1 = rects[i]
-        for _ in range(n_perturbations):
+        for _ in range(3):
             perturbed = obs.copy()
             perturbed[0, :, r0:r1, c0:c1] += rng.standard_normal(
                 (obs.shape[1], r1 - r0, c1 - c0)) * 10.0

@@ -27,6 +27,7 @@ from . import autodiff as ad
 from . import paths as pathmod
 from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params, noise_rows
 from .autodiff import Tensor
+from .envs import GRID, N_ACTIONS, OBS_CHANNELS
 from .errors import ConfigError
 from .paths import PathMatrix
 from .rng import stream
@@ -100,21 +101,16 @@ class PolicyBase:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator,
-            greedy: bool = False) -> Sample:
-        """Sample (or argmax) actions without recording gradients. A sample
-        draws its mask noise from ``rng`` first, then its actions."""
-        noise = noise_rows(rng, len(obs), self.cfg) if self.samples_masks and not greedy else None
-        out = self.output(obs, mode="eval" if greedy else "train", noise=noise)
-        logits = out.action_logits.data
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> Sample:
+        """Sample actions without recording gradients, drawing the mask
+        noise from ``rng`` first, then the actions."""
+        noise = noise_rows(rng, len(obs), self.cfg) if self.samples_masks else None
+        out = self.output(obs, mode="train", noise=noise)
         log_probs = ad.log_softmax(out.action_logits).data
-        if greedy:
-            actions = np.argmax(logits, axis=-1)
-        else:
-            u = rng.random((logits.shape[0], 1))
-            cdf = np.cumsum(np.exp(log_probs), axis=-1)
-            actions = (u < cdf).argmax(axis=-1)
-        picked = log_probs[np.arange(logits.shape[0]), actions]
+        u = rng.random((len(log_probs), 1))
+        cdf = np.cumsum(np.exp(log_probs), axis=-1)
+        actions = (u < cdf).argmax(axis=-1)
+        picked = log_probs[np.arange(len(log_probs)), actions]
         return Sample(actions, picked, out.value.data, noise)
 
     def evaluate_actions(self, obs: np.ndarray, actions: np.ndarray,
@@ -143,15 +139,14 @@ class CnnPolicy(PolicyBase):
     kind = "cnn"
 
     def _build(self, rng):
-        cfg = self.cfg
-        self.params = init_extractor(rng, cfg.obs_channels)
-        h2, w2 = conv_output_dims((cfg.obs_size, cfg.obs_size))
+        self.params = init_extractor(rng, OBS_CHANNELS)
+        h2, w2 = conv_output_dims((GRID, GRID))
         flat = DEFAULT_STACK[-1].filters * h2 * w2
         hidden = 128
         self.params["mlp.w1"] = ad.parameter(
             rng.standard_normal((flat, hidden)) / np.sqrt(flat), "mlp.w1")
         self.params["mlp.b1"] = ad.parameter(np.zeros(hidden), "mlp.b1")
-        _head_init(self.params, rng, hidden, cfg.n_actions)
+        _head_init(self.params, rng, hidden, N_ACTIONS)
 
     def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
         x = extract(_obs_tensor(obs), self.params)
@@ -166,8 +161,8 @@ class AttentionPolicy(PolicyBase):
     kind = "attention"
 
     def _build(self, rng):
-        self.params = init_trunk_params(rng, self.cfg, with_masks=False)
-        _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions)
+        self.params = init_trunk_params(rng, self.cfg, with_masks=self.samples_masks)
+        _head_init(self.params, rng, self.cfg.d_model, N_ACTIONS)
 
     def _attend(self, x: Tensor, mode: str, noise) -> PolicyOutput:
         """The body of every attention agent: the trunk, then the heads."""
@@ -188,7 +183,7 @@ class InputMaskedPolicy(AttentionPolicy):
     def _build(self, rng):
         cfg = self.cfg
         self.params = init_trunk_params(rng, cfg, with_masks=False)
-        c = cfg.obs_channels
+        c = OBS_CHANNELS
         h = self.MASK_HIDDEN
         self.params["masknet.conv0.w"] = ad.parameter(
             rng.standard_normal((h, c, 1, 1)) / np.sqrt(c), "masknet.conv0.w")
@@ -197,7 +192,7 @@ class InputMaskedPolicy(AttentionPolicy):
             rng.standard_normal((1, h, 1, 1)) / np.sqrt(h), "masknet.conv1.w")
         # start close to a pass-through mask
         self.params["masknet.conv1.b"] = ad.parameter(np.full(1, 2.0), "masknet.conv1.b")
-        _head_init(self.params, rng, cfg.d_model, cfg.n_actions)
+        _head_init(self.params, rng, cfg.d_model, N_ACTIONS)
 
     def pixel_mask(self, obs_t: Tensor) -> Tensor:
         h = ad.conv2d(obs_t, self.params["masknet.conv0.w"], stride=1)
@@ -215,10 +210,6 @@ class InputMaskedPolicy(AttentionPolicy):
 class SparseMaskedPolicy(AttentionPolicy):
     kind = "sparse_masked"
     samples_masks = True
-
-    def _build(self, rng):
-        self.params = init_trunk_params(rng, self.cfg, with_masks=True)
-        _head_init(self.params, rng, self.cfg.d_model, self.cfg.n_actions)
 
     def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
         if mode != "eval" and noise is None:

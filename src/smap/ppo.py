@@ -34,6 +34,7 @@ from .autodiff import Tape, Tensor
 from .checkpoint import save_params
 from .config import ExperimentConfig, PPOConfig, save_config
 from .errors import DimensionError
+from .evaluation import format_cell
 from .optim import Adam
 from .policies import PolicyBase, make_policy
 from .rng import stream
@@ -142,7 +143,7 @@ def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
         val_buf[t] = values
         rew_buf[t] = rewards
         done_buf[t] = dones
-    _, _, bootstrap = policy.act(runner.observations(), action_rng, greedy=True)
+    bootstrap = policy.output(runner.observations(), mode="eval").value.data
     return RolloutBatch(observations=obs_buf, actions=act_buf, old_log_probs=logp_buf,
                         values=val_buf, rewards=rew_buf, dones=done_buf,
                         bootstrap_values=bootstrap, noise=noise_buf)
@@ -262,12 +263,6 @@ def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],
     return totals, mean_frac
 
 
-def _format_metric(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
 class MetricsWriter:
     def __init__(self, path):
         self.path = Path(path)
@@ -277,7 +272,7 @@ class MetricsWriter:
         self.rows: list[dict] = []
 
     def write(self, **kv) -> None:
-        row = [_format_metric(kv[c]) for c in METRIC_COLUMNS]
+        row = [format_cell(kv[c]) for c in METRIC_COLUMNS]
         self._writer.writerow(row)
         self._fh.flush()
         self.rows.append(dict(kv))

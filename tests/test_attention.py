@@ -89,7 +89,7 @@ def test_open_mask_equals_dense_reference(f64):
     tokens = _tokens(rng, b=2)
     override = ones_mask_set(2, 16, CFG.n_layers)
     feats, _, _ = run_attention_stack(tokens, params, CFG, masks_override=override)
-    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers, CFG.d_k)
+    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers, CFG.d_model)
     assert np.allclose(feats.data, ref, atol=1e-9)
 
 
@@ -100,14 +100,13 @@ def test_fully_masked_row_keeps_residual_path(f64):
     mask = np.ones((1, 4, 4))
     mask[0, 2, :] = 0.0         # token 2 attends to nothing
     out_masked, _ = masked_attention_layer(tokens, params, "layer0.",
-                                           Tensor(mask), CFG.d_k)
+                                           Tensor(mask), CFG.d_model)
     assert np.all(np.isfinite(out_masked.data))
     # with zero attention output, token 2 reduces to layernorm+ffn of itself
-    from smap.attention import layer_norm
-    x2 = layer_norm(tokens, params["layer0.ln1_g"], params["layer0.ln1_b"])
+    x2 = ad.layer_norm(tokens, params["layer0.ln1_g"], params["layer0.ln1_b"])
     hidden = ad.relu(ad.add(ad.matmul(x2, params["layer0.ffn_w1"]), params["layer0.ffn_b1"]))
     ff = ad.add(ad.matmul(hidden, params["layer0.ffn_w2"]), params["layer0.ffn_b2"])
-    alone = layer_norm(ad.add(x2, ff), params["layer0.ln2_g"], params["layer0.ln2_b"])
+    alone = ad.layer_norm(ad.add(x2, ff), params["layer0.ln2_g"], params["layer0.ln2_b"])
     assert np.allclose(out_masked.data[0, 2], alone.data[0, 2], atol=1e-12)
 
 
@@ -119,7 +118,7 @@ def test_identity_mask_with_flat_scores_returns_values(f64):
     q = ad.matmul(tokens, params["layer0.wq"])
     k = ad.matmul(tokens, params["layer0.wk"])
     v = ad.matmul(tokens, params["layer0.wv"])
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(CFG.d_k))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(CFG.d_model))
     assert np.allclose(scores.data, 0.0)
     attn = ad.masked_softmax(scores, Tensor(np.eye(n)[None]))
     mixed = ad.matmul(attn, v)
@@ -131,7 +130,7 @@ def test_aggregate_uniform_is_mean_of_values(f64):
     params["agg.q"].data = np.zeros_like(params["agg.q"].data)   # flat scores
     tokens = _tokens(np.random.default_rng(6), n=8)
     mask = Tensor(np.ones((1, 1, 8)))
-    feats, attn = aggregate(tokens, params, mask, CFG.d_k)
+    feats, attn = aggregate(tokens, params, mask, CFG.d_model)
     v = tokens.data[0] @ params["agg.wv"].data
     assert np.allclose(attn.data[0, 0], 1 / 8)
     assert np.allclose(feats.data[0], v.mean(axis=0), atol=1e-12)
@@ -142,7 +141,7 @@ def test_aggregate_one_hot_selects_token(f64):
     tokens = _tokens(np.random.default_rng(7), n=8)
     one_hot = np.zeros((1, 1, 8))
     one_hot[0, 0, 3] = 1.0
-    feats, _ = aggregate(tokens, params, Tensor(one_hot), CFG.d_k)
+    feats, _ = aggregate(tokens, params, Tensor(one_hot), CFG.d_model)
     v3 = tokens.data[0, 3] @ params["agg.wv"].data
     assert np.allclose(feats.data[0], v3, atol=1e-12)
 
@@ -150,7 +149,7 @@ def test_aggregate_one_hot_selects_token(f64):
 def test_aggregate_all_masked_is_zero_vector(f64):
     params = _params(8)
     tokens = _tokens(np.random.default_rng(8), n=8)
-    feats, _ = aggregate(tokens, params, Tensor(np.zeros((1, 1, 8))), CFG.d_k)
+    feats, _ = aggregate(tokens, params, Tensor(np.zeros((1, 1, 8))), CFG.d_model)
     assert np.array_equal(feats.data, np.zeros_like(feats.data))
 
 
@@ -160,7 +159,7 @@ def test_aggregate_open_matches_dense_oracle(f64):
     tokens = _tokens(rng, b=3, n=16)
     feats, _, _ = run_attention_stack(tokens, params, CFG,
                                       masks_override=ones_mask_set(3, 16, CFG.n_layers))
-    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers, CFG.d_k)
+    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers, CFG.d_model)
     assert np.max(np.abs(feats.data - ref)) < 1e-6
 
 

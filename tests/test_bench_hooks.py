@@ -1,6 +1,8 @@
-"""The benchmark's traced run wraps public ``smap`` names from outside; this
-guard fails when a refactor removes or moves one of them, or stops calling it
-through the name the tracer replaces."""
+"""Guards of the benchmark's calls into ``smap``. Its traced run wraps public
+names from outside: the tracer guard fails when a refactor removes or moves
+one of them, or stops calling it through the name the tracer replaces. Its
+check pass calls ``smap`` directly: that guard fails when a call it makes no
+longer runs or its checks find a problem."""
 
 from pathlib import Path
 
@@ -38,3 +40,11 @@ def test_tracer_installs_and_sees_every_trunk_stage(spans_module):
             "policies.forward_trunk", "tokenizer.tokenize", "attention.run_attention_stack",
             "attention.masked_attention_layer", "attention.sample_mask_values",
             "attention.aggregate", "paths.path_matrix"} <= names
+
+
+@pytest.mark.parametrize("env_kind", envs.KINDS)
+def test_benchmark_check_pass_finds_no_problem(monkeypatch, tmp_path, env_kind):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import loops
+    assert checks.check_pass(env_kind, 0, loops.QUICK, tmp_path)["problems"] == []

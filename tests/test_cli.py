@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smap import autodiff as ad
-from smap import cli, oracles
+from smap import cli, gradcheck, oracles
 from smap.attention import TrunkConfig
 from smap.checkpoint import save_params
 from smap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _load_run_policy, main
@@ -122,6 +122,17 @@ def test_sweep_writes_one_report_row_per_alpha(tmp_path):
 
 def test_gradcheck_with_one_instance_passes():
     assert main(["gradcheck", "--instances", "1"]) == EXIT_OK
+
+
+def test_failed_gradient_check_is_a_check_failure(monkeypatch, capsys):
+    def failing_suite(instances, progress):
+        return [gradcheck.CheckResult("matmul", 1.0, instances)]
+
+    monkeypatch.setattr(gradcheck, "run_all", failing_suite)
+    assert main(["gradcheck", "--instances", "3"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "FAIL matmul" in out and "over 3 instances" in out
+    assert out.endswith("1 gradient checks FAILED\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "visualize"])

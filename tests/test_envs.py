@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smap import autodiff as ad
 from smap import envs, oracles
 from smap.envs import (DELTAS, GRID, KIND_DODGE, KIND_MAZE, RETURN_BOUNDS,
                        Emitter, EnvState, LevelSpec, generate_level, make_split,
@@ -310,7 +311,9 @@ def _ref_render_obs(state, dtype):
 
 def _assert_same_obs(state):
     for dtype in (np.float32, np.float64):
-        got, want = render_obs(state, dtype), _ref_render_obs(state, dtype)
+        with ad.precision(dtype):
+            got = render_obs(state)
+        want = _ref_render_obs(state, dtype)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -388,7 +391,8 @@ def test_trail_over_wall_is_not_drawn():
     level = _handmade({0: [((5, 7), (5, 6), (5, 8)), ((7, 7), (7, 6), (7, 8))]},
                       start=(10, 10), walls=_arena([(5, 8)]))
     _assert_same_obs(reset(level))
-    obs = render_obs(reset(level), np.float64)
+    with ad.precision(np.float64):
+        obs = render_obs(reset(level))
     assert obs[2][5, 8] == 0.0 and obs[0][5, 8] == 1.0
     assert obs[2][7, 8] == 0.3 and obs[2][5, 7] == obs[2][7, 7] == 0.6
 

@@ -87,14 +87,11 @@ class BanditPolicy:
     def probs(self):
         return ad.softmax_rows(ad.reshape(self.params["logits"], (1, -1))).data[0]
 
-    def act(self, obs, rng, greedy=False):
+    def act(self, obs, rng):
         b = obs.shape[0]
         p = self.probs()
         logp = np.log(p)
-        if greedy:
-            actions = np.full(b, int(np.argmax(p)))
-        else:
-            actions = rng.choice(len(p), size=b, p=p)
+        actions = rng.choice(len(p), size=b, p=p)
         values = np.zeros(b)
         return actions, logp[actions], values
 
@@ -187,6 +184,20 @@ def test_ratio_is_exactly_one_on_a_real_rollout(kind, precision):
     assert np.array_equal(new.astype(np.float64), batch.old_log_probs.reshape(256))
 
 
+def test_bootstrap_is_the_eval_mode_value_of_the_last_observations():
+    """The sparse agent's train- and eval-mode masks differ, so only the
+    eval-mode forward gives the bootstrap."""
+    train_seeds, _ = envs.make_split("DodgeGrid", 4, 1)
+    policy = make_policy("sparse_masked", TrunkConfig(), seed=5)
+    runner = ppo.VecRunner("DodgeGrid", train_seeds, seed=5)
+    runner.start(4)
+    batch = ppo.collect_rollout(policy, runner, 8, stream(5, "rollout_actions"))
+    obs = runner.observations()
+    want = policy.output(obs, mode="eval").value.data
+    assert np.array_equal(batch.bootstrap_values, want)
+    assert not np.array_equal(policy.output(obs, mode="train").value.data, want)
+
+
 def test_minibatch_below_two_rejected():
     # the update splits each minibatch into two halves and skips any below 2
     with pytest.raises(ConfigError, match="minibatch_size"):
@@ -224,12 +235,12 @@ def test_nan_on_the_worker_shard_aborts_before_any_step():
     assert set(threading.enumerate()) == threads
 
 
-def _random_batch(cfg: TrunkConfig, seed: int, t_len: int = 64, k: int = 8) -> RolloutBatch:
+def _random_batch(seed: int, t_len: int = 64, k: int = 8) -> RolloutBatch:
     rng = np.random.default_rng(seed)
     return RolloutBatch(
-        observations=rng.random((t_len, k, cfg.obs_channels, cfg.obs_size, cfg.obs_size)),
-        actions=rng.integers(0, cfg.n_actions, (t_len, k)),
-        old_log_probs=np.log(1.0 / cfg.n_actions) + 0.3 * rng.standard_normal((t_len, k)),
+        observations=rng.random((t_len, k, envs.OBS_CHANNELS, envs.GRID, envs.GRID)),
+        actions=rng.integers(0, envs.N_ACTIONS, (t_len, k)),
+        old_log_probs=np.log(1.0 / envs.N_ACTIONS) + 0.3 * rng.standard_normal((t_len, k)),
         values=rng.standard_normal((t_len, k)),
         rewards=rng.standard_normal((t_len, k)),
         dones=(rng.random((t_len, k)) < 0.1).astype(float),
@@ -281,7 +292,7 @@ def _sharded_grads(kind: str, cfg: PPOConfig, batch: RolloutBatch) -> dict:
 @pytest.mark.parametrize("kind", ["cnn", "attention", "input_masked"])
 def test_sharded_update_gradient_equals_one_tape(f64, kind):
     cfg = PPOConfig(epochs=1, minibatch_size=512)
-    batch = _random_batch(TrunkConfig(), seed=11)
+    batch = _random_batch(seed=11)
     got = _sharded_grads(kind, cfg, batch)
     ref = _reference_grads(make_policy(kind, TrunkConfig(), seed=3), cfg, batch,
                            [np.arange(512)], [None])
@@ -292,7 +303,7 @@ def test_sharded_update_gradient_equals_one_tape(f64, kind):
 
 def test_sharded_sparse_update_equals_serial_halves(f64):
     cfg = PPOConfig(epochs=1, minibatch_size=512)
-    batch = _random_batch(TrunkConfig(), seed=12)
+    batch = _random_batch(seed=12)
     twin = make_policy("sparse_masked", TrunkConfig(), seed=3)
     noise = noise_rows(stream(12, "noise"), 512, TrunkConfig())
     batch.noise = noise.reshape(64, 8, -1)
