@@ -140,14 +140,14 @@ def _agg_mask_logits(tokens: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: str,
-                           mask: Optional[Tensor], d_k: int) -> tuple[Tensor, Tensor]:
+                           mask: Optional[Tensor]) -> tuple[Tensor, Tensor]:
     """One attention layer; returns (new tokens, attention weights).
 
     ``mask=None`` is dense attention, equal in value to an all-ones mask."""
     q = ad.matmul(tokens, params[prefix + "wq"])
     k = ad.matmul(tokens, params[prefix + "wk"])
     v = ad.matmul(tokens, params[prefix + "wv"])
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(tokens.shape[-1]))
     attn = ad.softmax_rows(scores) if mask is None else ad.masked_softmax(scores, mask)
     mixed = ad.matmul(attn, v)
     x = ad.layer_norm(ad.add(tokens, mixed), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
@@ -157,13 +157,14 @@ def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: st
     return out, attn
 
 
-def aggregate(tokens: Tensor, params: dict[str, Tensor], mask_out: Optional[Tensor],
-              d_k: int) -> tuple[Tensor, Tensor]:
+def aggregate(tokens: Tensor, params: dict[str, Tensor],
+              mask_out: Optional[Tensor]) -> tuple[Tensor, Tensor]:
     """Single-query masked attention over the final tokens -> (B, d) features;
     ``mask_out=None`` attends densely."""
     k = ad.matmul(tokens, params["agg.wk"])
     v = ad.matmul(tokens, params["agg.wv"])
-    scores = ad.scale(ad.matmul(params["agg.q"], ad.transpose(k)), 1.0 / np.sqrt(d_k))
+    scores = ad.scale(ad.matmul(params["agg.q"], ad.transpose(k)),
+                      1.0 / np.sqrt(tokens.shape[-1]))
     attn = (ad.softmax_rows(scores) if mask_out is None
             else ad.masked_softmax(scores, mask_out))
     feat = ad.matmul(attn, v)                       # (B, 1, d)
@@ -197,7 +198,7 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
             _, hard = sample_mask_values(_mask_logits(x, params, f"layer{l}."), mode,
                                          cfg.tau, blocks[l])
             layer_masks.append(hard)
-        x, layer_attn = masked_attention_layer(x, params, f"layer{l}.", hard, cfg.d_model)
+        x, layer_attn = masked_attention_layer(x, params, f"layer{l}.", hard)
         attn.append(layer_attn)
 
     out_hard = None
@@ -208,7 +209,7 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
         _, out_hard = sample_mask_values(_agg_mask_logits(x, params), mode, cfg.tau,
                                          blocks[-1])
         masks = MaskSet(layers=layer_masks, out=out_hard)
-    features, agg_attn = aggregate(x, params, out_hard, cfg.d_model)
+    features, agg_attn = aggregate(x, params, out_hard)
     attn.append(agg_attn)
     return features, masks, attn
 

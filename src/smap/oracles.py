@@ -60,10 +60,10 @@ def _np_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-
     return (x - m) / np.sqrt(v + eps) * g + b
 
 
-def dense_reference_stack(tokens: np.ndarray, params: dict, n_layers: int,
-                          d_k: int) -> np.ndarray:
+def dense_reference_stack(tokens: np.ndarray, params: dict, n_layers: int) -> np.ndarray:
     """Mask-free attention trunk on (B, n, d) tokens; returns (B, d) features."""
     x = np.asarray(tokens, dtype=np.float64)
+    d = x.shape[-1]
 
     def p(name):
         return np.asarray(params[name].data, dtype=np.float64)
@@ -73,7 +73,7 @@ def dense_reference_stack(tokens: np.ndarray, params: dict, n_layers: int,
         q = x @ p(pre + "wq")
         k = x @ p(pre + "wk")
         v = x @ p(pre + "wv")
-        attn = _np_softmax_rows(q @ np.swapaxes(k, -1, -2) / np.sqrt(d_k))
+        attn = _np_softmax_rows(q @ np.swapaxes(k, -1, -2) / np.sqrt(d))
         y = _np_layer_norm(x + attn @ v, p(pre + "ln1_g"), p(pre + "ln1_b"))
         hidden = np.maximum(y @ p(pre + "ffn_w1") + p(pre + "ffn_b1"), 0.0)
         ff = hidden @ p(pre + "ffn_w2") + p(pre + "ffn_b2")
@@ -81,7 +81,7 @@ def dense_reference_stack(tokens: np.ndarray, params: dict, n_layers: int,
 
     k = x @ p("agg.wk")
     v = x @ p("agg.wv")
-    attn = _np_softmax_rows(p("agg.q") @ np.swapaxes(k, -1, -2) / np.sqrt(d_k))
+    attn = _np_softmax_rows(p("agg.q") @ np.swapaxes(k, -1, -2) / np.sqrt(d))
     feat = attn @ v
     return feat[:, 0, :]
 

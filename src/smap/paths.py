@@ -53,15 +53,11 @@ def path_matrix(masks: MaskSet) -> PathMatrix:
                       mu=max_paths(n, len(masks.layers)))
 
 
-def mask_loss(pm: PathMatrix, alpha: float) -> Tensor:
-    """Mean squared deviation of the active-path fraction from ``alpha``."""
+def mask_loss(frac: Tensor, alpha: float) -> Tensor:
+    """Mean squared deviation of the (B,) active-path fraction from ``alpha``."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    if pm.mu <= 0:
-        raise ConfigError("path matrix has non-positive maximum total")
-    frac = ad.scale(pm.total, 1.0 / pm.mu)
-    dev = ad.sub(frac, float(alpha))
-    return ad.tmean(ad.square(dev))
+    return ad.tmean(ad.square(ad.sub(frac, float(alpha))))
 
 
 def path_fraction(pm: PathMatrix) -> np.ndarray:

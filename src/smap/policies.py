@@ -19,7 +19,7 @@ so PPO treats them interchangeably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params, n
 from .autodiff import Tensor
 from .envs import GRID, N_ACTIONS, OBS_CHANNELS
 from .errors import ConfigError
-from .paths import PathMatrix
 from .rng import stream
 from .tokenizer import DEFAULT_STACK, conv_output_dims, extract, init_extractor
 
@@ -48,18 +47,14 @@ class ActionEval:
     entropy: Tensor                     # scalar
     value: Tensor                       # (B,)
     path_fraction: Optional[Tensor]     # (B,) for the sparse agent, else None
-    mask_loss_input: Optional[PathMatrix]
 
 
-class Sample(tuple):
-    """``act``'s (actions, log-probs, values), with the (B, L·n² + n) mask
-    noise it drew as ``noise``, None without sampled masks: a tuple of three
-    with a named extra, like ``os.stat_result``, so callers unpack it as one."""
-
-    def __new__(cls, actions, log_probs, values, noise):
-        sample = super().__new__(cls, (actions, log_probs, values))
-        sample.noise = noise
-        return sample
+class Sample(NamedTuple):
+    """What ``act`` drew for a (B, ...) batch of observations."""
+    actions: np.ndarray                 # (B,) int
+    log_probs: np.ndarray               # (B,)
+    values: np.ndarray                  # (B,)
+    noise: Optional[np.ndarray]         # (B, L·n² + n) mask noise, None without sampled masks
 
 
 def _head_init(params: dict, rng, d_in: int, n_actions: int) -> None:
@@ -127,12 +122,12 @@ class PolicyBase:
         log_prob = ad.gather_rows(logp_all, np.asarray(actions))
         probs = ad.softmax_rows(out.action_logits)
         entropy = ad.neg(ad.tmean(ad.tsum(ad.mul(probs, logp_all), axis=-1)))
-        pm = frac = None
+        frac = None
         if out.mask_set is not None:
             pm = pathmod.path_matrix(out.mask_set)
             frac = ad.scale(pm.total, 1.0 / pm.mu)
         return ActionEval(log_prob=log_prob, entropy=entropy, value=out.value,
-                          path_fraction=frac, mask_loss_input=pm)
+                          path_fraction=frac)
 
 
 class CnnPolicy(PolicyBase):
@@ -152,7 +147,7 @@ class CnnPolicy(PolicyBase):
         x = extract(_obs_tensor(obs), self.params)
         b = x.shape[0]
         flat = ad.reshape(x, (b, x.shape[1] * x.shape[2] * x.shape[3]))
-        hidden = ad.relu(ad.add(ad.matmul(flat, self.params["mlp.w1"]), self.params["mlp.b1"]))
+        hidden = ad.relu(ad.linear(flat, self.params["mlp.w1"], self.params["mlp.b1"]))
         logits, value = _heads(self.params, hidden)
         return PolicyOutput(action_logits=logits, value=value)
 

@@ -131,16 +131,15 @@ def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
     for t in range(rollout_len):
         obs = runner.observations()
         sample = policy.act(obs, action_rng)
-        actions, logp, values = sample
         if sample.noise is not None:
             if noise_buf is None:      # filled in place: stacking a list doubles the peak
                 noise_buf = np.empty((rollout_len,) + sample.noise.shape, sample.noise.dtype)
             noise_buf[t] = sample.noise
-        rewards, dones = runner.step(actions)
+        rewards, dones = runner.step(sample.actions)
         obs_buf[t] = obs
-        act_buf[t] = actions
-        logp_buf[t] = logp
-        val_buf[t] = values
+        act_buf[t] = sample.actions
+        logp_buf[t] = sample.log_probs
+        val_buf[t] = sample.values
         rew_buf[t] = rewards
         done_buf[t] = dones
     bootstrap = policy.output(runner.observations(), mode="eval").value.data
@@ -191,8 +190,8 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
             loss = ad.add(ad.neg(surrogate), ad.scale(value_loss, cfg.value_coef))
             loss = ad.sub(loss, ad.scale(out.entropy, cfg.entropy_coef))
             mask_term = None
-            if out.mask_loss_input is not None:
-                mask_term = paths.mask_loss(out.mask_loss_input, cfg.alpha)
+            if out.path_fraction is not None:
+                mask_term = paths.mask_loss(out.path_fraction, cfg.alpha)
                 if cfg.lambda_mask > 0:
                     loss = ad.add(loss, ad.scale(mask_term, cfg.lambda_mask))
             loss = ad.scale(loss, weight)
@@ -269,19 +268,17 @@ class MetricsWriter:
         self._fh = open(self.path, "w", newline="")
         self._writer = csv.writer(self._fh, lineterminator="\n")
         self._writer.writerow(METRIC_COLUMNS)
-        self.rows: list[dict] = []
 
     def write(self, **kv) -> None:
         row = [format_cell(kv[c]) for c in METRIC_COLUMNS]
         self._writer.writerow(row)
         self._fh.flush()
-        self.rows.append(dict(kv))
 
     def close(self) -> None:
         self._fh.close()
 
 
-def train(cfg: ExperimentConfig, run_dir) -> list[dict]:
+def train(cfg: ExperimentConfig, run_dir) -> None:
     """Full training loop; writes config copy, metrics.csv, and checkpoints."""
     cfg.validate()
     run_dir = Path(run_dir)
@@ -329,4 +326,3 @@ def train(cfg: ExperimentConfig, run_dir) -> list[dict]:
         finally:
             metrics.close()
         save_params(run_dir / "checkpoint.smap", policy.params)
-    return metrics.rows

@@ -32,7 +32,7 @@ def tiny_cfg():
 _FAKE_POLICY_RANK = {"sparse_masked": 0, "input_masked": 1, "attention": 2, "cnn": 3}
 
 
-def _fake_train(cfg, run_dir) -> list[dict]:
+def _fake_train(cfg, run_dir) -> None:
     """Stands in for ``ppo.train``: writes the run's config copy and a final
     train and test row to metrics.csv, without training. The test return is
     10 on DodgeGrid and 1 on MazeGrid, plus (k + 1) * seed - 2k for the
@@ -55,7 +55,6 @@ def _fake_train(cfg, run_dir) -> list[dict]:
                       path_fraction=1.0, mask_loss=0.0, policy_loss=0.0, value_loss=0.0,
                       entropy=0.0)
     metrics.close()
-    return metrics.rows
 
 
 @pytest.fixture

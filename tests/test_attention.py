@@ -89,7 +89,7 @@ def test_open_mask_equals_dense_reference(f64):
     tokens = _tokens(rng, b=2)
     override = ones_mask_set(2, 16, CFG.n_layers)
     feats, _, _ = run_attention_stack(tokens, params, CFG, masks_override=override)
-    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers, CFG.d_model)
+    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers)
     assert np.allclose(feats.data, ref, atol=1e-9)
 
 
@@ -99,8 +99,7 @@ def test_fully_masked_row_keeps_residual_path(f64):
     tokens = _tokens(rng, n=4)
     mask = np.ones((1, 4, 4))
     mask[0, 2, :] = 0.0         # token 2 attends to nothing
-    out_masked, _ = masked_attention_layer(tokens, params, "layer0.",
-                                           Tensor(mask), CFG.d_model)
+    out_masked, _ = masked_attention_layer(tokens, params, "layer0.", Tensor(mask))
     assert np.all(np.isfinite(out_masked.data))
     # with zero attention output, token 2 reduces to layernorm+ffn of itself
     x2 = ad.layer_norm(tokens, params["layer0.ln1_g"], params["layer0.ln1_b"])
@@ -130,7 +129,7 @@ def test_aggregate_uniform_is_mean_of_values(f64):
     params["agg.q"].data = np.zeros_like(params["agg.q"].data)   # flat scores
     tokens = _tokens(np.random.default_rng(6), n=8)
     mask = Tensor(np.ones((1, 1, 8)))
-    feats, attn = aggregate(tokens, params, mask, CFG.d_model)
+    feats, attn = aggregate(tokens, params, mask)
     v = tokens.data[0] @ params["agg.wv"].data
     assert np.allclose(attn.data[0, 0], 1 / 8)
     assert np.allclose(feats.data[0], v.mean(axis=0), atol=1e-12)
@@ -141,7 +140,7 @@ def test_aggregate_one_hot_selects_token(f64):
     tokens = _tokens(np.random.default_rng(7), n=8)
     one_hot = np.zeros((1, 1, 8))
     one_hot[0, 0, 3] = 1.0
-    feats, _ = aggregate(tokens, params, Tensor(one_hot), CFG.d_model)
+    feats, _ = aggregate(tokens, params, Tensor(one_hot))
     v3 = tokens.data[0, 3] @ params["agg.wv"].data
     assert np.allclose(feats.data[0], v3, atol=1e-12)
 
@@ -149,7 +148,7 @@ def test_aggregate_one_hot_selects_token(f64):
 def test_aggregate_all_masked_is_zero_vector(f64):
     params = _params(8)
     tokens = _tokens(np.random.default_rng(8), n=8)
-    feats, _ = aggregate(tokens, params, Tensor(np.zeros((1, 1, 8))), CFG.d_model)
+    feats, _ = aggregate(tokens, params, Tensor(np.zeros((1, 1, 8))))
     assert np.array_equal(feats.data, np.zeros_like(feats.data))
 
 
@@ -159,7 +158,7 @@ def test_aggregate_open_matches_dense_oracle(f64):
     tokens = _tokens(rng, b=3, n=16)
     feats, _, _ = run_attention_stack(tokens, params, CFG,
                                       masks_override=ones_mask_set(3, 16, CFG.n_layers))
-    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers, CFG.d_model)
+    ref = oracles.dense_reference_stack(tokens.data, params, CFG.n_layers)
     assert np.max(np.abs(feats.data - ref)) < 1e-6
 
 

@@ -16,8 +16,7 @@ from smap import autodiff as ad
 from smap.attention import TrunkConfig
 from smap.autodiff import Tape, Tensor
 from smap.errors import DimensionError
-from smap.gradcheck import (analytic_grads, max_rel_error_coordinatewise, primitive_cases,
-                            run_primitive_suite)
+from smap.gradcheck import max_rel_error_coordinatewise, primitive_cases, run_primitive_suite
 from smap.policies import POLICY_KINDS, make_policy
 
 

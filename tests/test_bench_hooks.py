@@ -31,7 +31,7 @@ def test_tracer_installs_and_sees_every_trunk_stage(spans_module):
     tracer = spans_module.Tracer()
     tracer.install()
     try:
-        actions, _, _ = policy.act(obs, stream(0, "act"))
+        actions = policy.act(obs, stream(0, "act")).actions
         policy.evaluate_actions(obs, actions, mode="train")
     finally:
         tracer.uninstall()

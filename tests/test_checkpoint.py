@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from smap import autodiff as ad
 from smap import checkpoint
 from smap.autodiff import Tensor
 from smap.checkpoint import MAGIC, load_into, load_params, save_params

@@ -197,11 +197,13 @@ def test_sparse_output_replays_act_noise():
     policy = make_policy("sparse_masked", CFG, seed=12)
     obs = _obs_batch(3)
     for seed in range(2):
-        actions, logp, values = sample = policy.act(obs, stream(seed, "act"))
-        assert np.array_equal(sample.noise, noise_rows(stream(seed, "act"), 3, CFG))
-        assert sample.noise.shape == (3, CFG.n_layers * 16 * 16 + 16)
-        assert sample.noise.dtype == ad.get_default_dtype()
-        out = policy.output(obs, mode="train", noise=sample.noise)
+        sample = policy.act(obs, stream(seed, "act"))
+        assert sample._fields == ("actions", "log_probs", "values", "noise")
+        actions, logp, values, noise = sample
+        assert np.array_equal(noise, noise_rows(stream(seed, "act"), 3, CFG))
+        assert noise.shape == (3, CFG.n_layers * 16 * 16 + 16)
+        assert noise.dtype == ad.get_default_dtype()
+        out = policy.output(obs, mode="train", noise=noise)
         logits = out.action_logits.data
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -7,10 +7,10 @@ from smap import autodiff as ad
 from smap import envs, ppo
 from smap.attention import TrunkConfig, noise_rows
 from smap.autodiff import Tape, Tensor
-from smap.config import ExperimentConfig, PPOConfig
+from smap.config import PPOConfig
 from smap.errors import ConfigError, DimensionError
 from smap.optim import Adam
-from smap.policies import POLICY_KINDS, make_policy
+from smap.policies import POLICY_KINDS, ActionEval, Sample, make_policy
 from smap.ppo import RolloutBatch, compute_gae, ppo_update
 from smap.rng import stream
 
@@ -92,8 +92,7 @@ class BanditPolicy:
         p = self.probs()
         logp = np.log(p)
         actions = rng.choice(len(p), size=b, p=p)
-        values = np.zeros(b)
-        return actions, logp[actions], values
+        return Sample(actions, logp[actions], np.zeros(b), None)
 
     def evaluate_actions(self, obs, actions, mode="train", noise=None):
         b = obs.shape[0]
@@ -104,14 +103,12 @@ class BanditPolicy:
         probs = ad.softmax_rows(tiled)
         entropy = ad.neg(ad.tmean(ad.tsum(ad.mul(probs, logp_all), axis=-1)))
         value = ad.scale(logp, 0.0)             # critic pinned at zero
-        from smap.policies import ActionEval
-        return ActionEval(log_prob=logp, entropy=entropy, value=value,
-                          path_fraction=None, mask_loss_input=None)
+        return ActionEval(log_prob=logp, entropy=entropy, value=value, path_fraction=None)
 
 
 def _bandit_rollout(policy, rng, n=64):
     obs = np.zeros((n, 1, 1, 1))
-    actions, logp, values = policy.act(obs, rng)
+    actions, logp, values, _ = policy.act(obs, rng)
     rewards = (actions == 0).astype(float)      # action 0 pays 1, else 0
     return RolloutBatch(
         observations=obs.reshape(n, 1, 1, 1, 1),
@@ -337,12 +334,12 @@ def test_short_training_run_is_deterministic(tmp_path, tiny_cfg):
 
 def test_training_writes_run_artifacts(tmp_path, tiny_cfg):
     tiny_cfg.policy = "cnn"
-    rows = ppo.train(tiny_cfg, tmp_path / "run")
+    assert ppo.train(tiny_cfg, tmp_path / "run") is None
     assert (tmp_path / "run" / "metrics.csv").exists()
     assert (tmp_path / "run" / "config.txt").exists()
     assert (tmp_path / "run" / "checkpoint.smap").exists()
     assert (tmp_path / "run" / "params.txt").exists()
-    splits = {r["split"] for r in rows}
-    assert splits == {"train", "test"}
-    header = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[0]
+    header, *rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
     assert header == ",".join(ppo.METRIC_COLUMNS)
+    split = ppo.METRIC_COLUMNS.index("split")
+    assert {row.split(",")[split] for row in rows} == {"train", "test"}

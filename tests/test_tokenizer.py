@@ -3,7 +3,7 @@ import pytest
 
 from smap import autodiff as ad
 from smap import tokenizer
-from smap.autodiff import Tape, Tensor
+from smap.autodiff import Tensor
 from smap.errors import ConfigError, DimensionError
 from smap.gradcheck import analytic_grads, fd_coordinate, rel_error
 from smap.rng import stream
