@@ -1,9 +1,10 @@
 """Multi-layer self-attention gated by learned stochastic binary masks.
 
 Attention weights are the renormalized masked softmax
-``(M * exp(QK^T/sqrt(d_model))) / rowsum``, with mask logits produced by separate
-mask embeddings from the *current* layer's token representations, so sparsity
-in early layers also sparsifies the mask computation of later layers. A final
+``(M * exp(QK^T/sqrt(D_TOKEN))) / rowsum``, ``D_TOKEN`` the token width, with
+mask logits produced by separate mask embeddings from the *current* layer's
+token representations, so sparsity in early layers also sparsifies the mask
+computation of later layers. A final
 aggregation step attends from one learned query over the last layer's tokens
 (with its own 1xn mask) to produce the feature vector for the heads.
 
@@ -28,15 +29,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .envs import GRID, OBS_CHANNELS
 from .errors import ConfigError
-from .tokenizer import conv_output_dims, init_extractor, tokenize
+from .tokenizer import D_TOKEN, N_TOKENS, init_extractor, tokenize
 
 
 @dataclass(frozen=True)
 class TrunkConfig:
-    """The trunk's architecture; queries, keys and values are ``d_model`` wide."""
-    d_model: int = 32
+    """The trunk's architecture; queries, keys and values are ``D_TOKEN`` wide."""
     d_m: int = 16
     d_ff: int = 64
     n_layers: int = 2
@@ -55,8 +54,8 @@ class MaskSet:
 
 def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
                       with_masks: bool) -> dict[str, Tensor]:
-    params = init_extractor(rng, OBS_CHANNELS)
-    d, dm, dff = cfg.d_model, cfg.d_m, cfg.d_ff
+    params = init_extractor(rng)
+    d, dm, dff = D_TOKEN, cfg.d_m, cfg.d_ff
 
     def w(name, *shape, fan=None):
         fan = fan if fan is not None else shape[0]
@@ -98,8 +97,8 @@ def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
 def noise_rows(rng: np.random.Generator, batch: int, cfg: TrunkConfig) -> np.ndarray:
     """Logistic mask noise for ``batch`` samples at the working dtype, one row
     each: its L (n, n) layer blocks row-major, then its (1, n) aggregation row."""
-    n = int(np.prod(conv_output_dims((GRID, GRID))))
-    return rng.logistic(size=(batch, cfg.n_layers * n * n + n)).astype(ad.get_default_dtype())
+    return rng.logistic(size=(batch, cfg.n_layers * N_TOKENS ** 2 + N_TOKENS)
+                        ).astype(ad.get_default_dtype())
 
 
 def sample_mask_values(logits: Tensor, mode: str, tau: float,

@@ -25,7 +25,6 @@ from .config import ExperimentConfig, load_config, to_text
 from .errors import ConfigError
 from .policies import make_policy
 from .ppo import evaluate_policy, train
-from .tokenizer import receptive_fields
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -157,7 +156,7 @@ def cmd_visualize(args) -> int:
         out = policy.output(obs[None], mode="eval")
         try:
             imap = evaluation.attention_importance(
-                [a.data for a in out.attn], receptive_fields(obs.shape[-2:]),
+                [a.data for a in out.attn],
                 metadata={"policy_kind": policy.kind, "level_seed": args.level,
                           "step_index": 0, "env_kind": cfg.env_kind})
         except ValueError as e:

@@ -68,7 +68,8 @@ DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))
 N_ACTIONS = len(ACTIONS)
 
 RETURN_BOUNDS = {
-    KIND_DODGE: (0.0, GOAL_REWARD + TICK_REWARD * DODGE_HORIZON),
+    # collecting the item ends the episode, so at most DODGE_HORIZON - 1 ticks precede it
+    KIND_DODGE: (0.0, GOAL_REWARD + TICK_REWARD * (DODGE_HORIZON - 1)),
     KIND_MAZE: (0.0, GOAL_REWARD),
 }
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .envs import GRID, RETURN_BOUNDS
 from .errors import ConfigError, DimensionError
+from .tokenizer import RECEPTIVE_FIELDS
 
 
 def normalize_return(raw: float, kind: str) -> float:
@@ -37,7 +38,7 @@ class ImportanceMap:
     metadata: dict = field(default_factory=dict)
 
 
-def attention_importance(attn, receptive_fields, metadata=None) -> ImportanceMap:
+def attention_importance(attn, metadata=None) -> ImportanceMap:
     """Attention rollout over one eval-mode forward's attention weights: one
     (1, n, n) array per layer in order, then the (1, 1, n) aggregation row."""
     if not attn:
@@ -57,7 +58,7 @@ def attention_importance(attn, receptive_fields, metadata=None) -> ImportanceMap
     importance = weights / total
 
     pixel_map = np.zeros((GRID, GRID))
-    for i, (r0, r1, c0, c1) in enumerate(receptive_fields):
+    for i, (r0, r1, c0, c1) in enumerate(RECEPTIVE_FIELDS):
         area = (r1 - r0) * (c1 - c0)
         pixel_map[r0:r1, c0:c1] += importance[i] / area
     return ImportanceMap(token_importance=importance, pixel_map=pixel_map,

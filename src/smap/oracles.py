@@ -390,16 +390,15 @@ def influence_blocking_trial(seed: int) -> tuple[int, bool]:
         return 0, True
 
     from .attention import forward_trunk
-    from .tokenizer import receptive_fields
+    from .tokenizer import RECEPTIVE_FIELDS
     from . import autodiff as ad_mod
 
-    rects = receptive_fields(obs.shape[-2:])
     base, _, _ = forward_trunk(ad_mod.Tensor(obs.astype(ad_mod.get_default_dtype())),
                          policy.params, cfg, mode="eval",
                          masks_override=out.mask_set)
     tested = 0
     for i in dead:
-        r0, r1, c0, c1 = rects[i]
+        r0, r1, c0, c1 = RECEPTIVE_FIELDS[i]
         for _ in range(3):
             perturbed = obs.copy()
             perturbed[0, :, r0:r1, c0:c1] += rng.standard_normal(

@@ -60,9 +60,9 @@ def mask_loss(frac: Tensor, alpha: float) -> Tensor:
     return ad.tmean(ad.square(ad.sub(frac, float(alpha))))
 
 
-def path_fraction(pm: PathMatrix) -> np.ndarray:
-    """Active-path fraction per sample, as plain numbers."""
-    return pm.total.data / pm.mu
+def path_fraction(pm: PathMatrix) -> Tensor:
+    """The (B,) active-path fraction ``total / mu``, differentiable."""
+    return ad.scale(pm.total, 1.0 / pm.mu)
 
 
 def effective_input_relevance(pm: PathMatrix) -> np.ndarray:

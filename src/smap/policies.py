@@ -27,10 +27,10 @@ from . import autodiff as ad
 from . import paths as pathmod
 from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params, noise_rows
 from .autodiff import Tensor
-from .envs import GRID, N_ACTIONS, OBS_CHANNELS
+from .envs import N_ACTIONS, OBS_CHANNELS
 from .errors import ConfigError
 from .rng import stream
-from .tokenizer import DEFAULT_STACK, conv_output_dims, extract, init_extractor
+from .tokenizer import D_TOKEN, N_TOKENS, extract, init_extractor
 
 
 @dataclass
@@ -125,7 +125,7 @@ class PolicyBase:
         frac = None
         if out.mask_set is not None:
             pm = pathmod.path_matrix(out.mask_set)
-            frac = ad.scale(pm.total, 1.0 / pm.mu)
+            frac = pathmod.path_fraction(pm)
         return ActionEval(log_prob=log_prob, entropy=entropy, value=out.value,
                           path_fraction=frac)
 
@@ -134,9 +134,8 @@ class CnnPolicy(PolicyBase):
     kind = "cnn"
 
     def _build(self, rng):
-        self.params = init_extractor(rng, OBS_CHANNELS)
-        h2, w2 = conv_output_dims((GRID, GRID))
-        flat = DEFAULT_STACK[-1].filters * h2 * w2
+        self.params = init_extractor(rng)
+        flat = D_TOKEN * N_TOKENS
         hidden = 128
         self.params["mlp.w1"] = ad.parameter(
             rng.standard_normal((flat, hidden)) / np.sqrt(flat), "mlp.w1")
@@ -145,8 +144,7 @@ class CnnPolicy(PolicyBase):
 
     def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
         x = extract(_obs_tensor(obs), self.params)
-        b = x.shape[0]
-        flat = ad.reshape(x, (b, x.shape[1] * x.shape[2] * x.shape[3]))
+        flat = ad.reshape(x, (x.shape[0], D_TOKEN * N_TOKENS))
         hidden = ad.relu(ad.linear(flat, self.params["mlp.w1"], self.params["mlp.b1"]))
         logits, value = _heads(self.params, hidden)
         return PolicyOutput(action_logits=logits, value=value)
@@ -157,7 +155,7 @@ class AttentionPolicy(PolicyBase):
 
     def _build(self, rng):
         self.params = init_trunk_params(rng, self.cfg, with_masks=self.samples_masks)
-        _head_init(self.params, rng, self.cfg.d_model, N_ACTIONS)
+        _head_init(self.params, rng, D_TOKEN, N_ACTIONS)
 
     def _attend(self, x: Tensor, mode: str, noise) -> PolicyOutput:
         """The body of every attention agent: the trunk, then the heads."""
@@ -187,7 +185,7 @@ class InputMaskedPolicy(AttentionPolicy):
             rng.standard_normal((1, h, 1, 1)) / np.sqrt(h), "masknet.conv1.w")
         # start close to a pass-through mask
         self.params["masknet.conv1.b"] = ad.parameter(np.full(1, 2.0), "masknet.conv1.b")
-        _head_init(self.params, rng, cfg.d_model, N_ACTIONS)
+        _head_init(self.params, rng, D_TOKEN, N_ACTIONS)
 
     def pixel_mask(self, obs_t: Tensor) -> Tensor:
         h = ad.conv2d(obs_t, self.params["masknet.conv0.w"], stride=1)

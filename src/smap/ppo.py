@@ -246,7 +246,7 @@ def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],
         obs = np.stack([envs.render_obs(states[i]) for i in alive])
         out = policy.output(obs, mode="eval")
         if out.mask_set is not None:
-            fr = paths.path_fraction(paths.path_matrix(out.mask_set))
+            fr = paths.path_fraction(paths.path_matrix(out.mask_set)).data
             frac_sum += float(fr.sum())
             frac_n += fr.size
         actions = np.argmax(out.action_logits.data, axis=-1)

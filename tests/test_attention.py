@@ -10,6 +10,7 @@ from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
 from smap.gradcheck import analytic_grads, fd_coordinate, rel_error
 from smap.rng import stream
+from smap.tokenizer import D_TOKEN
 
 CFG = TrunkConfig()
 
@@ -111,13 +112,13 @@ def test_fully_masked_row_keeps_residual_path(f64):
 
 def test_identity_mask_with_flat_scores_returns_values(f64):
     params = _params(5)
-    n, d = 4, CFG.d_model
+    n, d = 4, D_TOKEN
     params["layer0.wq"].data = np.zeros_like(params["layer0.wq"].data)
     tokens = _tokens(np.random.default_rng(5), n=n)
     q = ad.matmul(tokens, params["layer0.wq"])
     k = ad.matmul(tokens, params["layer0.wk"])
     v = ad.matmul(tokens, params["layer0.wv"])
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(CFG.d_model))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(D_TOKEN))
     assert np.allclose(scores.data, 0.0)
     attn = ad.masked_softmax(scores, Tensor(np.eye(n)[None]))
     mixed = ad.matmul(attn, v)
@@ -168,7 +169,7 @@ def test_zero_depth_trunk_is_aggregation_only(f64):
     rng = np.random.default_rng(10)
     obs = Tensor(rng.random((1, 4, 16, 16)))
     feats, masks, attn = forward_trunk(obs, params, cfg, mode="eval")
-    assert feats.shape == (1, cfg.d_model)
+    assert feats.shape == (1, D_TOKEN)
     assert masks.layers == []
     assert [a.shape for a in attn] == [(1, 1, 16)]
 
@@ -234,7 +235,7 @@ def test_dense_stack_without_masks_equals_all_ones_override(f64):
     rng = np.random.default_rng(15)
     params = _params(15, with_masks=False)
     tokens = _tokens(rng, b=3)
-    weights = Tensor(rng.standard_normal((3, CFG.d_model)))
+    weights = Tensor(rng.standard_normal((3, D_TOKEN)))
     grad_names = ("layer0.wq", "layer1.ffn_w1", "layer1.ln2_g", "agg.q", "agg.wv")
 
     def run(override):

@@ -170,6 +170,14 @@ def test_dodge_optimal_policy_matches_dp_value():
         assert abs(dp_value - rollout) < 1e-9
 
 
+def test_dodge_upper_return_bound_is_reached():
+    """The optimal policy collects the item, which ends the episode before
+    the last tick, and earns exactly the upper bound."""
+    hi = RETURN_BOUNDS[KIND_DODGE][1]
+    for seed in range(5):
+        assert abs(oracles.dodge_rollout_optimal(generate_level(KIND_DODGE, seed)) - hi) < 1e-9
+
+
 def test_dodge_is_sparse_dependent():
     fractions = []
     for seed in range(2):

@@ -9,10 +9,9 @@ from smap.errors import ConfigError, DimensionError
 from smap.evaluation import (REPORT_COLUMNS, attention_importance, export_heatmap,
                              format_report, generalization_report, normalize_return,
                              write_report)
-from smap.tokenizer import receptive_fields
+from smap.tokenizer import N_TOKENS, RECEPTIVE_FIELDS
 
-N = 16
-RECTS = receptive_fields((16, 16))
+N = N_TOKENS
 
 
 def _uniform_layers(count):
@@ -21,7 +20,7 @@ def _uniform_layers(count):
 
 def test_uniform_attention_gives_uniform_importance():
     attn = _uniform_layers(2) + [np.full((1, 1, N), 1.0 / N)]
-    imap = attention_importance(attn, RECTS, metadata={"level": 3})
+    imap = attention_importance(attn, metadata={"level": 3})
     assert np.allclose(imap.token_importance, 1.0 / N)
     assert np.allclose(imap.pixel_map, 1.0 / (16 * 16))
     assert imap.metadata == {"level": 3}
@@ -30,9 +29,9 @@ def test_uniform_attention_gives_uniform_importance():
 def test_one_hot_aggregation_puts_the_map_on_that_tokens_field():
     agg = np.zeros((1, 1, N))
     agg[0, 0, 5] = 1.0
-    imap = attention_importance([np.eye(N)[None], agg], RECTS)
+    imap = attention_importance([np.eye(N)[None], agg])
     assert np.array_equal(imap.token_importance, np.eye(N)[5])
-    r0, r1, c0, c1 = RECTS[5]
+    r0, r1, c0, c1 = RECEPTIVE_FIELDS[5]
     inside = np.zeros((16, 16), dtype=bool)
     inside[r0:r1, c0:c1] = True
     assert np.isclose(imap.pixel_map[inside].sum(), 1.0)
@@ -41,19 +40,19 @@ def test_one_hot_aggregation_puts_the_map_on_that_tokens_field():
 
 def test_importance_rejects_malformed_records():
     with pytest.raises(ValueError):
-        attention_importance([], RECTS)
+        attention_importance([])
     with pytest.raises(DimensionError):
         attention_importance([np.full((2, N, N), 1.0 / N),
-                              np.full((2, 1, N), 1.0 / N)], RECTS)
+                              np.full((2, 1, N), 1.0 / N)])
     with pytest.raises(ValueError):
-        attention_importance(_uniform_layers(1) + [np.zeros((1, 1, N))], RECTS)
+        attention_importance(_uniform_layers(1) + [np.zeros((1, 1, N))])
 
 
 def test_heatmap_json_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     agg = rng.random((1, 1, N))
     attn = [rng.dirichlet(np.ones(N), size=N)[None], agg / agg.sum()]
-    imap = attention_importance(attn, RECTS, metadata={"kind": KIND_DODGE, "level": 7})
+    imap = attention_importance(attn, metadata={"kind": KIND_DODGE, "level": 7})
     pgm, js = export_heatmap(imap, tmp_path / "heat")
     assert pgm.read_bytes().startswith(b"P5\n16 16\n255\n")
     back = json.loads(js.read_text(encoding="utf-8"))

@@ -18,11 +18,6 @@ def _mask_set(layer_masks, out_mask):
     return MaskSet(layers=layers, out=out)
 
 
-def _fraction(pm):
-    """The (B,) path fraction tensor, as ``evaluate_actions`` computes it."""
-    return ad.scale(pm.total, 1.0 / pm.mu)
-
-
 def test_identity_mask_single_layer():
     ms = _mask_set([np.eye(2)], [1.0, 1.0])
     pm = pathmod.path_matrix(ms)
@@ -68,20 +63,20 @@ def test_mu_consistency_with_all_ones():
 def test_mask_loss_zero_at_target():
     ms = _mask_set([np.ones((2, 2))], [1.0, 1.0])
     pm = pathmod.path_matrix(ms)
-    assert pathmod.mask_loss(_fraction(pm), 1.0).item() == 0.0
+    assert pathmod.mask_loss(pathmod.path_fraction(pm), 1.0).item() == 0.0
 
 
 def test_mask_loss_dense_network_alpha_005():
     ms = _mask_set([np.ones((4, 4))] * 2, np.ones(4))
     pm = pathmod.path_matrix(ms)
-    assert abs(pathmod.mask_loss(_fraction(pm), 0.05).item() - 0.9025) < 1e-12
+    assert abs(pathmod.mask_loss(pathmod.path_fraction(pm), 0.05).item() - 0.9025) < 1e-12
 
 
 def test_mask_loss_alpha_range_checked():
     ms = _mask_set([np.ones((2, 2))], [1.0, 1.0])
     pm = pathmod.path_matrix(ms)
     with pytest.raises(ConfigError):
-        pathmod.mask_loss(_fraction(pm), 1.5)
+        pathmod.mask_loss(pathmod.path_fraction(pm), 1.5)
 
 
 def test_relevance_example():
@@ -153,7 +148,7 @@ def test_gradient_flows_through_straight_through_masks(f64):
         _, out_hard = sample_mask_values(out_logits, "train", 1.0,
                                          stream(0, "b").logistic(size=out_logits.shape))
         ms = MaskSet(layers=[hard], out=out_hard)
-        loss = pathmod.mask_loss(_fraction(pathmod.path_matrix(ms)), 0.3)
+        loss = pathmod.mask_loss(pathmod.path_fraction(pathmod.path_matrix(ms)), 0.3)
     ad.backward(tape, loss)
     assert logits.grad is not None and np.any(logits.grad != 0)
     assert out_logits.grad is not None and np.any(out_logits.grad != 0)

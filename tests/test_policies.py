@@ -6,11 +6,12 @@ import pytest
 from smap import autodiff as ad
 from smap import envs
 from smap import paths as pathmod
-from smap.attention import TrunkConfig, noise_rows
+from smap.attention import TrunkConfig, forward_trunk, noise_rows
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
 from smap.policies import POLICY_KINDS, make_policy
 from smap.rng import stream
+from smap.tokenizer import D_TOKEN
 
 CFG = TrunkConfig()
 
@@ -149,6 +150,26 @@ def test_parameter_counts_are_stable():
     }
     for kind, count in expected.items():
         assert make_policy(kind, CFG, seed=0).parameter_count() == count
+
+
+@pytest.mark.parametrize("setting", [{"d_m": 8}, {"d_ff": 32}, {"n_layers": 0},
+                                     {"n_layers": 3}, {"tau": 0.5}, {"beta_init": 0.0}])
+def test_every_trunk_setting_works(setting):
+    """Each TrunkConfig field works away from its default, for every agent,
+    in eval mode and in train mode."""
+    cfg = TrunkConfig(**setting)
+    obs = _obs_batch(2)
+    for kind in POLICY_KINDS:
+        policy = make_policy(kind, cfg, seed=6)
+        noise = noise_rows(stream(0, "noise"), 2, cfg) if policy.samples_masks else None
+        for mode, rows in (("eval", None), ("train", noise)):
+            out = policy.output(obs, mode=mode, noise=rows)
+            assert out.action_logits.shape == (2, envs.N_ACTIONS)
+            assert out.value.shape == (2,)
+            if kind != "cnn":
+                feats, _, _ = forward_trunk(Tensor(obs.astype(ad.get_default_dtype())),
+                                            policy.params, cfg, mode=mode, noise=rows)
+                assert feats.shape == (2, D_TOKEN)
 
 
 @pytest.mark.parametrize("kind,entries", [("sparse_masked", 93), ("attention", 59)])
