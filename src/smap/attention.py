@@ -59,13 +59,13 @@ def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
 
     def w(name, *shape, fan=None):
         fan = fan if fan is not None else shape[0]
-        params[name] = ad.parameter(rng.standard_normal(shape) / np.sqrt(fan), name)
+        params[name] = ad.parameter(rng.standard_normal(shape) / np.sqrt(fan))
 
     def zeros(name, *shape):
-        params[name] = ad.parameter(np.zeros(shape), name)
+        params[name] = ad.parameter(np.zeros(shape))
 
     def ones(name, *shape):
-        params[name] = ad.parameter(np.ones(shape), name)
+        params[name] = ad.parameter(np.ones(shape))
 
     for l in range(cfg.n_layers):
         p = f"layer{l}."
@@ -83,14 +83,14 @@ def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
         if with_masks:
             w(p + "wqm", d, dm)
             w(p + "wkm", d, dm)
-            params[p + "beta"] = ad.parameter(np.asarray(cfg.beta_init), p + "beta")
+            params[p + "beta"] = ad.parameter(np.asarray(cfg.beta_init))
     w("agg.q", 1, d, fan=d)
     w("agg.wk", d, d)
     w("agg.wv", d, d)
     if with_masks:
         w("agg.qm", 1, cfg.d_m, fan=cfg.d_m)
         w("agg.wkm", d, cfg.d_m)
-        params["agg.beta"] = ad.parameter(np.asarray(cfg.beta_init), "agg.beta")
+        params["agg.beta"] = ad.parameter(np.asarray(cfg.beta_init))
     return params
 
 

@@ -4,8 +4,9 @@ Everything the networks need is built from the operations in this module.
 An op with an input that requires gradients adds an entry to the active
 ``Tape`` (if any). A tape retains the arrays each op's backward reads and the
 leaf tensors, never intermediate Tensors; ``Node`` records stand in for those.
-``backward`` replays the tape in reverse and accumulates into the ``grad``
-slot of leaf tensors, again on every replay, until ``zero_grad`` is called.
+``backward`` replays the tape in reverse and returns the gradient of the loss
+with respect to each leaf tensor it reaches, as a new dict; it writes nothing
+to any tensor, so replaying a tape twice gives the same gradients twice.
 
 Precision is a process-global setting: training runs at float32, the
 verification suites switch to float64 via the ``precision`` context
@@ -31,7 +32,7 @@ Outside glibc nothing is changed.
 Importing the module also sets numpy's bundled OpenBLAS to one thread. The
 PPO update runs two half-minibatch shards on two Python threads, one tape
 each: the tape stack is per thread, node ids come from one atomic counter, and
-``backward`` can add leaf gradients into a dict its caller owns, so the shared
+each shard's ``backward`` returns its own dict of leaf gradients, so the shared
 parameters are only read. A minibatch is bound by elementwise passes and
 Python, not GEMMs, so a second BLAS thread gains nothing serially; alongside a
 second shard it contends for the same cores and made the split slower than
@@ -134,16 +135,13 @@ def _check_finite(arr: np.ndarray) -> None:
 
 
 class Tensor:
-    """An n-dimensional array plus an optional accumulated gradient."""
+    """An n-dimensional array and its identity on a tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "node_id")
+    __slots__ = ("data", "requires_grad", "node_id")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None,
-                 dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype if dtype is not None else _DTYPE)
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self.name = name
         self.node_id = next(_NODE_IDS)
 
     @property
@@ -165,17 +163,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-def parameter(data, name: str) -> Tensor:
+def parameter(data) -> Tensor:
     """A leaf tensor that receives gradients."""
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, requires_grad=True)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -245,32 +239,16 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor,
-             leaf_grads: Optional[dict[Tensor, np.ndarray]] = None) -> None:
-    """Populate grads of every leaf tensor reachable from ``loss``.
-
-    Repeated calls accumulate; call ``zero_grad`` on the parameters (or use
-    an optimizer) between passes. With ``leaf_grads``, leaf gradients are
-    added into that dict, keyed by tensor, and no ``grad`` slot is touched,
-    so tapes on other threads can share the leaves.
-    """
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """The gradient of ``loss`` with respect to every leaf tensor it reaches."""
     if loss.shape != ():
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
     seed = np.ones((), dtype=loss.data.dtype)
-
-    def accumulate_leaf(t: Tensor, g: np.ndarray) -> None:
-        if leaf_grads is not None:
-            prev = leaf_grads.get(t)
-            leaf_grads[t] = np.array(g) if prev is None else prev + g
-            return
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
-
+    leaves: dict[Tensor, np.ndarray] = {}
     if loss.node_id not in tape._produced:
         if loss.requires_grad:
-            accumulate_leaf(loss, seed)
-        return
+            leaves[loss] = seed
+        return leaves
 
     grads: dict[int, np.ndarray] = {loss.node_id: seed}
     for out, inputs, backward_fn in reversed(tape.entries):
@@ -285,7 +263,10 @@ def backward(tape: Tape, loss: Tensor,
                 prev = grads.get(t.node_id)
                 grads[t.node_id] = ig if prev is None else prev + ig
             else:
-                accumulate_leaf(t, np.asarray(ig, dtype=t.data.dtype))
+                ig = np.asarray(ig, dtype=t.data.dtype)
+                prev = leaves.get(t)
+                leaves[t] = np.array(ig) if prev is None else prev + ig
+    return leaves
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

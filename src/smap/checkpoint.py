@@ -55,6 +55,8 @@ def load_params(path) -> dict[str, np.ndarray]:
     if hlen is None or off + hlen > len(raw):
         raise ValueError(f"{path} is truncated (short header)")
     manifest = json.loads(raw[off:off + hlen].decode("utf-8"))
+    if not isinstance(manifest, list):
+        raise ValueError(f"{path}: the manifest is not a list")
     off += hlen
     out: dict[str, np.ndarray] = {}
     for entry in manifest:
@@ -62,6 +64,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             name, shape, dtype = entry["name"], tuple(entry["shape"]), _TAG_DTYPES[entry["dtype"]]
         except (KeyError, TypeError) as e:
             raise ValueError(f"{path}: bad manifest entry {entry!r}") from e
+        if name in out:
+            raise ValueError(f"{path}: repeated tensor name {name!r}")
         if not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"{path}: bad shape {list(shape)} for {name!r}")
         count = math.prod(shape)

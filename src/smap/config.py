@@ -40,9 +40,14 @@ class PPOConfig:
             raise ConfigError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
         if not 0 <= self.alpha <= 1:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for name in ("gamma", "gae_lambda", "learning_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("gamma", "gae_lambda"):     # above 1, GAE grows without bound
+            if not 0 < getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
+        for name in ("entropy_coef", "value_coef", "lambda_mask"):   # below 0, a loss is a reward
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
         for name in ("epochs", "rollout_len", "n_envs", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

@@ -33,11 +33,10 @@ def analytic_grads(loss_fn: Callable[[Sequence[Tensor]], Tensor],
                    tensors: Sequence[Tensor]) -> list[np.ndarray]:
     for t in tensors:
         t.requires_grad = True
-        t.zero_grad()
     with Tape() as tape:
         loss = loss_fn(tensors)
-    ad.backward(tape, loss)
-    return [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    grads = ad.backward(tape, loss)
+    return [grads[t] if t in grads else np.zeros_like(t.data) for t in tensors]
 
 
 def fd_coordinate(loss_fn, tensors: Sequence[Tensor], which: int, index) -> float:

@@ -19,18 +19,16 @@ class Adam:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """One update from ``grads``, keyed by parameter; a parameter with no
+        entry is left as it is."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+            g = grads.get(p)
+            if g is None:
                 continue
-            g = p.grad
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

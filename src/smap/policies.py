@@ -60,9 +60,9 @@ class Sample(NamedTuple):
 def _head_init(params: dict, rng, d_in: int, n_actions: int) -> None:
     for name, shape, fan in (("head.pi_w", (d_in, n_actions), d_in),
                              ("head.v_w", (d_in, 1), d_in)):
-        params[name] = ad.parameter(rng.standard_normal(shape) / np.sqrt(fan), name)
-    params["head.pi_b"] = ad.parameter(np.zeros(n_actions), "head.pi_b")
-    params["head.v_b"] = ad.parameter(np.zeros(1), "head.v_b")
+        params[name] = ad.parameter(rng.standard_normal(shape) / np.sqrt(fan))
+    params["head.pi_b"] = ad.parameter(np.zeros(n_actions))
+    params["head.v_b"] = ad.parameter(np.zeros(1))
 
 
 def _heads(params: dict, features: Tensor) -> tuple[Tensor, Tensor]:
@@ -138,8 +138,8 @@ class CnnPolicy(PolicyBase):
         flat = D_TOKEN * N_TOKENS
         hidden = 128
         self.params["mlp.w1"] = ad.parameter(
-            rng.standard_normal((flat, hidden)) / np.sqrt(flat), "mlp.w1")
-        self.params["mlp.b1"] = ad.parameter(np.zeros(hidden), "mlp.b1")
+            rng.standard_normal((flat, hidden)) / np.sqrt(flat))
+        self.params["mlp.b1"] = ad.parameter(np.zeros(hidden))
         _head_init(self.params, rng, hidden, N_ACTIONS)
 
     def output(self, obs, mode="eval", noise=None) -> PolicyOutput:
@@ -179,12 +179,12 @@ class InputMaskedPolicy(AttentionPolicy):
         c = OBS_CHANNELS
         h = self.MASK_HIDDEN
         self.params["masknet.conv0.w"] = ad.parameter(
-            rng.standard_normal((h, c, 1, 1)) / np.sqrt(c), "masknet.conv0.w")
-        self.params["masknet.conv0.b"] = ad.parameter(np.zeros(h), "masknet.conv0.b")
+            rng.standard_normal((h, c, 1, 1)) / np.sqrt(c))
+        self.params["masknet.conv0.b"] = ad.parameter(np.zeros(h))
         self.params["masknet.conv1.w"] = ad.parameter(
-            rng.standard_normal((1, h, 1, 1)) / np.sqrt(h), "masknet.conv1.w")
+            rng.standard_normal((1, h, 1, 1)) / np.sqrt(h))
         # start close to a pass-through mask
-        self.params["masknet.conv1.b"] = ad.parameter(np.full(1, 2.0), "masknet.conv1.b")
+        self.params["masknet.conv1.b"] = ad.parameter(np.full(1, 2.0))
         _head_init(self.params, rng, D_TOKEN, N_ACTIONS)
 
     def pixel_mask(self, obs_t: Tensor) -> Tensor:

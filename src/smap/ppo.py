@@ -202,9 +202,7 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
                                    if out.path_fraction is not None else 1.0)}
         if not all(np.isfinite(v) for v in terms.values()):
             raise FloatingPointError(f"non-finite loss term during PPO update: {terms}")
-        grads: dict = {}
-        ad.backward(tape, loss, grads)
-        return terms, grads
+        return terms, ad.backward(tape, loss)
 
     sums = dict.fromkeys((f.name for f in fields(UpdateStats)), 0.0)
     n_minibatches = 0
@@ -222,13 +220,13 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
                     first = run_shard(*shards[0])
                 finally:
                     second = future.result()
-                optimizer.zero_grad()
-                for (terms, grads), (_, weight) in zip((first, second), shards):
-                    for p, g in grads.items():
-                        p.grad = g if p.grad is None else p.grad + g
+                grads = first[1]
+                for p, g in second[1].items():
+                    grads[p] = grads[p] + g if p in grads else g
+                for (terms, _), (_, weight) in zip((first, second), shards):
                     for key in sums:
                         sums[key] += weight * terms[key]
-                optimizer.step()
+                optimizer.step(grads)
                 n_minibatches += 1
     if n_minibatches == 0:
         return UpdateStats()

@@ -53,8 +53,8 @@ def init_extractor(rng: np.random.Generator) -> dict[str, Tensor]:
     c = OBS_CHANNELS
     for i, filters in enumerate(FILTERS):
         w = rng.standard_normal((filters, c, 2, 2)) / np.sqrt(c * 2 * 2)
-        params[f"extractor.conv{i}.w"] = ad.parameter(w, f"extractor.conv{i}.w")
-        params[f"extractor.conv{i}.b"] = ad.parameter(np.zeros(filters), f"extractor.conv{i}.b")
+        params[f"extractor.conv{i}.w"] = ad.parameter(w)
+        params[f"extractor.conv{i}.b"] = ad.parameter(np.zeros(filters))
         c = filters
     return params
 

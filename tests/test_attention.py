@@ -241,13 +241,12 @@ def test_dense_stack_without_masks_equals_all_ones_override(f64):
     def run(override):
         for name in grad_names:
             params[name].requires_grad = True
-            params[name].zero_grad()
         with Tape() as tape:
             feats, masks, attn = run_attention_stack(tokens, params, CFG,
                                                      masks_override=override)
             loss = ad.tsum(ad.mul(feats, weights))
-        ad.backward(tape, loss)
-        return feats.data, masks, attn, [params[k].grad.copy() for k in grad_names]
+        grads = ad.backward(tape, loss)
+        return feats.data, masks, attn, [grads[params[k]] for k in grad_names]
 
     feats, masks, attn, grads = run(None)
     ref_feats, _, ref_attn, ref_grads = run(ones_mask_set(3, 16, CFG.n_layers))

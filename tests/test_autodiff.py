@@ -76,8 +76,7 @@ def test_mean_square_gradient(f64):
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
         loss = ad.tmean(ad.square(x))
-    ad.backward(tape, loss)
-    assert np.allclose(x.grad, [2 / 3, 4 / 3, 2.0], atol=1e-12)
+    assert np.allclose(ad.backward(tape, loss)[x], [2 / 3, 4 / 3, 2.0], atol=1e-12)
 
 
 def test_elementwise_shape_mismatch():
@@ -156,8 +155,8 @@ def test_conv2d_channels_last_matches_contiguous(f64, c_in, k, stride, size):
         with Tape() as tape:
             out = ad.conv2d(x, kt, stride=stride)
             loss = ad.tsum(ad.mul(out, Tensor(w)))
-        ad.backward(tape, loss)
-        results.append((out.data, x.grad, kt.grad))
+        grads = ad.backward(tape, loss)
+        results.append((out.data, grads[x], grads[kt]))
     for got_cl, got, ref in zip(*results, reference):
         assert np.allclose(got_cl, got, rtol=0, atol=1e-12)
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
@@ -180,8 +179,6 @@ def update():
         ev = policy.evaluate_actions(obs, actions, mode="train")
         loss = ad.add(ad.tsum(ev.log_prob), ad.tsum(ev.value))
     ad.backward(tape, loss)
-    for p in policy.params.values():
-        p.zero_grad()
 
 update()
 update()
@@ -316,9 +313,9 @@ def test_node_ids_are_unique_across_threads():
 
 def _shared_params():
     rng = np.random.default_rng(8)
-    return [Tensor(rng.standard_normal((6, 5)), requires_grad=True, name="w"),
-            Tensor(rng.standard_normal(5), requires_grad=True, name="b"),
-            Tensor(rng.standard_normal((5, 1, 1)), requires_grad=True, name="c")]
+    return [Tensor(rng.standard_normal((6, 5)), requires_grad=True),
+            Tensor(rng.standard_normal(5), requires_grad=True),
+            Tensor(rng.standard_normal((5, 1, 1)), requires_grad=True)]
 
 
 def _small_loss(params, x):
@@ -329,20 +326,17 @@ def _small_loss(params, x):
 
 
 def test_threads_record_their_own_tapes_on_shared_params(f64):
-    """Each thread's tape holds only its own ops, and leaf gradients land in
-    its own dict; a shared tape stack or a racing node id would mix them."""
+    """Each thread's tape holds only its own ops, and each ``backward``
+    returns its own dict; a shared tape stack or a racing node id would mix
+    them."""
     params = _shared_params()
     inputs = [np.random.default_rng(20 + i).standard_normal((7, 6)) for i in range(6)]
     expected = []
     for x in inputs:
         with Tape() as tape:
             loss = _small_loss(params, x)
-        for p in params:
-            p.zero_grad()
-        ad.backward(tape, loss)
-        expected.append([p.grad.copy() for p in params])
-        for p in params:
-            p.zero_grad()
+        grads = ad.backward(tape, loss)
+        expected.append([grads[p] for p in params])
 
     results: dict = {}
     ids: dict = {}
@@ -351,8 +345,7 @@ def test_threads_record_their_own_tapes_on_shared_params(f64):
         for _ in range(20):
             with Tape() as tape:
                 loss = _small_loss(params, inputs[i])
-            grads: dict = {}
-            ad.backward(tape, loss, grads)
+            grads = ad.backward(tape, loss)
             results.setdefault(i, []).append([grads[p] for p in params])
             ids.setdefault(i, []).extend(node.node_id for node, _, _ in tape.entries)
 
@@ -367,7 +360,6 @@ def test_threads_record_their_own_tapes_on_shared_params(f64):
     finally:
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
-    assert all(p.grad is None for p in params)
     for i, runs in results.items():
         assert len(runs) == 20
         for grads in runs:
@@ -382,8 +374,8 @@ def test_backward_scalar_leaf():
     x = Tensor(2.0, requires_grad=True, dtype=np.float64)
     with Tape() as tape:
         pass
-    ad.backward(tape, x)
-    assert x.grad == 1.0
+    grads = ad.backward(tape, x)
+    assert list(grads) == [x] and grads[x] == 1.0
 
 
 def test_backward_requires_scalar():
@@ -408,21 +400,23 @@ def test_disconnected_parameter_gets_no_grad():
     other = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
         loss = ad.tsum(ad.square(x))
-    ad.backward(tape, loss)
-    assert other.grad is None
+    grads = ad.backward(tape, loss)
+    assert list(grads) == [x] and other not in grads
 
 
-def test_gradient_accumulation_and_replay():
+def test_backward_is_stateless():
+    """Replaying a tape returns the same gradients in a new dict, and no
+    tensor gains state."""
     x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    data = x.data.copy()
     with Tape() as tape:
         loss = ad.tsum(ad.square(x))
-    ad.backward(tape, loss)
-    first = x.grad.copy()
-    ad.backward(tape, loss)
-    assert np.allclose(x.grad, 2 * first)
-    x.zero_grad()
-    ad.backward(tape, loss)
-    assert np.array_equal(x.grad, first)
+    first = ad.backward(tape, loss)
+    second = ad.backward(tape, loss)
+    assert first is not second and list(first) == list(second) == [x]
+    assert np.array_equal(first[x], [2.0, 4.0]) and np.array_equal(second[x], first[x])
+    assert np.array_equal(x.data, data) and x.requires_grad
+    assert Tensor.__slots__ == ("data", "requires_grad", "node_id")
 
 
 def test_forward_determinism():
@@ -471,8 +465,7 @@ def test_st_round_forward_and_gradient():
         h = ad.st_round(x)
         loss = ad.tsum(ad.mul(h, Tensor([1.0, 2.0, 3.0], dtype=np.float64)))
     assert h.data.tolist() == [0.0, 1.0, 0.0]   # strictly above 0.5 only
-    ad.backward(tape, loss)
-    assert x.grad.tolist() == [1.0, 2.0, 3.0]
+    assert ad.backward(tape, loss)[x].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_adam_converges_on_quadratic():
@@ -483,10 +476,25 @@ def test_adam_converges_on_quadratic():
     for _ in range(300):
         with Tape() as tape:
             loss = ad.tsum(ad.square(x))
-        opt.zero_grad()
-        ad.backward(tape, loss)
-        opt.step()
+        opt.step(ad.backward(tape, loss))
     assert np.all(np.abs(x.data) < 1e-2)
+
+
+def test_adam_skips_a_parameter_without_gradient():
+    from smap.optim import Adam
+
+    x = Tensor(np.array([5.0, -3.0]), requires_grad=True, dtype=np.float64)
+    idle = Tensor(np.array([0.1, 0.2, 0.3]), requires_grad=True, dtype=np.float64)
+    before = idle.data.copy()
+    opt = Adam([idle, x], lr=0.1)
+    for _ in range(3):
+        with Tape() as tape:
+            loss = ad.tsum(ad.square(x))
+        grads = ad.backward(tape, loss)
+        assert idle not in grads
+        opt.step(grads)
+    assert np.array_equal(idle.data, before)
+    assert not np.array_equal(x.data, [5.0, -3.0])
 
 
 def _two_branch_sigmoid(x):
@@ -551,13 +559,11 @@ def test_linear_equals_matmul_plus_bias(f64, x_shape):
     weights = Tensor(rng.standard_normal(x_shape[:-1] + (3,)))
 
     def grads(op):
-        for t in (x, w, b):
-            t.zero_grad()
         with Tape() as tape:
             y = op()
             loss = ad.tsum(ad.mul(y, weights))
-        ad.backward(tape, loss)
-        return y.data, [t.grad.copy() for t in (x, w, b)], len(tape.entries)
+        got = ad.backward(tape, loss)
+        return y.data, [got[t] for t in (x, w, b)], len(tape.entries)
 
     fused, fused_grads, fused_entries = grads(lambda: ad.linear(x, w, b))
     ref, ref_grads, ref_entries = grads(lambda: ad.add(ad.matmul(x, w), b))

@@ -11,7 +11,10 @@ import pytest
 
 from smap import envs
 from smap.attention import TrunkConfig
+from smap.config import PPOConfig
+from smap.optim import Adam
 from smap.policies import make_policy
+from smap.ppo import RolloutBatch, ppo_update
 from smap.rng import stream
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,15 +34,21 @@ def test_tracer_installs_and_sees_every_trunk_stage(spans_module):
     tracer = spans_module.Tracer()
     tracer.install()
     try:
-        actions = policy.act(obs, stream(0, "act")).actions
-        policy.evaluate_actions(obs, actions, mode="train")
+        sample = policy.act(obs, stream(0, "act"))
+        policy.evaluate_actions(obs, sample.actions, mode="train")
+        zeros = np.zeros((1, len(obs)))
+        batch = RolloutBatch(obs[None], sample.actions[None], sample.log_probs[None],
+                             sample.values[None], zeros, zeros, zeros[0], sample.noise[None])
+        ppo_update(batch, policy, PPOConfig(epochs=1, minibatch_size=len(obs)),
+                   Adam(list(policy.params.values())), stream(0, "shuffle"))
     finally:
         tracer.uninstall()
     names = {s.name for s in tracer.spans}
     assert {"policies.act", "policies.evaluate_actions", "policies.output.sparse_masked",
             "policies.forward_trunk", "tokenizer.tokenize", "attention.run_attention_stack",
             "attention.masked_attention_layer", "attention.sample_mask_values",
-            "attention.aggregate", "paths.path_matrix"} <= names
+            "attention.aggregate", "paths.path_matrix", "autodiff.backward",
+            "optim.adam_step"} <= names
 
 
 @pytest.mark.parametrize("env_kind", envs.KINDS)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,8 @@ def test_name_mismatch_rejected(tmp_path):
 
 @pytest.mark.parametrize("case", ["short_length_field", "short_manifest", "short_data",
                                   "unknown_dtype", "negative_dim", "fractional_dim",
-                                  "string_dim", "trailing_bytes"])
+                                  "string_dim", "trailing_bytes", "null_manifest",
+                                  "number_manifest", "object_manifest", "repeated_name"])
 def test_malformed_checkpoint_raises_value_error(tmp_path, case):
     path = tmp_path / "ck.smap"
     save_params(path, _params(np.float32))
@@ -92,7 +95,11 @@ def test_malformed_checkpoint_raises_value_error(tmp_path, case):
            "negative_dim": full.replace(b"[3, 4]", b"[-1]  "),
            "fractional_dim": full.replace(b"[3, 4]", b"[1.5] "),
            "string_dim": full.replace(b"[3, 4]", b'["12"]'),
-           "trailing_bytes": full + bytes(4)}[case]
+           "trailing_bytes": full + bytes(4),
+           "null_manifest": MAGIC + struct.pack("<I", 4) + b"null",
+           "number_manifest": MAGIC + struct.pack("<I", 2) + b"42",
+           "object_manifest": MAGIC + struct.pack("<I", 2) + b"{}",
+           "repeated_name": full.replace(b'"layer.b"', b'"layer.w"')}[case]
     path.write_bytes(raw)
     with pytest.raises(ValueError):
         load_params(path)

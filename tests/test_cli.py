@@ -1,4 +1,9 @@
+import os
 import re
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 from smap import autodiff as ad
 from smap import cli, gradcheck, oracles
 from smap.attention import TrunkConfig
-from smap.checkpoint import save_params
+from smap.checkpoint import MAGIC, save_params
 from smap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _load_run_policy, main
 from smap.config import ExperimentConfig, save_config
 from smap.policies import make_policy
@@ -120,6 +125,14 @@ def test_sweep_writes_one_report_row_per_alpha(tmp_path):
     assert main(["sweep", "--config", config, "--alphas", "0.2,0.2"]) == EXIT_USAGE
 
 
+def test_python_m_smap_without_a_subcommand_is_a_usage_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-m", "smap"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == EXIT_USAGE
+    assert "usage: smap" in res.stderr
+
+
 def test_gradcheck_with_one_instance_passes():
     assert main(["gradcheck", "--instances", "1"]) == EXIT_OK
 
@@ -136,7 +149,7 @@ def test_failed_gradient_check_is_a_check_failure(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "visualize"])
-@pytest.mark.parametrize("case", ["missing", "truncated", "not_a_checkpoint"])
+@pytest.mark.parametrize("case", ["missing", "truncated", "not_a_checkpoint", "null_manifest"])
 def test_bad_checkpoint_is_a_usage_error(tmp_path, command, case, capsys):
     cfg = ExperimentConfig()
     save_config(cfg, tmp_path / "config.txt")
@@ -146,6 +159,8 @@ def test_bad_checkpoint_is_a_usage_error(tmp_path, command, case, capsys):
         ckpt.write_bytes(ckpt.read_bytes()[:-100])
     elif case == "not_a_checkpoint":
         ckpt.write_text("step,policy_kind\n")
+    elif case == "null_manifest":
+        ckpt.write_bytes(MAGIC + struct.pack("<I", 4) + b"null")
     extra = (["--split", "test"] if command == "evaluate"
              else ["--level", "0", "--out", str(tmp_path / "viz")])
     assert main([command, "--run", str(tmp_path)] + extra) == EXIT_USAGE

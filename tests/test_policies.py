@@ -100,8 +100,7 @@ def test_gradient_reaches_masknet(f64):
     with Tape() as tape:
         out = policy.evaluate_actions(obs, actions, mode="eval")
         loss = ad.tsum(out.log_prob)
-    ad.backward(tape, loss)
-    g = policy.params["masknet.conv0.w"].grad
+    g = ad.backward(tape, loss).get(policy.params["masknet.conv0.w"])
     assert g is not None and np.any(g != 0)
 
 
@@ -196,7 +195,7 @@ def test_train_step_traced_peak(kind, bound_mb):
             with Tape() as tape:
                 ev = policy.evaluate_actions(obs, np.arange(256) % 5, mode="train")
                 loss = ad.add(ad.tmean(ev.log_prob), ev.entropy)
-            ad.backward(tape, loss, {})
+            ad.backward(tape, loss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

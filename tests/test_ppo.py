@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from smap import autodiff as ad
-from smap import envs, ppo
+from smap import config, envs, ppo
 from smap.attention import TrunkConfig, noise_rows
 from smap.autodiff import Tape, Tensor
-from smap.config import PPOConfig
+from smap.config import ExperimentConfig, PPOConfig
 from smap.errors import ConfigError, DimensionError
 from smap.optim import Adam
 from smap.policies import POLICY_KINDS, ActionEval, Sample, make_policy
@@ -81,7 +81,7 @@ class BanditPolicy:
     kind = "bandit"
 
     def __init__(self, n_actions=2, seed=0):
-        self.params = {"logits": ad.parameter(np.zeros(n_actions), "logits")}
+        self.params = {"logits": ad.parameter(np.zeros(n_actions))}
         self._rng = stream(seed, "bandit_act")
 
     def probs(self):
@@ -202,6 +202,23 @@ def test_minibatch_below_two_rejected():
     PPOConfig(minibatch_size=2).validate()
 
 
+@pytest.mark.parametrize("key,bad,edge", [("gamma", 1.5, 1.0), ("gamma", 0.0, 1.0),
+                                          ("gae_lambda", 2.0, 1.0),
+                                          ("gae_lambda", -0.5, 1.0),
+                                          ("entropy_coef", -0.01, 0.0),
+                                          ("value_coef", -0.5, 0.0),
+                                          ("lambda_mask", -1.0, 0.0)])
+def test_config_file_values_that_break_training_rejected(key, bad, edge):
+    """A discount above 1 makes GAE grow without bound, and a negative
+    coefficient turns its loss term into a reward."""
+    text = config.to_text(ExperimentConfig())
+    line = f"{key} = {getattr(PPOConfig(), key)!r}"
+    assert line in text
+    with pytest.raises(ConfigError, match=key):
+        config.from_text(text.replace(line, f"{key} = {bad!r}"))
+    config.from_text(text.replace(line, f"{key} = {edge!r}"))
+
+
 def test_ppo_update_aborts_on_nan():
     cfg = PPOConfig(epochs=1, minibatch_size=32, rollout_len=32, n_envs=1,
                     total_timesteps=32)
@@ -269,21 +286,28 @@ def _reference_grads(policy, cfg: PPOConfig, batch: RolloutBatch, parts, noises)
                 dev = ad.sub(out.path_fraction, cfg.alpha)
                 loss = ad.add(loss, ad.scale(ad.tmean(ad.square(dev)), cfg.lambda_mask))
             loss = ad.scale(loss, part.size / n)
-        for p in policy.params.values():
-            p.zero_grad()
-        ad.backward(tape, loss)
+        part_grads = ad.backward(tape, loss)
         for name, p in policy.params.items():
-            if p.grad is not None:
-                grads[name] = p.grad if name not in grads else grads[name] + p.grad
+            if p in part_grads:
+                g = part_grads[p]
+                grads[name] = g if name not in grads else grads[name] + g
     return grads
+
+
+class _RecordingAdam(Adam):
+    """Keeps the gradient dict each ``step`` receives."""
+
+    def step(self, grads):
+        self.received = grads
+        super().step(grads)
 
 
 def _sharded_grads(kind: str, cfg: PPOConfig, batch: RolloutBatch) -> dict:
     """The gradient ``ppo_update`` applies to one B=512 minibatch (lr 0)."""
     policy = make_policy(kind, TrunkConfig(), seed=3)
-    ppo_update(batch, policy, cfg, Adam(list(policy.params.values()), lr=0.0),
-               stream(4, "shuffle"))
-    return {name: p.grad for name, p in policy.params.items()}
+    optimizer = _RecordingAdam(list(policy.params.values()), lr=0.0)
+    ppo_update(batch, policy, cfg, optimizer, stream(4, "shuffle"))
+    return {name: optimizer.received.get(p) for name, p in policy.params.items()}
 
 
 @pytest.mark.parametrize("kind", ["cnn", "attention", "input_masked"])
