@@ -6,7 +6,10 @@ An op with an input that requires gradients adds an entry to the active
 leaf tensors, never intermediate Tensors; ``Node`` records stand in for those.
 ``backward`` replays the tape in reverse and returns the gradient of the loss
 with respect to each leaf tensor it reaches, as a new dict; it writes nothing
-to any tensor, so replaying a tape twice gives the same gradients twice.
+to any tensor. It consumes the tape: each entry is popped as it is replayed,
+so the arrays an op kept for its gradient are freed as soon as that gradient
+is out, not when ``backward`` returns. A second ``backward`` on the same tape
+raises ``UsageError``.
 
 Precision is a process-global setting: training runs at float32, the
 verification suites switch to float64 via the ``precision`` context
@@ -50,7 +53,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, UsageError
 
 _DTYPE = np.dtype(np.float32)
 _DEBUG_CHECKS = False
@@ -240,7 +243,8 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """The gradient of ``loss`` with respect to every leaf tensor it reaches."""
+    """The gradient of ``loss`` with respect to every leaf tensor it reaches;
+    empties the tape."""
     if loss.shape != ():
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
     seed = np.ones((), dtype=loss.data.dtype)
@@ -251,7 +255,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         return leaves
 
     grads: dict[int, np.ndarray] = {loss.node_id: seed}
-    for out, inputs, backward_fn in reversed(tape.entries):
+    entries = tape.entries
+    while entries:
+        out, inputs, backward_fn = entries.pop()
         g = grads.pop(out.node_id, None)
         if g is None:
             continue
@@ -266,6 +272,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
                 ig = np.asarray(ig, dtype=t.data.dtype)
                 prev = leaves.get(t)
                 leaves[t] = np.array(ig) if prev is None else prev + ig
+    if loss.node_id in grads:
+        raise UsageError("the tape no longer holds this loss: backward consumes its tape")
     return leaves
 
 
@@ -627,6 +635,21 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     return _emit(out, (t,), bwd)
 
 
+def _patch_matrix(xd: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """im2col of an NCHW-shaped array: (B*h2*w2, kh*kw*C), copied in the
+    input's memory order (see ``conv2d``)."""
+    b_sz, c_in, h, w = xd.shape
+    h2, w2 = (h - kh) // stride + 1, (w - kw) // stride + 1
+    s0, s1, s2, s3 = xd.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xd, shape=(b_sz, h2, w2, kh, kw, c_in),
+        strides=(s0, s2 * stride, s3 * stride, s2, s3, s1))
+    n_rows, n_cols = b_sz * h2 * w2, kh * kw * c_in
+    if xd.transpose(0, 2, 3, 1).flags.c_contiguous:
+        return patches.reshape(n_rows, n_cols)
+    return patches.transpose(3, 4, 5, 0, 1, 2).reshape(n_cols, n_rows).T
+
+
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     """Valid (unpadded) strided convolution.
 
@@ -640,6 +663,9 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     (kh, kw, C) rows along contiguous channel runs; any other layout is
     gathered patch-major, along output columns. The output and the input
     gradient are NCHW views of channels-last arrays.
+
+    The tape keeps the input array itself, which its producer or caller holds
+    anyway, not a patch copy: the kernel gradient gathers the patches again.
     """
     xd = x.data
     if xd.ndim != 4 or kernels.ndim != 4:
@@ -654,29 +680,21 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     h2 = (h - kh) // stride + 1
     w2 = (w - kw) // stride + 1
 
-    # im2col as (B*h2*w2, kh*kw*C), copied in the input's memory order; one
-    # 2-d GEMM against the reordered kernels gives (B*h2*w2, F)
-    s0, s1, s2, s3 = xd.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xd, shape=(b_sz, h2, w2, kh, kw, c_in),
-        strides=(s0, s2 * stride, s3 * stride, s2, s3, s1))
-    n_rows, n_cols = b_sz * h2 * w2, kh * kw * c_in
-    if xd.transpose(0, 2, 3, 1).flags.c_contiguous:
-        pmat = patches.reshape(n_rows, n_cols)
-    else:
-        pmat = patches.transpose(3, 4, 5, 0, 1, 2).reshape(n_cols, n_rows).T
-    wmat = kernels.data.transpose(0, 2, 3, 1).reshape(f_out, n_cols)
-    out_data = (pmat @ wmat.T).reshape(b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
+    # one 2-d GEMM of the patches against the reordered kernels gives (B*h2*w2, F)
+    wmat = kernels.data.transpose(0, 2, 3, 1).reshape(f_out, kh * kw * c_in)
+    out_data = (_patch_matrix(xd, kh, kw, stride) @ wmat.T).reshape(
+        b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
     out = Tensor(out_data, dtype=x.data.dtype)
-    # the kernel gradient reads the patches, the input gradient the kernels
-    pmat = pmat if kernels.requires_grad else None
-    wmat = wmat if x.requires_grad else None
     dtype = xd.dtype
+    # the kernel gradient reads the input, the input gradient the kernels
+    xd = xd if kernels.requires_grad else None
+    wmat = wmat if x.requires_grad else None
 
     def bwd(g):
         g_out = g.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
         gk = gx = None
-        if pmat is not None:
+        if xd is not None:
+            pmat = _patch_matrix(xd, kh, kw, stride)
             gk = (pmat.T @ g_out).T.reshape(f_out, kh, kw, c_in).transpose(0, 3, 1, 2)
         if wmat is not None:
             # scatter the patch gradients channels-last, one block of at most

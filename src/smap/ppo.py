@@ -120,8 +120,7 @@ class VecRunner:
 def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
                     action_rng: np.random.Generator) -> RolloutBatch:
     k = len(runner.states)
-    obs_buf = np.zeros((rollout_len, k) + runner.observations().shape[1:],
-                       dtype=ad.get_default_dtype())
+    obs_buf = None
     act_buf = np.zeros((rollout_len, k), dtype=np.int64)
     logp_buf = np.zeros((rollout_len, k))
     val_buf = np.zeros((rollout_len, k))
@@ -130,6 +129,8 @@ def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
     noise_buf = None
     for t in range(rollout_len):
         obs = runner.observations()
+        if obs_buf is None:
+            obs_buf = np.empty((rollout_len,) + obs.shape, ad.get_default_dtype())
         sample = policy.act(obs, action_rng)
         if sample.noise is not None:
             if noise_buf is None:      # filled in place: stacking a list doubles the peak

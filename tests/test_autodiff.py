@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from smap import autodiff as ad
 from smap.attention import TrunkConfig
 from smap.autodiff import Tape, Tensor
-from smap.errors import DimensionError
+from smap.errors import DimensionError, UsageError
 from smap.gradcheck import max_rel_error_coordinatewise, primitive_cases, run_primitive_suite
 from smap.policies import POLICY_KINDS, make_policy
 
@@ -160,6 +160,26 @@ def test_conv2d_channels_last_matches_contiguous(f64, c_in, k, stride, size):
     for got_cl, got, ref in zip(*results, reference):
         assert np.allclose(got_cl, got, rtol=0, atol=1e-12)
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+def test_conv2d_keeps_its_input_not_a_patch_matrix(layout):
+    """The conv2d entry holds the input array itself, which the caller or the
+    op that made it holds anyway, and no (B*h2*w2, kh*kw*C) patch copy."""
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal((3, 7, 7, 2)).astype(ad.get_default_dtype()).transpose(0, 3, 1, 2)
+    if layout == "contiguous":
+        data = np.ascontiguousarray(data)
+    x = Tensor(data, requires_grad=True)
+    kernels = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+    assert x.data is data
+    assert x.data.transpose(0, 2, 3, 1).flags.c_contiguous == (layout == "channels_last")
+    with Tape() as tape:
+        ad.conv2d(x, kernels, stride=2)
+    [(_, _, backward_fn)] = tape.entries
+    held = [v for v in _captured(backward_fn) if isinstance(v, np.ndarray)]
+    assert any(v is data for v in held)
+    assert not any(v.shape == (3 * 3 * 3, 3 * 3 * 2) for v in held)
 
 
 _FAULT_PROBE = """
@@ -345,9 +365,9 @@ def test_threads_record_their_own_tapes_on_shared_params(f64):
         for _ in range(20):
             with Tape() as tape:
                 loss = _small_loss(params, inputs[i])
+            ids.setdefault(i, []).extend(node.node_id for node, _, _ in tape.entries)
             grads = ad.backward(tape, loss)
             results.setdefault(i, []).append([grads[p] for p in params])
-            ids.setdefault(i, []).extend(node.node_id for node, _, _ in tape.entries)
 
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -404,18 +424,25 @@ def test_disconnected_parameter_gets_no_grad():
     assert list(grads) == [x] and other not in grads
 
 
-def test_backward_is_stateless():
-    """Replaying a tape returns the same gradients in a new dict, and no
-    tensor gains state."""
+def test_backward_consumes_its_tape():
+    """Backward empties the tape as it replays it and changes no tensor; a
+    second call raises rather than return no gradients."""
     x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-    data = x.data.copy()
+    w = Tensor([3.0, -1.0], requires_grad=True, dtype=np.float64)
+    before = [(t.data.copy(), t.requires_grad) for t in (x, w)]
     with Tape() as tape:
-        loss = ad.tsum(ad.square(x))
-    first = ad.backward(tape, loss)
-    second = ad.backward(tape, loss)
-    assert first is not second and list(first) == list(second) == [x]
-    assert np.array_equal(first[x], [2.0, 4.0]) and np.array_equal(second[x], first[x])
-    assert np.array_equal(x.data, data) and x.requires_grad
+        y = ad.mul(x, w)
+        loss = ad.tsum(ad.square(y))
+    y_data = y.data.copy()
+    grads = ad.backward(tape, loss)
+    assert set(grads) == {x, w}
+    assert np.array_equal(grads[x], [18.0, 4.0]) and np.array_equal(grads[w], [6.0, -8.0])
+    for t, (data, requires_grad) in zip((x, w), before):
+        assert np.array_equal(t.data, data) and t.requires_grad == requires_grad
+    assert np.array_equal(y.data, y_data) and y.requires_grad and loss.requires_grad
+    assert tape.entries == []
+    with pytest.raises(UsageError):
+        ad.backward(tape, loss)
     assert Tensor.__slots__ == ("data", "requires_grad", "node_id")
 
 
@@ -562,8 +589,9 @@ def test_linear_equals_matmul_plus_bias(f64, x_shape):
         with Tape() as tape:
             y = op()
             loss = ad.tsum(ad.mul(y, weights))
+        n_entries = len(tape.entries)
         got = ad.backward(tape, loss)
-        return y.data, [got[t] for t in (x, w, b)], len(tape.entries)
+        return y.data, [got[t] for t in (x, w, b)], n_entries
 
     fused, fused_grads, fused_entries = grads(lambda: ad.linear(x, w, b))
     ref, ref_grads, ref_entries = grads(lambda: ad.add(ad.matmul(x, w), b))
