@@ -549,6 +549,12 @@ def masked_softmax(scores: Tensor, mask: Tensor) -> Tensor:
     Computes ``(M * exp(S)) / row_sum(M * exp(S))`` with the row max taken
     over unmasked entries only, and the 0/0 := 0 convention for rows whose
     mask is entirely zero. Gradients flow to both the scores and the mask.
+
+    Such rows need no pass of their own. z = M * exp(...) >= 0, and the
+    row's largest live lane holds its mask times exp(0) = 1, so a row sum r
+    is 0 only when every z on the row is +-0; dividing by 1 there leaves
+    those zeros, signs included. In the backward, dz * z and dz * e are
+    zeros there too, since e = exp(-inf) = 0 on a row with no live lane.
     """
     if scores.shape != mask.shape:
         raise DimensionError(f"scores shape {scores.shape} != mask shape {mask.shape}")
@@ -563,10 +569,8 @@ def masked_softmax(scores: Tensor, mask: Tensor) -> Tensor:
     e = np.exp(neg_inf - c)          # exp(-inf) = 0 for masked lanes
     z = mask.data * e
     r = z.sum(axis=-1, keepdims=True)
-    nonempty = r > 0
-    r_safe = np.where(nonempty, r, 1.0)
+    r_safe = np.where(r > 0, r, 1.0)
     attn = z / r_safe
-    attn *= nonempty                 # 0/0 := 0 for all-masked rows
     out = Tensor(attn, dtype=scores.data.dtype)
     z = z if scores.requires_grad else None
     e = e if mask.requires_grad else None
@@ -575,7 +579,6 @@ def masked_softmax(scores: Tensor, mask: Tensor) -> Tensor:
         inner = (g * attn).sum(axis=-1, keepdims=True)
         dz = g - inner
         dz /= r_safe
-        dz *= nonempty
         return (None if z is None else dz * z), (None if e is None else dz * e)
 
     return _emit(out, (scores, mask), bwd)
@@ -635,32 +638,33 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     return _emit(out, (t,), bwd)
 
 
-def _patch_matrix(xd: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """im2col of an NCHW-shaped array: (B*h2*w2, kh*kw*C), copied in the
-    input's memory order (see ``conv2d``)."""
+def _patch_matrix(xd: np.ndarray, k: int) -> np.ndarray:
+    """im2col of an NCHW-shaped array cut into k x k tiles: (B*h2*w2, k*k*C),
+    copied in the input's memory order (see ``conv2d``). The tiles are
+    reshape/transpose views, since tiles do not overlap."""
     b_sz, c_in, h, w = xd.shape
-    h2, w2 = (h - kh) // stride + 1, (w - kw) // stride + 1
-    s0, s1, s2, s3 = xd.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xd, shape=(b_sz, h2, w2, kh, kw, c_in),
-        strides=(s0, s2 * stride, s3 * stride, s2, s3, s1))
-    n_rows, n_cols = b_sz * h2 * w2, kh * kw * c_in
+    tiles = xd.reshape(b_sz, c_in, h // k, k, w // k, k)
+    n_rows, n_cols = b_sz * (h // k) * (w // k), k * k * c_in
     if xd.transpose(0, 2, 3, 1).flags.c_contiguous:
-        return patches.reshape(n_rows, n_cols)
-    return patches.transpose(3, 4, 5, 0, 1, 2).reshape(n_cols, n_rows).T
+        return tiles.transpose(0, 2, 4, 3, 5, 1).reshape(n_rows, n_cols)
+    return tiles.transpose(3, 5, 1, 0, 2, 4).reshape(n_cols, n_rows).T
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
-    """Valid (unpadded) strided convolution.
+    """Tiled (unpadded, non-overlapping) convolution.
 
-    ``x`` is (B,C,H,W) and kernels are (F,C,kh,kw); a single image is
-    batched by its caller. The spatial extent must divide evenly so output
-    cells tile the input exactly.
+    ``x`` is (B,C,H,W) and kernels are (F,C,k,k); a single image is
+    batched by its caller. Only the geometry the agents run is supported:
+    square kernels at ``stride == k`` whose tiles cover the input exactly
+    (the tokenizer's 2x2 at stride 2, the pixel mask's 1x1 at stride 1).
+    Anything else raises ``DimensionError``. Each input cell lies in
+    exactly one patch, so the input gradient is the patch gradients put
+    back in place, with no accumulation.
 
     Shapes and values are NCHW whatever the memory layout, which only picks
     how patches are gathered. An input whose ``transpose(0, 2, 3, 1)`` is
     C-contiguous (channels-last, like conv2d's own output) is gathered as
-    (kh, kw, C) rows along contiguous channel runs; any other layout is
+    (k, k, C) rows along contiguous channel runs; any other layout is
     gathered patch-major, along output columns. The output and the input
     gradient are NCHW views of channels-last arrays.
 
@@ -671,21 +675,19 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     if xd.ndim != 4 or kernels.ndim != 4:
         raise DimensionError(f"conv2d expects image {x.shape} and kernels {kernels.shape}")
     b_sz, c_in, h, w = xd.shape
-    f_out, c_k, kh, kw = kernels.shape
+    f_out, c_k, k, kw = kernels.shape
     if c_in != c_k:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape}, kernels {kernels.shape}")
-    if h < kh or w < kw or (h - kh) % stride or (w - kw) % stride:
+    if kw != k or stride != k or h % k or w % k:
         raise DimensionError(
-            f"conv2d geometry invalid: input {x.shape}, kernels {kernels.shape}, stride {stride}")
-    h2 = (h - kh) // stride + 1
-    w2 = (w - kw) // stride + 1
+            f"conv2d needs k x k kernels at stride k tiling the input: input {x.shape}, "
+            f"kernels {kernels.shape}, stride {stride}")
+    h2, w2 = h // k, w // k
 
     # one 2-d GEMM of the patches against the reordered kernels gives (B*h2*w2, F)
-    wmat = kernels.data.transpose(0, 2, 3, 1).reshape(f_out, kh * kw * c_in)
-    out_data = (_patch_matrix(xd, kh, kw, stride) @ wmat.T).reshape(
-        b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
+    wmat = kernels.data.transpose(0, 2, 3, 1).reshape(f_out, k * k * c_in)
+    out_data = (_patch_matrix(xd, k) @ wmat.T).reshape(b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
     out = Tensor(out_data, dtype=x.data.dtype)
-    dtype = xd.dtype
     # the kernel gradient reads the input, the input gradient the kernels
     xd = xd if kernels.requires_grad else None
     wmat = wmat if x.requires_grad else None
@@ -694,22 +696,13 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         g_out = g.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
         gk = gx = None
         if xd is not None:
-            pmat = _patch_matrix(xd, kh, kw, stride)
-            gk = (pmat.T @ g_out).T.reshape(f_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+            pmat = _patch_matrix(xd, k)
+            gk = (pmat.T @ g_out).T.reshape(f_out, k, k, c_in).transpose(0, 3, 1, 2)
         if wmat is not None:
-            # scatter the patch gradients channels-last, one block of at most
-            # stride x stride kernel offsets per add: offsets in a block never
-            # reach the same input cell
-            g_patches = (g_out @ wmat).reshape(b_sz, h2, w2, kh, kw, c_in)
-            gx = np.zeros((b_sz, h, w, c_in), dtype=dtype).transpose(0, 3, 1, 2)
-            t0, t1, t2, t3 = gx.strides
-            for i in range(0, kh, stride):
-                for j in range(0, kw, stride):
-                    ni, nj = min(stride, kh - i), min(stride, kw - j)
-                    block = np.lib.stride_tricks.as_strided(
-                        gx[:, :, i:, j:], shape=(b_sz, h2, ni, w2, nj, c_in),
-                        strides=(t0, t2 * stride, t2, t3 * stride, t3, t1))
-                    block += g_patches[:, :, :, i:i + ni, j:j + nj].transpose(0, 1, 3, 2, 4, 5)
+            # (b, i, j, di, dj, c) -> channels-last (b, i*k + di, j*k + dj, c)
+            g_patches = (g_out @ wmat).reshape(b_sz, h2, w2, k, k, c_in)
+            gx = g_patches.transpose(0, 1, 3, 2, 4, 5).reshape(
+                b_sz, h, w, c_in).transpose(0, 3, 1, 2)
         return gx, gk
 
     return _emit(out, (x, kernels), bwd)

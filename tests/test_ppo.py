@@ -8,7 +8,7 @@ from smap import config, envs, ppo
 from smap.attention import TrunkConfig, noise_rows
 from smap.autodiff import Tape, Tensor
 from smap.config import ExperimentConfig, PPOConfig
-from smap.errors import ConfigError, DimensionError
+from smap.errors import ConfigError, DimensionError, UsageError
 from smap.optim import Adam
 from smap.policies import POLICY_KINDS, ActionEval, Sample, make_policy
 from smap.ppo import RolloutBatch, compute_gae, ppo_update
@@ -196,10 +196,22 @@ def test_bootstrap_is_the_eval_mode_value_of_the_last_observations():
 
 
 def test_minibatch_below_two_rejected():
-    # the update splits each minibatch into two halves and skips any below 2
+    # the update splits each minibatch into two halves, so every minibatch,
+    # the rollout's last one too, needs at least 2 samples
     with pytest.raises(ConfigError, match="minibatch_size"):
         PPOConfig(minibatch_size=1).validate()
     PPOConfig(minibatch_size=2).validate()
+    for rollout_len in (1, 129):
+        with pytest.raises(ConfigError, match="one-sample minibatch"):
+            PPOConfig(rollout_len=rollout_len, n_envs=1, minibatch_size=64,
+                      total_timesteps=256).validate()
+    PPOConfig(rollout_len=128, n_envs=1, minibatch_size=64, total_timesteps=256).validate()
+
+
+def test_sampled_evaluation_is_not_implemented():
+    policy = make_policy("cnn", TrunkConfig(), seed=0)
+    with pytest.raises(UsageError, match="greedy"):
+        ppo.evaluate_policy(policy, "DodgeGrid", [0], greedy=False)
 
 
 @pytest.mark.parametrize("key,bad,edge", [("gamma", 1.5, 1.0), ("gamma", 0.0, 1.0),
