@@ -130,12 +130,12 @@ def sample_mask_values(logits: Tensor, mode: str, tau: float,
 def _mask_logits(tokens: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     qm = ad.matmul(tokens, params[prefix + "wqm"])
     km = ad.matmul(tokens, params[prefix + "wkm"])
-    return ad.add(ad.matmul(qm, ad.transpose(km)), params[prefix + "beta"])
+    return ad.add(ad.matmul(qm, km, transpose_b=True), params[prefix + "beta"])
 
 
 def _agg_mask_logits(tokens: Tensor, params: dict[str, Tensor]) -> Tensor:
     km = ad.matmul(tokens, params["agg.wkm"])
-    return ad.add(ad.matmul(params["agg.qm"], ad.transpose(km)), params["agg.beta"])
+    return ad.add(ad.matmul(params["agg.qm"], km, transpose_b=True), params["agg.beta"])
 
 
 def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: str,
@@ -146,7 +146,7 @@ def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: st
     q = ad.matmul(tokens, params[prefix + "wq"])
     k = ad.matmul(tokens, params[prefix + "wk"])
     v = ad.matmul(tokens, params[prefix + "wv"])
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(tokens.shape[-1]))
+    scores = ad.scale(ad.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(tokens.shape[-1]))
     attn = ad.softmax_rows(scores) if mask is None else ad.masked_softmax(scores, mask)
     mixed = ad.matmul(attn, v)
     x = ad.layer_norm(ad.add(tokens, mixed), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
@@ -162,7 +162,7 @@ def aggregate(tokens: Tensor, params: dict[str, Tensor],
     ``mask_out=None`` attends densely."""
     k = ad.matmul(tokens, params["agg.wk"])
     v = ad.matmul(tokens, params["agg.wv"])
-    scores = ad.scale(ad.matmul(params["agg.q"], ad.transpose(k)),
+    scores = ad.scale(ad.matmul(params["agg.q"], k, transpose_b=True),
                       1.0 / np.sqrt(tokens.shape[-1]))
     attn = (ad.softmax_rows(scores) if mask_out is None
             else ad.masked_softmax(scores, mask_out))

@@ -438,16 +438,21 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast.
+
+    ``transpose_b=True`` gives ``a @ bᵀ`` (b's last two axes swapped) in one
+    tape entry, and b's gradient comes out as ``gᵀ @ a``, in b's own layout
+    rather than as a transposed view."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    out = Tensor(_mm(a.data, b.data), dtype=a.data.dtype)
+    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
+    if a.shape[-1] != bd.shape[-2]:
+        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {bd.shape}")
+    out = Tensor(_mm(a.data, bd), dtype=a.data.dtype)
     # each operand's gradient reads the other operand's array
     x = a.data if b.requires_grad else None
-    y = b.data if a.requires_grad else None
+    y = bd if a.requires_grad else None
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
@@ -456,7 +461,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = _unbroadcast(_mm(g, np.swapaxes(y, -1, -2)), a_shape)
         if x is not None:
             if len(b_shape) == 2 and x.ndim > 2:
-                gb = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+                gb = g2.T @ x2 if transpose_b else x2.T @ g2
+            elif transpose_b:
+                gb = _unbroadcast(np.matmul(np.swapaxes(g, -1, -2), x), b_shape)
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), b_shape)
         return ga, gb

@@ -48,16 +48,26 @@ class PPOConfig:
         for name in ("entropy_coef", "value_coef", "lambda_mask"):   # below 0, a loss is a reward
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
-        for name in ("epochs", "rollout_len", "n_envs", "eval_every"):
+        for name in ("rollout_len", "n_envs", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if self.minibatch_size < 2:     # the update splits each minibatch into two halves
-            raise ConfigError("minibatch_size must be at least 2")
-        if self.rollout_len * self.n_envs % self.minibatch_size == 1:
-            raise ConfigError(f"rollout_len * n_envs = {self.rollout_len * self.n_envs} leaves a "
-                              f"one-sample minibatch at minibatch_size {self.minibatch_size}")
+        self.check_batch(self.rollout_len * self.n_envs)
         if self.total_timesteps < self.rollout_len * self.n_envs:
             raise ConfigError("total_timesteps must cover at least one rollout")
+
+    def check_batch(self, n_samples: int) -> None:
+        """Raise ``ConfigError`` unless an update of a batch of ``n_samples``
+        runs at least one minibatch, each of at least 2 samples, the last one
+        too: the update runs each minibatch as two halves."""
+        if self.epochs < 1:
+            raise ConfigError("epochs must be at least 1")
+        if self.minibatch_size < 2:
+            raise ConfigError("minibatch_size must be at least 2")
+        if n_samples < 1:
+            raise ConfigError("a PPO update needs a non-empty batch")
+        if n_samples % self.minibatch_size == 1:
+            raise ConfigError(f"a batch of {n_samples} samples leaves a one-sample "
+                              f"minibatch at minibatch_size {self.minibatch_size}")
 
 
 @dataclass

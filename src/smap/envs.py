@@ -15,11 +15,22 @@ Layouts are pure functions of (kind, seed). Generation rejects DodgeGrid
 layouts without a provably safe full-horizon policy, resampling from a
 seed-derived substream, so every exposed level is solvable.
 
+An observation is stored as a (16, 16) uint8 code frame, one byte per cell,
+and decoded to the (4, 16, 16) float frame only where a network reads it
+(``decode_obs``). Rollouts keep the codes: a quarter of a float32 frame's
+cells at one byte each. The observation code of a cell:
+
+- bit 0: wall (channel 0 is 1.0);
+- bit 1: agent (channel 1 is 1.0);
+- bits 2-3: channel 2's shade index into (0, 0.3, 0.6, 1.0): hazards, trails
+  and the item on DodgeGrid, 3 at the goal on MazeGrid;
+- bits 4-7: the palette index; channel 3 is the tint 0.15 + 0.8 p / 9.
+
 Each level is compiled once into two read-only tables, derived lazily from
 its fields on first use, so a spec that is never stepped costs nothing:
 
-- ``LevelSpec.base``: a (4, 16, 16) float64 frame of walls, item or goal and
-  palette tint, without agent or hazards (8 KB).
+- ``LevelSpec.base_codes``: a (16, 16) uint8 frame of observation codes for
+  walls, palette and the maze goal, without agent or hazards (256 bytes).
 - ``LevelSpec.codes`` (DodgeGrid only): a (horizon + 1, 16, 16) uint8 array
   (33 KB at the default horizon of 128) with one code per cell and timestep:
   bits 0-1 index channel 2's value in (0, 0.3, 0.6, 1.0), with trails not
@@ -27,7 +38,7 @@ its fields on first use, so a spec that is never stepped costs nothing:
   cell always 1.0; bit 2 is set where a projectile is; bits 3-6 where a
   projectile moves up, down, left or right next step.
 
-``step``, ``render_obs`` and generation's safe-policy check read only these
+``step``, ``obs_codes`` and generation's safe-policy check read only these
 tables. The check runs its forward reach set on 256-bit Python ints, bit
 ``r * 16 + c`` for cell (r, c), because numpy's fixed cost per call, not the
 work, dominated on 16x16 grids; column masks keep a one-column shift from
@@ -77,8 +88,12 @@ RETURN_BOUNDS = {
 SHADE = 0b11
 HAZARD = 1 << 2
 MOVE_BITS = (1 << 3, 1 << 4, 1 << 5, 1 << 6)      # a projectile moves by DELTAS[a]
-# channel 2 by whole code: (0, 0.3, 0.6, 1.0)[code & SHADE]
-_SHADE_BY_CODE = np.array([0.0, 0.3, 0.6, 1.0])[np.arange(256) & SHADE]
+SHADES = (0.0, 0.3, 0.6, 1.0)                     # channel 2 by shade index
+# bit layout of observation codes (module docstring)
+WALL_BIT = 1
+AGENT_BIT = 1 << 1
+SHADE_SHIFT = 2
+PALETTE_SHIFT = 4
 # moving by DELTAS[a] swaps cells with a projectile moving the opposite way
 _SWAP_BITS = (MOVE_BITS[1], MOVE_BITS[0], MOVE_BITS[3], MOVE_BITS[2], 0)
 # move bit by (dr + 1) * 3 + dc + 1
@@ -125,12 +140,12 @@ class LevelSpec:
     hazards: Optional[np.ndarray] = None
 
     @cached_property
-    def base(self) -> np.ndarray:
-        """(4, 16, 16) float64 frame: walls, item or goal, palette tint."""
-        base = np.zeros((OBS_CHANNELS, GRID, GRID))
-        base[0][self.walls] = 1.0
-        base[2][self.item if self.kind == KIND_DODGE else self.goal] = 1.0
-        base[3] = 0.15 + 0.8 * self.palette / (N_PALETTES - 1)
+    def base_codes(self) -> np.ndarray:
+        """(16, 16) uint8 observation codes: walls, palette and the maze goal."""
+        base = np.full((GRID, GRID), self.palette << PALETTE_SHIFT, dtype=np.uint8)
+        base[self.walls] |= WALL_BIT
+        if self.kind == KIND_MAZE:
+            base[self.goal] |= SHADE << SHADE_SHIFT
         base.setflags(write=False)
         return base
 
@@ -429,14 +444,38 @@ def step(state: EnvState, action: int) -> tuple[EnvState, float, bool]:
     return EnvState(level, new_pos, t2, done), TICK_REWARD, done
 
 
+def obs_codes(state: EnvState) -> np.ndarray:
+    """(16, 16) uint8 observation codes of ``state`` (module docstring)."""
+    level = state.level
+    if level.kind == KIND_DODGE:
+        codes = level.base_codes | (level.codes[state.t] & SHADE) << SHADE_SHIFT
+    else:
+        codes = level.base_codes.copy()
+    codes[state.pos] |= AGENT_BIT
+    return codes
+
+
+@lru_cache(maxsize=None)
+def _decode_table(dtype) -> np.ndarray:
+    """(4, 256) read-only table: channel values of every observation code."""
+    code = np.arange(256)
+    table = np.stack([code & WALL_BIT, (code & AGENT_BIT) >> 1,
+                      np.array(SHADES)[code >> SHADE_SHIFT & SHADE],
+                      0.15 + 0.8 * (code >> PALETTE_SHIFT) / (N_PALETTES - 1)]).astype(dtype)
+    table.setflags(write=False)
+    return table
+
+
+def decode_obs(codes: np.ndarray) -> np.ndarray:
+    """(..., 4, 16, 16) working-dtype frames of (..., 16, 16) observation codes,
+    a view over a (4, ..., 16, 16) array."""
+    frames = np.take(_decode_table(ad.get_default_dtype()), codes, axis=1)
+    return np.moveaxis(frames, 0, -3)
+
+
 def render_obs(state: EnvState) -> np.ndarray:
     """(4, 16, 16) working-dtype observation: walls, agent, hazards/goal, palette tint."""
-    level = state.level
-    obs = level.base.astype(ad.get_default_dtype())
-    if level.kind == KIND_DODGE:
-        obs[2] = _SHADE_BY_CODE[level.codes[state.t]]
-    obs[1][state.pos] = 1.0
-    return obs
+    return decode_obs(obs_codes(state))
 
 
 def make_split(kind: str, n_train: int, n_test: int) -> tuple[list[int], list[int]]:

@@ -136,6 +136,12 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
                                 scalar(lambda a, b: ad.matmul(a, ad.mul(b, b)))))
     register("matmul_batched", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2)],
                                         scalar(lambda a, b: ad.matmul(a, b))))
+    register("matmul_transpose_b", lambda: ([_t(rng, 2, 3, 4), _t(rng, 2, 5, 4)],
+                                            scalar(lambda a, b: ad.matmul(
+                                                a, ad.mul(b, b), transpose_b=True))))
+    register("matmul_transpose_b_broadcast", lambda: ([_t(rng, 1, 4), _t(rng, 2, 5, 4)],
+                                                      scalar(lambda a, b: ad.matmul(
+                                                          ad.mul(a, a), b, transpose_b=True))))
     register("linear", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)],
                                 scalar(lambda x, w, b: ad.mul(ad.linear(x, w, b),
                                                               ad.linear(x, w, b)))))

@@ -1,9 +1,12 @@
 """Clipped-surrogate PPO with GAE, entropy bonus, and the path-sparsity loss.
 
 Rollouts run over vectorized environment instances that sample train levels
-on reset. Updates flatten the rollout, normalize advantages per update, and
-sweep shuffled minibatches for a few epochs. The sparse agent's objective
-additionally carries ``lambda_mask * (alpha - path_fraction)^2``.
+on reset. A rollout stores each observation as its uint8 cell codes
+(``envs.obs_codes``) and decodes them to float frames only where a network
+reads them: each step's batch for ``act``, each update shard's rows for
+``evaluate_actions``. Updates flatten the rollout, normalize advantages per
+update, and sweep shuffled minibatches for a few epochs. The sparse agent's
+objective additionally carries ``lambda_mask * (alpha - path_fraction)^2``.
 
 Every minibatch runs as two fixed halves: the calling thread runs the first
 half's forward and backward, one worker thread the second, each on its own
@@ -46,7 +49,7 @@ METRIC_COLUMNS = ("step", "policy_kind", "alpha", "split", "mean_return",
 
 @dataclass
 class RolloutBatch:
-    observations: np.ndarray      # (T, K, C, H, W)
+    obs_codes: np.ndarray         # (T, K, H, W) uint8 observation codes (envs.decode_obs)
     actions: np.ndarray           # (T, K) int
     old_log_probs: np.ndarray     # (T, K)
     values: np.ndarray            # (T, K)
@@ -54,6 +57,11 @@ class RolloutBatch:
     dones: np.ndarray             # (T, K) float 0/1
     bootstrap_values: np.ndarray  # (K,)
     noise: np.ndarray | None = None   # (T, K, L·n²+n) mask noise, sparse agent only
+
+    @property
+    def observations(self) -> np.ndarray:
+        """(T, K, C, H, W) frames at the working dtype, decoded from the codes."""
+        return envs.decode_obs(self.obs_codes)
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
@@ -101,8 +109,9 @@ class VecRunner:
     def start(self, n_envs: int) -> None:
         self.states = [self._fresh_state() for _ in range(n_envs)]
 
-    def observations(self) -> np.ndarray:
-        return np.stack([envs.render_obs(s) for s in self.states])
+    def obs_codes(self) -> np.ndarray:
+        """(K, H, W) uint8 observation codes of the current states."""
+        return np.stack([envs.obs_codes(s) for s in self.states])
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rewards = np.zeros(len(self.states))
@@ -120,7 +129,7 @@ class VecRunner:
 def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
                     action_rng: np.random.Generator) -> RolloutBatch:
     k = len(runner.states)
-    obs_buf = None
+    codes_buf = np.empty((rollout_len, k, envs.GRID, envs.GRID), np.uint8)
     act_buf = np.zeros((rollout_len, k), dtype=np.int64)
     logp_buf = np.zeros((rollout_len, k))
     val_buf = np.zeros((rollout_len, k))
@@ -128,23 +137,20 @@ def collect_rollout(policy: PolicyBase, runner: VecRunner, rollout_len: int,
     done_buf = np.zeros((rollout_len, k))
     noise_buf = None
     for t in range(rollout_len):
-        obs = runner.observations()
-        if obs_buf is None:
-            obs_buf = np.empty((rollout_len,) + obs.shape, ad.get_default_dtype())
-        sample = policy.act(obs, action_rng)
+        codes_buf[t] = runner.obs_codes()
+        sample = policy.act(envs.decode_obs(codes_buf[t]), action_rng)
         if sample.noise is not None:
             if noise_buf is None:      # filled in place: stacking a list doubles the peak
                 noise_buf = np.empty((rollout_len,) + sample.noise.shape, sample.noise.dtype)
             noise_buf[t] = sample.noise
         rewards, dones = runner.step(sample.actions)
-        obs_buf[t] = obs
         act_buf[t] = sample.actions
         logp_buf[t] = sample.log_probs
         val_buf[t] = sample.values
         rew_buf[t] = rewards
         done_buf[t] = dones
-    bootstrap = policy.output(runner.observations(), mode="eval").value.data
-    return RolloutBatch(observations=obs_buf, actions=act_buf, old_log_probs=logp_buf,
+    bootstrap = policy.output(envs.decode_obs(runner.obs_codes()), mode="eval").value.data
+    return RolloutBatch(obs_codes=codes_buf, actions=act_buf, old_log_probs=logp_buf,
                         values=val_buf, rewards=rew_buf, dones=done_buf,
                         bootstrap_values=bootstrap, noise=noise_buf)
 
@@ -161,10 +167,11 @@ class UpdateStats:
 def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
                optimizer: Adam, update_rng: np.random.Generator) -> UpdateStats:
     """Epochs of shuffled clipped-surrogate minibatch updates on one rollout."""
+    cfg.check_batch(batch.actions.size)
     adv, returns = compute_gae(batch.rewards, batch.values, batch.dones,
                                cfg.gamma, cfg.gae_lambda, batch.bootstrap_values)
     n = adv.size
-    flat_obs = batch.observations.reshape((n,) + batch.observations.shape[2:])
+    flat_codes = batch.obs_codes.reshape((n,) + batch.obs_codes.shape[2:])
     flat_actions = batch.actions.reshape(n)
     flat_old_logp = batch.old_log_probs.reshape(n)
     flat_returns = returns.reshape(n)
@@ -180,7 +187,7 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
         its share of the minibatch; returns its loss terms and leaf grads."""
         with Tape() as tape:
             out = policy.evaluate_actions(
-                flat_obs[part], flat_actions[part], mode="train",
+                envs.decode_obs(flat_codes[part]), flat_actions[part], mode="train",
                 noise=None if noise is None else noise[part])
             mb_adv = Tensor(flat_adv[part].astype(dtype))
             ratio = ad.exp(ad.sub(out.log_prob, Tensor(flat_old_logp[part].astype(dtype))))
@@ -227,8 +234,6 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
                         sums[key] += weight * terms[key]
                 optimizer.step(grads)
                 n_minibatches += 1
-    if n_minibatches == 0:
-        return UpdateStats()
     return UpdateStats(**{key: total / n_minibatches for key, total in sums.items()})
 
 

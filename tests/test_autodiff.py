@@ -46,6 +46,31 @@ def test_matmul_gradient_oracle(f64):
         assert err < 1e-6
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [((3, 5, 4), (3, 6, 4)), ((1, 4), (3, 6, 4)),
+                                             ((3, 5, 4), (6, 4))])
+def test_matmul_transpose_b_equals_matmul_of_transpose(a_shape, b_shape):
+    """``matmul(a, b, transpose_b=True)`` gives the bytes of ``a @ transpose(b)``
+    in one tape entry, and b's gradient in b's own (C-contiguous) layout."""
+    rng = np.random.default_rng(31)
+    a0, b0 = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+    w = rng.standard_normal(np.matmul(a0, np.swapaxes(b0, -1, -2)).shape)
+    results = []
+    for fused in (True, False):
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        with Tape() as tape:
+            out = ad.matmul(a, b, transpose_b=True) if fused else ad.matmul(a, ad.transpose(b))
+            loss = ad.tsum(ad.mul(out, Tensor(w)))
+        n_entries = len(tape.entries)
+        grads = ad.backward(tape, loss)
+        results.append((out.data, grads[a], grads[b], n_entries))
+    (out, ga, gb, n), (ref_out, ref_ga, ref_gb, ref_n) = results
+    assert np.array_equal(out, ref_out) and np.array_equal(ga, ref_ga)
+    assert np.array_equal(gb, ref_gb) and gb.flags.c_contiguous
+    assert n == ref_n - 1
+    with pytest.raises(DimensionError):
+        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), transpose_b=True)
+
+
 def test_softmax_symmetry():
     out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-12)

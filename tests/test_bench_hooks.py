@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smap import envs
+from smap import envs, ppo
 from smap.attention import TrunkConfig
 from smap.config import PPOConfig
 from smap.optim import Adam
@@ -28,8 +28,11 @@ def spans_module(monkeypatch):
 
 
 def test_tracer_installs_and_sees_every_trunk_stage(spans_module):
-    obs = np.stack([envs.render_obs(envs.reset(envs.generate_level("DodgeGrid", s)))
-                    for s in range(2)])
+    """Evaluation is the only caller of ``envs.render_obs`` (rollouts keep
+    codes), so it is the one source of the traced ``envs.render_obs_us``."""
+    codes = np.stack([envs.obs_codes(envs.reset(envs.generate_level("DodgeGrid", s)))
+                      for s in range(2)])
+    obs = envs.decode_obs(codes)
     policy = make_policy("sparse_masked", TrunkConfig(), seed=0)
     tracer = spans_module.Tracer()
     tracer.install()
@@ -37,10 +40,11 @@ def test_tracer_installs_and_sees_every_trunk_stage(spans_module):
         sample = policy.act(obs, stream(0, "act"))
         policy.evaluate_actions(obs, sample.actions, mode="train")
         zeros = np.zeros((1, len(obs)))
-        batch = RolloutBatch(obs[None], sample.actions[None], sample.log_probs[None],
+        batch = RolloutBatch(codes[None], sample.actions[None], sample.log_probs[None],
                              sample.values[None], zeros, zeros, zeros[0], sample.noise[None])
         ppo_update(batch, policy, PPOConfig(epochs=1, minibatch_size=len(obs)),
                    Adam(list(policy.params.values())), stream(0, "shuffle"))
+        ppo.evaluate_policy(policy, "DodgeGrid", [0, 1])
     finally:
         tracer.uninstall()
     names = {s.name for s in tracer.spans}
@@ -48,7 +52,7 @@ def test_tracer_installs_and_sees_every_trunk_stage(spans_module):
             "policies.forward_trunk", "tokenizer.tokenize", "attention.run_attention_stack",
             "attention.masked_attention_layer", "attention.sample_mask_values",
             "attention.aggregate", "paths.path_matrix", "autodiff.backward",
-            "optim.adam_step"} <= names
+            "optim.adam_step", "ppo.evaluate_policy", "envs.render_obs"} <= names
 
 
 @pytest.mark.parametrize("env_kind", envs.KINDS)

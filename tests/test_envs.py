@@ -325,6 +325,27 @@ def _assert_same_obs(state):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decoded_codes_equal_the_reference_render(dtype):
+    """Random walks on 12 levels per kind: the codes of every visited state,
+    decoded as one batch, equal the reference frames byte for byte."""
+    rng = np.random.default_rng(17)
+    states = []
+    for kind in envs.KINDS:
+        for seed in range(12):
+            state = reset(generate_level(kind, seed))
+            while not state.done and state.t < 64:
+                states.append(state)
+                state = step(state, int(rng.integers(0, envs.N_ACTIONS)))[0]
+            states.append(state)
+    codes = np.stack([envs.obs_codes(s) for s in states])
+    assert codes.dtype == np.uint8 and codes.shape == (len(states), GRID, GRID)
+    with ad.precision(dtype):
+        got = envs.decode_obs(codes)
+    want = np.stack([_ref_render_obs(s, dtype) for s in states])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _assert_same_step(state, action):
     got, want = step(state, action), _ref_step(state, action)
     assert (got[0].pos, got[0].t, got[0].done) == (want[0].pos, want[0].t, want[0].done)
@@ -589,12 +610,13 @@ def test_hazards_are_one_small_read_only_table():
 def test_level_tables_are_small_and_read_only():
     level = generate_level(KIND_DODGE, 0)
     assert level.codes.shape == (level.horizon + 1, GRID, GRID)
-    assert level.codes.nbytes + level.base.nbytes <= 48 * 1024
+    assert level.codes.nbytes + level.base_codes.nbytes <= 48 * 1024
     maze = generate_level(KIND_MAZE, 0)
-    assert maze.codes is None and maze.base.shape == (4, GRID, GRID)
-    for table in (level.codes, level.base, maze.base):
+    assert maze.codes is None
+    assert maze.base_codes.shape == (GRID, GRID) and maze.base_codes.dtype == np.uint8
+    for table in (level.codes, level.base_codes, maze.base_codes):
         with pytest.raises(ValueError):
-            table[0, 0, 0] = 1
+            table[0, 0] = 1
     jump = _handmade({0: [((5, 5), (5, 7), (-1, -1))]}, start=(9, 9))
     with pytest.raises(ValueError):
         jump.codes

@@ -171,9 +171,11 @@ def test_every_trunk_setting_works(setting):
                 assert feats.shape == (2, D_TOKEN)
 
 
-@pytest.mark.parametrize("kind,entries", [("sparse_masked", 93), ("attention", 59)])
+@pytest.mark.parametrize("kind,entries", [("sparse_masked", 87), ("attention", 56)],
+                         ids=["sparse_masked", "attention"])
 def test_train_mode_tape_length(kind, entries):
-    """The fused linear ops and dense attention keep the update tape this short."""
+    """The fused linear ops, the transpose-free score products and dense
+    attention keep the update tape this short."""
     policy = make_policy(kind, CFG, seed=4)
     obs = _obs_batch(4)
     with Tape() as tape:

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,11 +108,11 @@ class BanditPolicy:
 
 
 def _bandit_rollout(policy, rng, n=64):
-    obs = np.zeros((n, 1, 1, 1))
-    actions, logp, values, _ = policy.act(obs, rng)
+    codes = np.zeros((n, 1, envs.GRID, envs.GRID), dtype=np.uint8)
+    actions, logp, values, _ = policy.act(envs.decode_obs(codes[:, 0]), rng)
     rewards = (actions == 0).astype(float)      # action 0 pays 1, else 0
     return RolloutBatch(
-        observations=obs.reshape(n, 1, 1, 1, 1),
+        obs_codes=codes,
         actions=actions.reshape(n, 1),
         old_log_probs=logp.reshape(n, 1),
         values=values.reshape(n, 1),
@@ -131,7 +132,6 @@ def test_ppo_bandit_converges():
     update_rng = stream(2, "bandit_shuffle")
     for update in range(200):
         batch = _bandit_rollout(policy, rng)
-        batch.observations = batch.observations.reshape(64, 1, 1, 1, 1)
         ppo_update(batch, policy, cfg, opt, update_rng)
         if policy.probs()[0] > 0.95:
             break
@@ -189,7 +189,7 @@ def test_bootstrap_is_the_eval_mode_value_of_the_last_observations():
     runner = ppo.VecRunner("DodgeGrid", train_seeds, seed=5)
     runner.start(4)
     batch = ppo.collect_rollout(policy, runner, 8, stream(5, "rollout_actions"))
-    obs = runner.observations()
+    obs = envs.decode_obs(runner.obs_codes())
     want = policy.output(obs, mode="eval").value.data
     assert np.array_equal(batch.bootstrap_values, want)
     assert not np.array_equal(policy.output(obs, mode="train").value.data, want)
@@ -206,6 +206,75 @@ def test_minibatch_below_two_rejected():
             PPOConfig(rollout_len=rollout_len, n_envs=1, minibatch_size=64,
                       total_timesteps=256).validate()
     PPOConfig(rollout_len=128, n_envs=1, minibatch_size=64, total_timesteps=256).validate()
+
+
+def test_update_rejects_a_batch_that_leaves_a_one_sample_minibatch():
+    """``ppo_update`` checks the batch it is given with ``PPOConfig``'s own
+    predicate, since its callers need not validate the config: a 3-sample
+    rollout at minibatch_size 2, an empty one, or zero epochs, which would
+    run no minibatch, raise before any step."""
+    policy = make_policy("cnn", TrunkConfig(), seed=0)
+    runner = ppo.VecRunner("DodgeGrid", [0, 1], seed=0)
+    runner.start(3)
+    batch = ppo.collect_rollout(policy, runner, 1, stream(0, "rollout_actions"))
+    cfg = PPOConfig(epochs=1, minibatch_size=2)
+    opt = Adam(list(policy.params.values()))
+    with pytest.raises(ConfigError, match="one-sample minibatch"):
+        ppo_update(batch, policy, cfg, opt, stream(0, "shuffle"))
+    empty = RolloutBatch(batch.obs_codes[:0], batch.actions[:0], batch.old_log_probs[:0],
+                         batch.values[:0], batch.rewards[:0], batch.dones[:0],
+                         batch.bootstrap_values)
+    with pytest.raises(ConfigError, match="non-empty"):
+        ppo_update(empty, policy, cfg, opt, stream(0, "shuffle"))
+    with pytest.raises(ConfigError, match="epochs"):
+        ppo_update(batch, policy, PPOConfig(epochs=0, minibatch_size=3), opt,
+                   stream(0, "shuffle"))
+    assert opt.t == 0
+
+
+def test_batch_observations_are_the_frames_act_saw():
+    """The rollout keeps uint8 codes; decoded, they are the frames ``act``
+    received, byte for byte."""
+    policy = make_policy("sparse_masked", TrunkConfig(), seed=2)
+    act, seen = policy.act, []
+
+    def recording_act(obs, rng):
+        seen.append(np.array(obs))
+        return act(obs, rng)
+
+    policy.act = recording_act
+    runner = ppo.VecRunner("MazeGrid", [0, 1, 2], seed=2)
+    runner.start(4)
+    batch = ppo.collect_rollout(policy, runner, 6, stream(2, "rollout_actions"))
+    assert batch.obs_codes.dtype == np.uint8 and batch.obs_codes.shape == (6, 4, 16, 16)
+    frames = batch.observations
+    assert frames.dtype == ad.get_default_dtype() and frames.shape == (6, 4, 4, 16, 16)
+    assert np.array_equal(frames, np.stack(seen))
+
+
+def test_default_sparse_rollout_batch_is_small():
+    """A default 256 x 8 sparse rollout peaks under 6 MiB: it keeps its
+    observations as 0.5 MiB of codes beside 4.1 MiB of mask noise (about
+    5.1 MiB traced). With 8 MiB of float32 frames the batch alone was about
+    12.6 MiB."""
+    cfg = PPOConfig()
+    with ad.precision(np.float32):
+        train_seeds, _ = envs.make_split("DodgeGrid", 20, 1)
+        policy = make_policy("sparse_masked", TrunkConfig(), seed=0)
+        runner = ppo.VecRunner("DodgeGrid", train_seeds, seed=0)
+        runner.start(cfg.n_envs)
+        for seed in train_seeds:        # level tables are cached, not part of the batch
+            envs.generate_level("DodgeGrid", seed).codes
+        rng = stream(0, "rollout_actions")
+        ppo.collect_rollout(policy, runner, 1, rng)
+        tracemalloc.start()
+        try:
+            batch = ppo.collect_rollout(policy, runner, cfg.rollout_len, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert batch.obs_codes.nbytes == cfg.rollout_len * cfg.n_envs * 256
+    assert peak <= 6 * 2 ** 20
 
 
 def test_sampled_evaluation_is_not_implemented():
@@ -262,9 +331,14 @@ def test_nan_on_the_worker_shard_aborts_before_any_step():
 
 
 def _random_batch(seed: int, t_len: int = 64, k: int = 8) -> RolloutBatch:
+    """Random codes: any wall, agent and shade bits, a palette index below
+    ``N_PALETTES``."""
     rng = np.random.default_rng(seed)
+    shape = (t_len, k, envs.GRID, envs.GRID)
+    codes = (rng.integers(0, 1 << envs.PALETTE_SHIFT, shape)
+             | rng.integers(0, envs.N_PALETTES, shape) << envs.PALETTE_SHIFT)
     return RolloutBatch(
-        observations=rng.random((t_len, k, envs.OBS_CHANNELS, envs.GRID, envs.GRID)),
+        obs_codes=codes.astype(np.uint8),
         actions=rng.integers(0, envs.N_ACTIONS, (t_len, k)),
         old_log_probs=np.log(1.0 / envs.N_ACTIONS) + 0.3 * rng.standard_normal((t_len, k)),
         values=rng.standard_normal((t_len, k)),
