@@ -4,7 +4,9 @@ Attention weights are the renormalized masked softmax
 ``(M * exp(QK^T/sqrt(D_TOKEN))) / rowsum``, ``D_TOKEN`` the token width, with
 mask logits produced by separate mask embeddings from the *current* layer's
 token representations, so sparsity in early layers also sparsifies the mask
-computation of later layers. A final
+computation of later layers. Each layer thus computes two bilinear forms of
+its tokens x, the scores ``(x·wq)(x·wk)^T`` and the mask logits
+``(x·wqm)(x·wkm)^T + beta``, each one ``ad.bilinear``. A final
 aggregation step attends from one learned query over the last layer's tokens
 (with its own 1xn mask) to produce the feature vector for the heads.
 
@@ -128,9 +130,8 @@ def sample_mask_values(logits: Tensor, mode: str, tau: float,
 
 
 def _mask_logits(tokens: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    qm = ad.matmul(tokens, params[prefix + "wqm"])
-    km = ad.matmul(tokens, params[prefix + "wkm"])
-    return ad.add(ad.matmul(qm, km, transpose_b=True), params[prefix + "beta"])
+    return ad.add(ad.bilinear(tokens, params[prefix + "wqm"], params[prefix + "wkm"]),
+                  params[prefix + "beta"])
 
 
 def _agg_mask_logits(tokens: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -143,10 +144,11 @@ def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: st
     """One attention layer; returns (new tokens, attention weights).
 
     ``mask=None`` is dense attention, equal in value to an all-ones mask."""
-    q = ad.matmul(tokens, params[prefix + "wq"])
-    k = ad.matmul(tokens, params[prefix + "wk"])
+    scores = ad.scale(ad.bilinear(tokens, params[prefix + "wq"], params[prefix + "wk"]),
+                      1.0 / np.sqrt(tokens.shape[-1]))
+    # v after the scores, so the tokens' gradient sums its residual, v, k, q,
+    # km and qm terms in the order that tests/test_byte_identity.py pins
     v = ad.matmul(tokens, params[prefix + "wv"])
-    scores = ad.scale(ad.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(tokens.shape[-1]))
     attn = ad.softmax_rows(scores) if mask is None else ad.masked_softmax(scores, mask)
     mixed = ad.matmul(attn, v)
     x = ad.layer_norm(ad.add(tokens, mixed), params[prefix + "ln1_g"], params[prefix + "ln1_b"])

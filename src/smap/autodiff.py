@@ -9,7 +9,11 @@ with respect to each leaf tensor it reaches, as a new dict; it writes nothing
 to any tensor. It consumes the tape: each entry is popped as it is replayed,
 so the arrays an op kept for its gradient are freed as soon as that gradient
 is out, not when ``backward`` returns. A second ``backward`` on the same tape
-raises ``UsageError``.
+raises ``UsageError``. Where an input is kept anyway and a product of it is
+cheap, an op keeps the input and recomputes the product in its backward:
+``bilinear``, the attention scores and mask logits ``(x·wa)(x·wb)ᵀ``, keeps
+its tokens x and not its two projections, and ``conv2d`` keeps its input, not
+a patch copy.
 
 Precision is a process-global setting: training runs at float32, the
 verification suites switch to float64 via the ``precision`` context
@@ -470,6 +474,36 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         return ga, gb
 
     return _emit(out, (a, b), bwd)
+
+
+def bilinear(x: Tensor, wa: Tensor, wb: Tensor) -> Tensor:
+    """``(x @ wa) @ (x @ wb)ᵀ`` for x (B, n, d) and wa, wb (d, m), in one
+    tape entry.
+
+    The forward makes the numpy calls of ``matmul(x, wa)``, ``matmul(x, wb)``
+    and ``matmul(·, ·, transpose_b=True)``, and backward returns the products
+    their three backwards return. The entry keeps x and the weights, not the
+    two (B, n, m) projections: backward recomputes x @ wb, then x @ wa, each
+    alive only for the product that reads it. Its inputs are (x, x, wb, wa),
+    so x's gradient adds the x @ wb term before the x @ wa term, as the three
+    entries did."""
+    if x.ndim != 3 or wa.ndim != 2 or wa.shape != wb.shape or wa.shape[0] != x.shape[-1]:
+        raise DimensionError(f"bilinear needs x (B, n, d) and wa, wb (d, m), "
+                             f"got {x.shape}, {wa.shape} and {wb.shape}")
+    xd, wad, wbd = x.data, wa.data, wb.data
+    out = Tensor(np.matmul(_mm(xd, wad), np.swapaxes(_mm(xd, wbd), -1, -2)), dtype=xd.dtype)
+    x_grad, a_grad, b_grad = x.requires_grad, wa.requires_grad, wb.requires_grad
+
+    def bwd(g):
+        # dq and dk are the gradients of x @ wa and x @ wb
+        dq = np.matmul(g, _mm(xd, wbd)) if x_grad or a_grad else None
+        dk = np.matmul(np.swapaxes(g, -1, -2), _mm(xd, wad)) if x_grad or b_grad else None
+        x2 = xd.reshape(-1, xd.shape[-1])
+        return (_mm(dk, wbd.T) if x_grad else None, _mm(dq, wad.T) if x_grad else None,
+                x2.T @ dk.reshape(len(x2), -1) if b_grad else None,
+                x2.T @ dq.reshape(len(x2), -1) if a_grad else None)
+
+    return _emit(out, (x, x, wb, wa), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

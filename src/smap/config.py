@@ -8,6 +8,7 @@ repr precision).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,11 +44,14 @@ class PPOConfig:
         for name in ("gamma", "gae_lambda"):     # above 1, GAE grows without bound
             if not 0 < getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        # ranges, so that nan and inf fail them too: both train into NaNs
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
         for name in ("entropy_coef", "value_coef", "lambda_mask"):   # below 0, a loss is a reward
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and at least 0, "
+                                  f"got {getattr(self, name)}")
         for name in ("rollout_len", "n_envs", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

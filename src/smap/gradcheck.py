@@ -142,6 +142,8 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
     register("matmul_transpose_b_broadcast", lambda: ([_t(rng, 1, 4), _t(rng, 2, 5, 4)],
                                                       scalar(lambda a, b: ad.matmul(
                                                           ad.mul(a, a), b, transpose_b=True))))
+    register("bilinear", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 4, 5)],
+                                  scalar(lambda x, wa, wb: ad.square(ad.bilinear(x, wa, wb)))))
     register("linear", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)],
                                 scalar(lambda x, w, b: ad.mul(ad.linear(x, w, b),
                                                               ad.linear(x, w, b)))))

@@ -71,6 +71,58 @@ def test_matmul_transpose_b_equals_matmul_of_transpose(a_shape, b_shape):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), transpose_b=True)
 
 
+@pytest.mark.parametrize("dtype,batch,shared", [(np.float32, 1, False), (np.float32, 5, False),
+                                                (np.float64, 1, False), (np.float64, 5, False),
+                                                (np.float32, 5, True)])
+def test_bilinear_equals_three_matmuls_byte_for_byte(dtype, batch, shared):
+    """``bilinear(x, wa, wb)`` gives the bytes of ``matmul(x, wa)``,
+    ``matmul(x, wb)`` and ``matmul(·, ·, transpose_b=True)`` recorded in that
+    order, gradients included, when x also feeds a later product and a
+    residual add; ``shared`` passes one weight as both wa and wb."""
+    rng = np.random.default_rng(32)
+    b_sz, n, d, m = batch, 6, 8, 3
+    x0, wa0, wb0 = (rng.standard_normal(s) for s in ((b_sz, n, d), (d, m), (d, m)))
+    w0 = rng.standard_normal((b_sz, n, d))
+    results = []
+    with ad.precision(dtype):
+        for fused in (True, False):
+            x, wa = Tensor(x0, requires_grad=True), Tensor(wa0, requires_grad=True)
+            wb = wa if shared else Tensor(wb0, requires_grad=True)
+            with Tape() as tape:
+                if fused:
+                    scores = ad.bilinear(x, wa, wb)
+                else:
+                    scores = ad.matmul(ad.matmul(x, wa), ad.matmul(x, wb), transpose_b=True)
+                y = ad.add(x, ad.matmul(scores, x))
+                loss = ad.tsum(ad.mul(y, Tensor(w0)))
+            n_entries = len(tape.entries)
+            grads = ad.backward(tape, loss)
+            results.append(([a.tobytes() for a in (scores.data, y.data, grads[x], grads[wa],
+                                                   grads[wb])], n_entries))
+    (fused_bytes, n_fused), (ref_bytes, n_ref) = results
+    assert fused_bytes == ref_bytes
+    assert n_fused == n_ref - 2
+
+
+def test_bilinear_keeps_its_input_not_its_projections():
+    """The bilinear entry holds x's array itself and neither (B, n, m)
+    projection; a 2-d x or unequal weight shapes raise ``DimensionError``."""
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.standard_normal((5, 6, 8)), requires_grad=True)
+    wa, wb = (Tensor(rng.standard_normal((8, 3)), requires_grad=True) for _ in range(2))
+    with Tape() as tape:
+        ad.bilinear(x, wa, wb)
+    [(_, inputs, backward_fn)] = tape.entries
+    assert inputs == (x, x, wb, wa)
+    held = [v for v in _captured(backward_fn) if isinstance(v, np.ndarray)]
+    assert any(v is x.data for v in held)
+    assert not any(v.shape == (5, 6, 3) for v in held)
+    with pytest.raises(DimensionError):
+        ad.bilinear(Tensor(np.ones((6, 8))), wa, wb)
+    with pytest.raises(DimensionError):
+        ad.bilinear(x, wa, Tensor(np.ones((8, 4))))
+
+
 def test_softmax_symmetry():
     out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-12)

@@ -171,11 +171,11 @@ def test_every_trunk_setting_works(setting):
                 assert feats.shape == (2, D_TOKEN)
 
 
-@pytest.mark.parametrize("kind,entries", [("sparse_masked", 87), ("attention", 56)],
+@pytest.mark.parametrize("kind,entries", [("sparse_masked", 79), ("attention", 52)],
                          ids=["sparse_masked", "attention"])
 def test_train_mode_tape_length(kind, entries):
-    """The fused linear ops, the transpose-free score products and dense
-    attention keep the update tape this short."""
+    """The fused linear ops, one bilinear entry per score and mask-logit
+    product and dense attention keep the update tape this short."""
     policy = make_policy(kind, CFG, seed=4)
     obs = _obs_batch(4)
     with Tape() as tape:
@@ -183,15 +183,17 @@ def test_train_mode_tape_length(kind, entries):
     assert len(tape.entries) == entries
 
 
-@pytest.mark.parametrize("kind,bound_mb", [("sparse_masked", 19.5), ("attention", 15.5)],
+@pytest.mark.parametrize("kind,bound_mb", [("sparse_masked", 16.0), ("attention", 13.0)],
                          ids=["sparse_masked", "attention"])
 def test_train_step_traced_peak(kind, bound_mb):
     """A B=256 train-mode forward plus backward, as in one update shard, stays
     under a traced peak. Its tape keeps the arrays backward reads and the
     leaves, not every forward value, and backward frees each entry once it
-    has replayed it; conv2d keeps its input, not a patch copy. The peaks are
-    about 17.5 and 13.9 MB; keeping every entry until backward returned and a
-    patch copy they were about 21.9 and 17.7 MB, and keeping every
+    has replayed it; conv2d keeps its input, not a patch copy, and the
+    scores and mask logits keep their tokens, not their projections. The
+    peaks are about 14.5 and 11.9 MB; keeping q, k, qm and km they were
+    about 17.5 and 13.9 MB, keeping every entry until backward returned and a
+    patch copy as well about 21.9 and 17.7 MB, and keeping every
     intermediate Tensor as well about 36 and 28 MB."""
     with ad.precision(np.float32):
         policy = make_policy(kind, CFG, seed=5)

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -288,10 +289,16 @@ def test_sampled_evaluation_is_not_implemented():
                                           ("gae_lambda", -0.5, 1.0),
                                           ("entropy_coef", -0.01, 0.0),
                                           ("value_coef", -0.5, 0.0),
-                                          ("lambda_mask", -1.0, 0.0)])
+                                          ("lambda_mask", -1.0, 0.0),
+                                          ("learning_rate", math.nan, 1e-3),
+                                          ("learning_rate", math.inf, 1e3),
+                                          ("entropy_coef", math.nan, 0.0),
+                                          ("value_coef", math.inf, 1e3),
+                                          ("lambda_mask", math.nan, 0.0)])
 def test_config_file_values_that_break_training_rejected(key, bad, edge):
-    """A discount above 1 makes GAE grow without bound, and a negative
-    coefficient turns its loss term into a reward."""
+    """A discount above 1 makes GAE grow without bound, a negative
+    coefficient turns its loss term into a reward, and a nan or infinite
+    rate or coefficient trains into NaNs."""
     text = config.to_text(ExperimentConfig())
     line = f"{key} = {getattr(PPOConfig(), key)!r}"
     assert line in text
