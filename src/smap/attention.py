@@ -10,16 +10,19 @@ its tokens x, the scores ``(x·wq)(x·wk)^T`` and the mask logits
 aggregation step attends from one learned query over the last layer's tokens
 (with its own 1xn mask) to produce the feature vector for the heads.
 
-Mask sampling uses the hard binary concrete / Gumbel-softmax construction:
-logistic noise on the logits, a sigmoid relaxation, and a straight-through
-hard threshold. Evaluation mode thresholds the noiseless sigmoid at 0.5
-(strictly above), with no gradient. The noise is an input, one row per
-sample (``noise_rows``), so a forward that is given a sample's noise again
-samples the same masks.
+The trunk runs as L+1 stages, the L layers and then the aggregation, and a
+mask has the layout of the attention weights it gates: one (B, n, n) per
+layer, then the (B, 1, n) aggregation row. A forward returns the features,
+the masks as that list of L+1 hard masks (None for dense attention) and the
+attention weights in the same layout. Path counts and importance maps are
+derived from these.
 
-A forward returns the features, the mask set (None for dense attention) and
-the attention weights: one (B, n, n) tensor per layer, then the (B, 1, n)
-aggregation row. Path counts and importance maps are derived from these.
+Mask sampling uses the hard binary concrete / Gumbel-softmax construction at
+temperature 1: logistic noise on the logits, a sigmoid relaxation, and a
+straight-through hard threshold. Evaluation mode thresholds the noiseless
+sigmoid at 0.5 (strictly above), with no gradient. The noise is an input, one
+row per sample (``noise_rows``), so a forward that is given a sample's noise
+again samples the same masks.
 """
 
 from __future__ import annotations
@@ -41,17 +44,7 @@ class TrunkConfig:
     d_m: int = 16
     d_ff: int = 64
     n_layers: int = 2
-    tau: float = 1.0
     beta_init: float = 2.0
-
-
-@dataclass
-class MaskSet:
-    """The hard masks that gate attention and define the path counts: one
-    (B, n, n) per layer and the (B, 1, n) aggregation mask. In train mode
-    they are straight-through tensors, so gradients reach the mask logits."""
-    layers: list[Tensor]
-    out: Tensor
 
 
 def init_trunk_params(rng: np.random.Generator, cfg: TrunkConfig,
@@ -103,7 +96,7 @@ def noise_rows(rng: np.random.Generator, batch: int, cfg: TrunkConfig) -> np.nda
                         ).astype(ad.get_default_dtype())
 
 
-def sample_mask_values(logits: Tensor, mode: str, tau: float,
+def sample_mask_values(logits: Tensor, mode: str,
                        noise: Optional[np.ndarray]) -> tuple[Optional[Tensor], Tensor]:
     """Turn mask logits into (soft, hard) mask tensors; only ``hard`` gates
     attention. ``noise`` is logistic noise of the logits' shape.
@@ -113,8 +106,6 @@ def sample_mask_values(logits: Tensor, mode: str, tau: float,
            and no relaxation: ``soft`` is None.
     soft:  like train but without the hard threshold (verification mode).
     """
-    if tau <= 0:
-        raise ConfigError(f"mask temperature must be positive, got {tau}")
     if mode == "eval":
         hard_vals = (logits.data > 0).astype(logits.data.dtype)
         return None, Tensor(hard_vals, dtype=logits.data.dtype)
@@ -123,20 +114,21 @@ def sample_mask_values(logits: Tensor, mode: str, tau: float,
     if noise is None:
         raise ConfigError("train-mode mask sampling requires noise")
     noisy = ad.add(logits, Tensor(noise, dtype=logits.data.dtype))
-    soft = ad.sigmoid(ad.scale(noisy, 1.0 / tau))
+    soft = ad.sigmoid(noisy)
     if mode == "soft":
         return soft, soft
     return soft, ad.st_round(soft)
 
 
 def _mask_logits(tokens: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return ad.add(ad.bilinear(tokens, params[prefix + "wqm"], params[prefix + "wkm"]),
-                  params[prefix + "beta"])
-
-
-def _agg_mask_logits(tokens: Tensor, params: dict[str, Tensor]) -> Tensor:
-    km = ad.matmul(tokens, params["agg.wkm"])
-    return ad.add(ad.matmul(params["agg.qm"], km, transpose_b=True), params["agg.beta"])
+    """A stage's mask logits: ``(x·wqm)(x·wkm)^T + beta`` for a layer, and
+    ``qm·(x·wkm)^T + beta`` from the aggregation's learned query."""
+    if prefix == "agg.":
+        km = ad.matmul(tokens, params["agg.wkm"])
+        logits = ad.matmul(params["agg.qm"], km, transpose_b=True)
+    else:
+        logits = ad.bilinear(tokens, params[prefix + "wqm"], params[prefix + "wkm"])
+    return ad.add(logits, params[prefix + "beta"])
 
 
 def masked_attention_layer(tokens: Tensor, params: dict[str, Tensor], prefix: str,
@@ -174,14 +166,15 @@ def aggregate(tokens: Tensor, params: dict[str, Tensor],
 
 def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkConfig,
                         mode: str = "train", noise: Optional[np.ndarray] = None,
-                        masks_override: Optional[MaskSet] = None,
-                        ) -> tuple[Tensor, Optional[MaskSet], list[Tensor]]:
+                        masks_override: Optional[list[Tensor]] = None,
+                        ) -> tuple[Tensor, Optional[list[Tensor]], list[Tensor]]:
     """Layer stack plus aggregation, sampling masks from evolving tokens;
     returns (features, masks, attention weights), the weights not copied.
 
-    Train and soft modes sample with ``noise``, one ``noise_rows`` row per
-    token set. Without mask parameters or an override, attention is dense and
-    the mask set is None."""
+    Stage l < L is layer l and stage L the aggregation; the masks, the
+    override and the weights hold one tensor per stage. Train and soft modes
+    sample with ``noise``, one ``noise_rows`` row per token set. Without mask
+    parameters or an override, attention is dense and the masks are None."""
     sampling = masks_override is None and "agg.qm" in params
     n = tokens.shape[1]
     blocks = [None] * (cfg.n_layers + 1)
@@ -189,36 +182,25 @@ def run_attention_stack(tokens: Tensor, params: dict[str, Tensor], cfg: TrunkCon
         blocks = np.split(noise.reshape(len(noise), cfg.n_layers * n + 1, n),
                           [n * (l + 1) for l in range(cfg.n_layers)], axis=1)
     x = tokens
-    layer_masks: list[Tensor] = []
+    masks = [] if sampling else masks_override
     attn: list[Tensor] = []
-    for l in range(cfg.n_layers):
-        hard = None
-        if masks_override is not None:
-            hard = masks_override.layers[l]
-        elif sampling:
-            _, hard = sample_mask_values(_mask_logits(x, params, f"layer{l}."), mode,
-                                         cfg.tau, blocks[l])
-            layer_masks.append(hard)
-        x, layer_attn = masked_attention_layer(x, params, f"layer{l}.", hard)
-        attn.append(layer_attn)
-
-    out_hard = None
-    masks = masks_override
-    if masks_override is not None:
-        out_hard = masks_override.out
-    elif sampling:
-        _, out_hard = sample_mask_values(_agg_mask_logits(x, params), mode, cfg.tau,
-                                         blocks[-1])
-        masks = MaskSet(layers=layer_masks, out=out_hard)
-    features, agg_attn = aggregate(x, params, out_hard)
-    attn.append(agg_attn)
+    for l in range(cfg.n_layers + 1):
+        prefix = f"layer{l}." if l < cfg.n_layers else "agg."
+        if sampling:
+            masks.append(sample_mask_values(_mask_logits(x, params, prefix), mode, blocks[l])[1])
+        hard = None if masks is None else masks[l]
+        if l < cfg.n_layers:
+            x, stage_attn = masked_attention_layer(x, params, prefix, hard)
+        else:
+            features, stage_attn = aggregate(x, params, hard)
+        attn.append(stage_attn)
     return features, masks, attn
 
 
 def forward_trunk(obs: Tensor, params: dict[str, Tensor], cfg: TrunkConfig,
                   mode: str = "train", noise: Optional[np.ndarray] = None,
-                  masks_override: Optional[MaskSet] = None,
-                  ) -> tuple[Tensor, Optional[MaskSet], list[Tensor]]:
+                  masks_override: Optional[list[Tensor]] = None,
+                  ) -> tuple[Tensor, Optional[list[Tensor]], list[Tensor]]:
     """tokenize -> masked attention layers -> aggregation: (features, masks, weights)."""
     return run_attention_stack(tokenize(obs, params), params, cfg, mode=mode,
                                noise=noise, masks_override=masks_override)

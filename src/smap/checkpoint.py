@@ -64,8 +64,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             name, shape, dtype = entry["name"], tuple(entry["shape"]), _TAG_DTYPES[entry["dtype"]]
         except (KeyError, TypeError) as e:
             raise ValueError(f"{path}: bad manifest entry {entry!r}") from e
-        if name in out:
-            raise ValueError(f"{path}: repeated tensor name {name!r}")
+        if not isinstance(name, str) or name in out:
+            raise ValueError(f"{path}: bad or repeated tensor name {name!r}")
         if not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"{path}: bad shape {list(shape)} for {name!r}")
         count = math.prod(shape)

@@ -96,8 +96,11 @@ class ExperimentConfig:
         self.ppo.validate()
 
 
-_TOP_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig) if f.name != "ppo"}
-_PPO_FIELDS = {f.name: f for f in dataclasses.fields(PPOConfig)}
+# key -> (type name, whether it sets cfg.ppo), in file order; under
+# ``from __future__ import annotations`` every field type is a string
+_FIELDS = {f.name: (f.type, owner is PPOConfig)
+           for owner in (ExperimentConfig, PPOConfig) for f in dataclasses.fields(owner)
+           if f.name != "ppo"}
 
 
 def _format_value(v) -> str:
@@ -127,12 +130,8 @@ def _parse_value(raw: str, ftype: str):
 
 
 def to_text(cfg: ExperimentConfig) -> str:
-    lines = []
-    for name in _TOP_FIELDS:
-        lines.append(f"{name} = {_format_value(getattr(cfg, name))}")
-    for name in _PPO_FIELDS:
-        lines.append(f"{name} = {_format_value(getattr(cfg.ppo, name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {_format_value(getattr(cfg.ppo if ppo else cfg, name))}\n"
+                   for name, (_, ppo) in _FIELDS.items())
 
 
 def from_text(text: str) -> ExperimentConfig:
@@ -149,20 +148,12 @@ def from_text(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key in _TOP_FIELDS:
-            ftype = _TOP_FIELDS[key].type
-            setattr(cfg, key, _parse_value(raw, _type_name(ftype)))
-        elif key in _PPO_FIELDS:
-            ftype = _PPO_FIELDS[key].type
-            setattr(cfg.ppo, key, _parse_value(raw, _type_name(ftype)))
-        else:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        ftype, ppo = _FIELDS[key]
+        setattr(cfg.ppo if ppo else cfg, key, _parse_value(raw, ftype))
     cfg.validate()
     return cfg
-
-
-def _type_name(ftype) -> str:
-    return ftype if isinstance(ftype, str) else ftype.__name__
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

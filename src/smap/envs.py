@@ -350,18 +350,11 @@ def _generate_maze(seed: int) -> LevelSpec:
         visited[nr, nc] = True
         stack.append((nr, nc))
 
+    # cell (r, c) is grid square (2r+1, 2c+1); an open passage clears the square between
     walls = np.ones((GRID, GRID), dtype=bool)
-    for r in range(MAZE_CELLS):
-        for c in range(MAZE_CELLS):
-            walls[2 * r + 1, 2 * c + 1] = False
-    for r in range(MAZE_CELLS):
-        for c in range(MAZE_CELLS - 1):
-            if open_h[r, c]:
-                walls[2 * r + 1, 2 * c + 2] = False
-    for r in range(MAZE_CELLS - 1):
-        for c in range(MAZE_CELLS):
-            if open_v[r, c]:
-                walls[2 * r + 2, 2 * c + 1] = False
+    walls[1:2 * MAZE_CELLS:2, 1:2 * MAZE_CELLS:2] = False
+    walls[1:2 * MAZE_CELLS:2, 2:2 * MAZE_CELLS - 1:2][open_h] = False
+    walls[2:2 * MAZE_CELLS - 1:2, 1:2 * MAZE_CELLS:2][open_v] = False
 
     agent_cell = (int(rng.integers(0, MAZE_CELLS)), int(rng.integers(0, MAZE_CELLS)))
     dists = maze_cell_distances(open_h, open_v, agent_cell)

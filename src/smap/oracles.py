@@ -420,7 +420,6 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
     """Named pass/fail checks pairing fast implementations with brute force."""
     from . import autodiff as ad_mod
     from . import paths as pathmod
-    from .attention import MaskSet
     from .autodiff import Tensor
 
     checks: list[tuple[str, bool, str]] = []
@@ -438,9 +437,7 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
         layer_masks = [(rng.random((n, n)) < rng.random()).astype(float)
                        for _ in range(layers)]
         out_mask = (rng.random((1, n)) < rng.random()).astype(float)
-        ms = MaskSet(layers=[Tensor(m[None]) for m in layer_masks],
-                     out=Tensor(out_mask[None]))
-        pm = pathmod.path_matrix(ms)
+        pm = pathmod.path_matrix([Tensor(m[None]) for m in layer_masks + [out_mask]])
         brute = count_paths_bruteforce(layer_masks, out_mask)
         if not np.array_equal(pm.a_out.data[0, 0].astype(np.int64), brute):
             mismatches += 1
@@ -450,8 +447,7 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
     mu_ok = True
     for n in range(1, 9):
         for layers in range(0, 5):
-            ms = MaskSet(layers=[Tensor(np.ones((1, n, n))) for _ in range(layers)],
-                         out=Tensor(np.ones((1, 1, n))))
+            ms = [Tensor(np.ones((1, n, n)))] * layers + [Tensor(np.ones((1, 1, n)))]
             total = float(pathmod.path_matrix(ms).total.data[0])
             if total != pathmod.max_paths(n, layers):
                 mu_ok = False

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import MaskSet
 from .errors import ConfigError, DimensionError
 
 
@@ -36,21 +35,22 @@ def max_paths(n: int, n_layers: int) -> float:
     return float(n) * float(n + 1) ** n_layers
 
 
-def path_matrix(masks: MaskSet) -> PathMatrix:
-    """Cumulative path counts from the sampled (straight-through) hard masks."""
-    out_mask = masks.out
+def path_matrix(masks: list[Tensor]) -> PathMatrix:
+    """Cumulative path counts from the sampled (straight-through) hard masks:
+    one (B, n, n) per layer, then the (B, 1, n) aggregation row."""
+    *layers, out_mask = masks
     b, _, n = out_mask.shape
     dtype = out_mask.data.dtype
     eye = Tensor(np.broadcast_to(np.eye(n, dtype=dtype), (b, n, n)), dtype=dtype)
     a = eye
-    for hard in masks.layers:
+    for hard in layers:
         if hard.shape != (b, n, n):
             raise DimensionError(f"layer mask shape {hard.shape} != {(b, n, n)}")
         a = ad.matmul(ad.add(hard, eye), a)
     a_out = ad.matmul(out_mask, a)
     total = ad.reshape(ad.tsum(a_out, axis=(-1, -2)), (b,))
     return PathMatrix(a=a, a_out=a_out, total=total,
-                      mu=max_paths(n, len(masks.layers)))
+                      mu=max_paths(n, len(layers)))
 
 
 def mask_loss(frac: Tensor, alpha: float) -> Tensor:

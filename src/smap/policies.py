@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import paths as pathmod
-from .attention import MaskSet, TrunkConfig, forward_trunk, init_trunk_params, noise_rows
+from .attention import TrunkConfig, forward_trunk, init_trunk_params, noise_rows
 from .autodiff import Tensor
 from .envs import N_ACTIONS, OBS_CHANNELS
 from .errors import ConfigError
@@ -37,7 +37,7 @@ from .tokenizer import D_TOKEN, N_TOKENS, extract, init_extractor
 class PolicyOutput:
     action_logits: Tensor               # (B, n_actions)
     value: Tensor                       # (B,)
-    mask_set: Optional[MaskSet] = None
+    mask_set: Optional[list[Tensor]] = None  # hard masks, in the layout of attn
     attn: Optional[list[Tensor]] = None     # per layer (B, n, n), then aggregation (B, 1, n)
 
 

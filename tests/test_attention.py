@@ -3,7 +3,7 @@ import pytest
 
 from smap import autodiff as ad
 from smap import oracles
-from smap.attention import (MaskSet, TrunkConfig, aggregate, forward_trunk,
+from smap.attention import (TrunkConfig, aggregate, forward_trunk,
                             init_trunk_params, masked_attention_layer, noise_rows,
                             run_attention_stack, sample_mask_values)
 from smap.autodiff import Tape, Tensor
@@ -29,21 +29,21 @@ def _params(seed=0, with_masks=True, scale=0.7):
 
 def ones_mask_set(batch, n, n_layers):
     """Fully open masks: the dense attention baseline's values."""
-    return MaskSet(layers=[Tensor(np.ones((batch, n, n))) for _ in range(n_layers)],
-                   out=Tensor(np.ones((batch, 1, n))))
+    return ([Tensor(np.ones((batch, n, n))) for _ in range(n_layers)]
+            + [Tensor(np.ones((batch, 1, n)))])
 
 
 def test_saturated_logits_always_open(f64):
     logits = Tensor(np.full((1, 4, 4), 1e6))
     for _ in range(5):
         noise = np.random.default_rng(_).logistic(size=logits.shape)
-        _, hard = sample_mask_values(logits, "train", 1.0, noise)
+        _, hard = sample_mask_values(logits, "train", noise)
         assert np.all(hard.data == 1.0)
 
 
 def test_eval_threshold_is_strict(f64):
     logits = Tensor(np.zeros((1, 3, 3)))
-    soft, hard = sample_mask_values(logits, "eval", 1.0, None)
+    soft, hard = sample_mask_values(logits, "eval", None)
     assert np.all(hard.data == 0.0)        # sigmoid(0) = 0.5 is not > 0.5
     assert soft is None
 
@@ -51,30 +51,29 @@ def test_eval_threshold_is_strict(f64):
 def test_train_sampling_matches_bernoulli_rate(f64):
     logits = Tensor(np.zeros((100, 10, 100)))
     noise = np.random.default_rng(7).logistic(size=logits.shape)
-    _, hard = sample_mask_values(logits, "train", 1.0, noise)
+    _, hard = sample_mask_values(logits, "train", noise)
     assert abs(hard.data.mean() - 0.5) < 0.01
 
 
-def test_nonpositive_temperature_rejected():
-    with pytest.raises(ConfigError):
-        sample_mask_values(Tensor(np.zeros((1, 2, 2))), "train", 0.0, np.zeros((1, 2, 2)))
-
-
 def test_mask_set_shapes_and_binarity(f64):
+    """A mask set has the layout of the attention weights: one (B, n, n) hard
+    mask per layer, then the (B, 1, n) aggregation row; dense has none."""
     params = _params(1)
     rng = np.random.default_rng(1)
     tokens = _tokens(rng, b=2)
     noise = noise_rows(np.random.default_rng(2), 2, CFG)
     assert noise.shape == (2, CFG.n_layers * 16 * 16 + 16)
-    _, masks, _ = run_attention_stack(tokens, params, CFG, mode="train", noise=noise)
-    assert len(masks.layers) == CFG.n_layers
-    for hard in masks.layers + [masks.out]:
-        assert isinstance(hard, Tensor)
-        assert set(np.unique(hard.data)) <= {0.0, 1.0}
-    assert all(hard.shape == (2, 16, 16) for hard in masks.layers)
-    assert masks.out.shape == (2, 1, 16)
+    for mode, rows in (("train", noise), ("eval", None)):
+        _, masks, attn = run_attention_stack(tokens, params, CFG, mode=mode, noise=rows)
+        assert [m.shape for m in masks] == [a.shape for a in attn] \
+            == [(2, 16, 16)] * CFG.n_layers + [(2, 1, 16)]
+        for hard in masks:
+            assert isinstance(hard, Tensor)
+            assert set(np.unique(hard.data)) <= {0.0, 1.0}
+    _, dense_masks, dense_attn = run_attention_stack(tokens, _params(1, with_masks=False), CFG)
+    assert dense_masks is None and len(dense_attn) == CFG.n_layers + 1
     logits = Tensor(rng.standard_normal((2, 16, 16)))
-    soft, hard = sample_mask_values(logits, "train", CFG.tau,
+    soft, hard = sample_mask_values(logits, "train",
                                     np.random.default_rng(3).logistic(size=logits.shape))
     assert np.all((soft.data > 0) & (soft.data < 1))
     assert np.array_equal(hard.data, (soft.data > 0.5).astype(hard.data.dtype))
@@ -170,7 +169,7 @@ def test_zero_depth_trunk_is_aggregation_only(f64):
     obs = Tensor(rng.random((1, 4, 16, 16)))
     feats, masks, attn = forward_trunk(obs, params, cfg, mode="eval")
     assert feats.shape == (1, D_TOKEN)
-    assert masks.layers == []
+    assert [m.shape for m in masks] == [(1, 1, 16)]
     assert [a.shape for a in attn] == [(1, 1, 16)]
 
 
@@ -191,8 +190,7 @@ def test_no_nan_for_any_mask_pattern(f64):
     for trial in range(20):
         masks = (rng.random((CFG.n_layers, 8, 8)) < rng.random()).astype(float)
         out_mask = (rng.random((1, 8)) < rng.random()).astype(float)
-        override = MaskSet(layers=[Tensor(m[None]) for m in masks],
-                           out=Tensor(out_mask[None]))
+        override = [Tensor(m[None]) for m in masks] + [Tensor(out_mask[None])]
         feats, _, _ = run_attention_stack(tokens, params, CFG, masks_override=override)
         assert np.all(np.isfinite(feats.data))
 

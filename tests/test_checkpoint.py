@@ -82,7 +82,8 @@ def test_name_mismatch_rejected(tmp_path):
 @pytest.mark.parametrize("case", ["short_length_field", "short_manifest", "short_data",
                                   "unknown_dtype", "negative_dim", "fractional_dim",
                                   "string_dim", "trailing_bytes", "null_manifest",
-                                  "number_manifest", "object_manifest", "repeated_name"])
+                                  "number_manifest", "object_manifest", "repeated_name",
+                                  "list_name"])
 def test_malformed_checkpoint_raises_value_error(tmp_path, case):
     path = tmp_path / "ck.smap"
     save_params(path, _params(np.float32))
@@ -99,7 +100,8 @@ def test_malformed_checkpoint_raises_value_error(tmp_path, case):
            "null_manifest": MAGIC + struct.pack("<I", 4) + b"null",
            "number_manifest": MAGIC + struct.pack("<I", 2) + b"42",
            "object_manifest": MAGIC + struct.pack("<I", 2) + b"{}",
-           "repeated_name": full.replace(b'"layer.b"', b'"layer.w"')}[case]
+           "repeated_name": full.replace(b'"layer.b"', b'"layer.w"'),
+           "list_name": full.replace(b'"layer.b"', b'["lay.b"]')}[case]
     path.write_bytes(raw)
     with pytest.raises(ValueError):
         load_params(path)

@@ -551,6 +551,16 @@ def test_layouts_match_pinned_digest():
         "83994a15ac118002c2826be8d4e46b3871a7c4273a1b34ae13476e01a8ad0198"
 
 
+def test_maze_layouts_match_pinned_digest():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        level = generate_level(KIND_MAZE, seed)
+        digest.update(level.walls.tobytes())
+        digest.update(repr((level.agent_start, level.goal, level.palette)).encode())
+    assert digest.hexdigest() == \
+        "a0e28a6966347c677e84c7be220b8ad30564a8c5a1713247d989e99cff456aea"
+
+
 def test_level_codes_match_pinned_digest():
     digest = hashlib.sha256()
     for seed in range(200):

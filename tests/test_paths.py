@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from smap import autodiff as ad
 from smap import paths as pathmod
-from smap.attention import MaskSet
 from smap.autodiff import Tape, Tensor
 from smap.errors import ConfigError
 from smap.oracles import count_paths_bruteforce
@@ -15,7 +14,7 @@ def _mask_set(layer_masks, out_mask):
     layers = [Tensor(np.asarray(m, dtype=np.float64)[None], dtype=np.float64)
               for m in layer_masks]
     out = Tensor(np.asarray(out_mask, dtype=np.float64).reshape(1, 1, -1), dtype=np.float64)
-    return MaskSet(layers=layers, out=out)
+    return layers + [out]
 
 
 def test_identity_mask_single_layer():
@@ -143,12 +142,12 @@ def test_gradient_flows_through_straight_through_masks(f64):
     logits = Tensor(np.zeros((1, 3, 3)), requires_grad=True)
     out_logits = Tensor(np.zeros((1, 1, 3)), requires_grad=True)
     with Tape() as tape:
-        _, hard = sample_mask_values(logits, "train", 1.0,
+        _, hard = sample_mask_values(logits, "train",
                                      stream(0, "a").logistic(size=logits.shape))
-        _, out_hard = sample_mask_values(out_logits, "train", 1.0,
+        _, out_hard = sample_mask_values(out_logits, "train",
                                          stream(0, "b").logistic(size=out_logits.shape))
-        ms = MaskSet(layers=[hard], out=out_hard)
-        loss = pathmod.mask_loss(pathmod.path_fraction(pathmod.path_matrix(ms)), 0.3)
+        pm = pathmod.path_matrix([hard, out_hard])
+        loss = pathmod.mask_loss(pathmod.path_fraction(pm), 0.3)
     grads = ad.backward(tape, loss)
     assert logits in grads and np.any(grads[logits] != 0)
     assert out_logits in grads and np.any(grads[out_logits] != 0)

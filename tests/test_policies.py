@@ -152,7 +152,7 @@ def test_parameter_counts_are_stable():
 
 
 @pytest.mark.parametrize("setting", [{"d_m": 8}, {"d_ff": 32}, {"n_layers": 0},
-                                     {"n_layers": 3}, {"tau": 0.5}, {"beta_init": 0.0}])
+                                     {"n_layers": 3}, {"n_layers": 1}, {"beta_init": 0.0}])
 def test_every_trunk_setting_works(setting):
     """Each TrunkConfig field works away from its default, for every agent,
     in eval mode and in train mode."""
@@ -171,11 +171,12 @@ def test_every_trunk_setting_works(setting):
                 assert feats.shape == (2, D_TOKEN)
 
 
-@pytest.mark.parametrize("kind,entries", [("sparse_masked", 79), ("attention", 52)],
+@pytest.mark.parametrize("kind,entries", [("sparse_masked", 76), ("attention", 52)],
                          ids=["sparse_masked", "attention"])
 def test_train_mode_tape_length(kind, entries):
     """The fused linear ops, one bilinear entry per score and mask-logit
-    product and dense attention keep the update tape this short."""
+    product, mask sampling without a temperature entry and dense attention
+    keep the update tape this short."""
     policy = make_policy(kind, CFG, seed=4)
     obs = _obs_batch(4)
     with Tape() as tape:
