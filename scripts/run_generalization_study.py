@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from smap.cli import EXIT_OK, EXIT_USAGE, train_runs
+from smap.cli import EXIT_OK, EXIT_USAGE, parse_comma_list, train_runs
 from smap.config import ExperimentConfig
 from smap.envs import KINDS
 from smap.errors import ConfigError
@@ -59,12 +59,7 @@ def main(argv=None) -> int:
     parser.add_argument("--timesteps", type=int, default=400_000)
     args = parser.parse_args(argv)
     try:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        except ValueError as e:
-            raise ConfigError(f"cannot parse seed list {args.seeds!r}") from e
-        if not seeds:
-            raise ConfigError("the study needs a non-empty comma-separated seed list")
+        seeds = parse_comma_list(args.seeds, int, "seed")
         base = ExperimentConfig(out_dir=args.out)
         base.ppo.total_timesteps = args.timesteps
         report_study(run_study(base, seeds), Path(args.out))

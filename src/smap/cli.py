@@ -111,10 +111,9 @@ def cmd_evaluate(args) -> int:
     mean = float(returns.mean())
     norm = evaluation.normalize_return(mean, cfg.env_kind)
     out_path = run_dir / f"eval_{args.split}.csv"
-    with open(out_path, "w") as fh:
-        fh.write("level_seed,return\n")
+    with evaluation.open_table(out_path, ("level_seed", "return")) as write_row:
         for s, r in zip(seeds, returns):
-            fh.write(f"{s},{r:.6f}\n")
+            write_row({"level_seed": s, "return": r})
     print(f"{args.split}: mean return {mean:.3f} (normalized {norm:.3f}), "
           f"std {returns.std():.3f}, path fraction {frac:.3f} -> {out_path}")
     return EXIT_OK
@@ -123,7 +122,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     base = _load_config_arg(args)
     run_dirs = train_runs([dataclasses.replace(base, ppo=dataclasses.replace(base.ppo, alpha=a))
-                           for a in _parse_alphas(args.alphas)])
+                           for a in parse_comma_list(args.alphas, float, "alpha")])
     report = evaluation.generalization_report(run_dirs)
     report_path = Path(base.out_dir) / "sweep_report.csv"
     evaluation.write_report(report, report_path)
@@ -132,14 +131,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_alphas(raw: str) -> list[float]:
+def parse_comma_list(raw: str, kind: type, what: str) -> list:
+    """The comma-separated ``kind`` values in ``raw``, blanks dropped;
+    ``ConfigError``, naming the ``what`` list, if none is left or one does
+    not parse."""
     parts = [p for p in raw.split(",") if p.strip()]
     if not parts:
-        raise ConfigError("sweep needs a non-empty comma-separated alpha list")
+        raise ConfigError(f"expected a non-empty comma-separated {what} list, got {raw!r}")
     try:
-        return [float(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError as e:
-        raise ConfigError(f"cannot parse alpha list {raw!r}") from e
+        raise ConfigError(f"cannot parse {what} list {raw!r}") from e
 
 
 def cmd_visualize(args) -> int:
@@ -195,6 +197,14 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _count(raw: str) -> int:
+    """An argparse type: an int of at least 1, so a check cannot pass on nothing."""
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="smap",
                                      description="sparse masked attention policies")
@@ -225,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_visualize)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_count, default=100)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("oracle", help="brute-force equivalence and env validators")
-    p.add_argument("--patterns", type=int, default=10_000)
+    p.add_argument("--patterns", type=_count, default=10_000)
     p.set_defaults(func=cmd_oracle)
 
     return parser

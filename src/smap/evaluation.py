@@ -5,17 +5,24 @@ attention matrix is averaged with the identity, reflecting the residual
 connection's equal share; the products are then weighted by the aggregation
 attention row and renormalized. Tokens with no surviving path receive exactly
 zero importance before renormalization.
+
+This module owns the results-table format: ``open_table`` writes every CSV a
+run or a report leaves (``metrics.csv``, ``eval_<split>.csv``, the sweep and
+study reports). A report identifies each run by its ``config.txt``: env,
+policy and alpha come from the config, only the returns from ``metrics.csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import load_config
 from .envs import GRID, RETURN_BOUNDS
 from .errors import ConfigError, DimensionError
 from .tokenizer import RECEPTIVE_FIELDS
@@ -93,45 +100,50 @@ REPORT_COLUMNS = ("env", "kind", "alpha", "seed_count", "train_return", "test_re
                   "test_return_norm", "gap", "se")
 
 
-def _final_split_returns(rows: list[dict]) -> dict[str, float]:
-    by_split: dict[str, tuple[int, float]] = {}
-    for row in rows:
-        step = int(float(row["step"]))
-        split = row["split"]
-        if split not in by_split or step >= by_split[split][0]:
-            by_split[split] = (step, float(row["mean_return"]))
-    return {split: ret for split, (_, ret) in by_split.items()}
+@contextmanager
+def open_table(path, columns):
+    """Write a results table at ``path``: the header row of ``columns``, then
+    yield a function that writes one row from a mapping holding each column,
+    each cell through ``format_cell``, and flushes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+
+        def write_row(row) -> None:
+            writer.writerow([format_cell(row[c]) for c in columns])
+            fh.flush()
+
+        yield write_row
 
 
 def read_metrics(path) -> list[dict]:
+    """The rows of a ``metrics.csv``; ``ConfigError`` if it has none or lacks a
+    column the report reads."""
     path = Path(path)
     with open(path) as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
-    required = {"step", "split", "mean_return", "policy_kind", "alpha"}
-    missing = required - set(reader.fieldnames or ())
+    missing = {"split", "mean_return"} - set(reader.fieldnames or ())
     if missing:
         raise ConfigError(f"metrics file {path} is missing columns {sorted(missing)}")
+    if not rows:
+        raise ConfigError(f"metrics file {path} has no rows")
     return rows
 
 
 def generalization_report(run_dirs) -> list[dict]:
-    """Aggregate final returns per (env, policy kind, alpha) across seed runs."""
-    from .config import load_config
-
+    """Aggregate final returns per (env, policy kind, alpha) across seed runs.
+    Each run dir's ``config.txt`` names its group; a split's final return is
+    its last ``metrics.csv`` row, as training writes rows in step order."""
     per_group: dict[tuple[str, str, float], dict] = {}
-    for run_dir in run_dirs:
-        run_dir = Path(run_dir)
-        metrics_path = run_dir / "metrics.csv" if run_dir.is_dir() else run_dir
-        rows = read_metrics(metrics_path)
-        if not rows:
-            raise ConfigError(f"metrics file {metrics_path} has no rows")
-        cfg = load_config(metrics_path.parent / "config.txt")
-        finals = _final_split_returns(rows)
-        key = (cfg.env_kind, rows[-1]["policy_kind"], float(rows[-1]["alpha"]))
-        group = per_group.setdefault(key, {"train": [], "test": []})
-        group["train"].append(finals.get("train", float("nan")))
-        group["test"].append(finals.get("test", float("nan")))
+    for run_dir in map(Path, run_dirs):
+        cfg = load_config(run_dir / "config.txt")
+        finals = {row["split"]: float(row["mean_return"])
+                  for row in read_metrics(run_dir / "metrics.csv")}
+        group = per_group.setdefault((cfg.env_kind, cfg.policy, cfg.ppo.alpha),
+                                     {"train": [], "test": []})
+        for split, returns in group.items():
+            returns.append(finals.get(split, float("nan")))
 
     report = []
     for (env_kind, policy_kind, alpha), group in sorted(per_group.items()):
@@ -154,15 +166,13 @@ def generalization_report(run_dirs) -> list[dict]:
 
 
 def write_report(report: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
+    with open_table(path, REPORT_COLUMNS) as write_row:
         for row in report:
-            writer.writerow([format_cell(row[c]) for c in REPORT_COLUMNS])
+            write_row(row)
 
 
 def format_cell(v) -> str:
-    """A CSV cell of ``metrics.csv`` or a report: floats at 6 decimals."""
+    """A results-table cell: floats at 6 decimals."""
     return f"{v:.6f}" if isinstance(v, float) else str(v)
 
 

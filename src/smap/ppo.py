@@ -23,7 +23,6 @@ loss term on either half raises before the optimizer steps.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,7 +36,7 @@ from .autodiff import Tape, Tensor
 from .checkpoint import save_params
 from .config import ExperimentConfig, PPOConfig, save_config
 from .errors import DimensionError, UsageError
-from .evaluation import format_cell
+from .evaluation import open_table
 from .optim import Adam
 from .policies import PolicyBase, make_policy
 from .rng import stream
@@ -266,22 +265,6 @@ def evaluate_policy(policy: PolicyBase, kind: str, seeds: list[int],
     return totals, mean_frac
 
 
-class MetricsWriter:
-    def __init__(self, path):
-        self.path = Path(path)
-        self._fh = open(self.path, "w", newline="")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(METRIC_COLUMNS)
-
-    def write(self, **kv) -> None:
-        row = [format_cell(kv[c]) for c in METRIC_COLUMNS]
-        self._writer.writerow(row)
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def train(cfg: ExperimentConfig, run_dir) -> None:
     """Full training loop; writes config copy, metrics.csv, and checkpoints."""
     cfg.validate()
@@ -305,28 +288,20 @@ def train(cfg: ExperimentConfig, run_dir) -> None:
                 fh.write(f"{name} {t.shape} {t.size}\n")
             fh.write(f"total {policy.parameter_count()}\n")
 
-        metrics = MetricsWriter(run_dir / "metrics.csv")
         steps_per_iter = ppo_cfg.rollout_len * ppo_cfg.n_envs
         n_iters = ppo_cfg.total_timesteps // steps_per_iter
-        stats = UpdateStats()
-
-        def run_eval(step: int) -> None:
-            for split, seeds in (("train", train_seeds), ("test", test_seeds)):
-                returns, frac = evaluate_policy(policy, cfg.env_kind, seeds)
-                metrics.write(step=step, policy_kind=cfg.policy, alpha=ppo_cfg.alpha,
-                              split=split, mean_return=float(returns.mean()),
-                              std_return=float(returns.std()),
-                              path_fraction=float(frac),
-                              mask_loss=stats.mask_loss,
-                              policy_loss=stats.policy_loss,
-                              value_loss=stats.value_loss, entropy=stats.entropy)
-
-        try:
+        with open_table(run_dir / "metrics.csv", METRIC_COLUMNS) as write_row:
             for it in range(1, n_iters + 1):
                 batch = collect_rollout(policy, runner, ppo_cfg.rollout_len, action_rng)
                 stats = ppo_update(batch, policy, ppo_cfg, optimizer, update_rng)
-                if it % ppo_cfg.eval_every == 0 or it == n_iters:
-                    run_eval(step=it * steps_per_iter)
-        finally:
-            metrics.close()
+                if it % ppo_cfg.eval_every and it != n_iters:
+                    continue
+                for split, seeds in (("train", train_seeds), ("test", test_seeds)):
+                    returns, frac = evaluate_policy(policy, cfg.env_kind, seeds)
+                    write_row({"step": it * steps_per_iter, "policy_kind": cfg.policy,
+                               "alpha": ppo_cfg.alpha, "split": split,
+                               "mean_return": float(returns.mean()),
+                               "std_return": float(returns.std()), "path_fraction": float(frac),
+                               "mask_loss": stats.mask_loss, "policy_loss": stats.policy_loss,
+                               "value_loss": stats.value_loss, "entropy": stats.entropy})
         save_params(run_dir / "checkpoint.smap", policy.params)

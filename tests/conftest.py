@@ -41,20 +41,20 @@ def _fake_train(cfg, run_dir) -> None:
     from pathlib import Path
 
     from smap.config import save_config
-    from smap.ppo import MetricsWriter
+    from smap.evaluation import open_table
+    from smap.ppo import METRIC_COLUMNS
 
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, run_dir / "config.txt")
     k = _FAKE_POLICY_RANK[cfg.policy]
     test_return = (10.0 if cfg.env_kind == "DodgeGrid" else 1.0) + (k + 1) * cfg.ppo.seed - 2 * k
-    metrics = MetricsWriter(run_dir / "metrics.csv")
-    for split, ret in (("train", test_return + 1.0), ("test", test_return)):
-        metrics.write(step=cfg.ppo.total_timesteps, policy_kind=cfg.policy,
-                      alpha=cfg.ppo.alpha, split=split, mean_return=ret, std_return=0.0,
-                      path_fraction=1.0, mask_loss=0.0, policy_loss=0.0, value_loss=0.0,
-                      entropy=0.0)
-    metrics.close()
+    with open_table(run_dir / "metrics.csv", METRIC_COLUMNS) as write_row:
+        for split, ret in (("train", test_return + 1.0), ("test", test_return)):
+            write_row({"step": cfg.ppo.total_timesteps, "policy_kind": cfg.policy,
+                       "alpha": cfg.ppo.alpha, "split": split, "mean_return": ret,
+                       "std_return": 0.0, "path_fraction": 1.0, "mask_loss": 0.0,
+                       "policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0})
 
 
 @pytest.fixture

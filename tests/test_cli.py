@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from smap import autodiff as ad
-from smap import cli, gradcheck, oracles
+from smap import cli, envs, gradcheck, oracles
 from smap.attention import TrunkConfig
 from smap.checkpoint import MAGIC, save_params
 from smap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _load_run_policy, main
 from smap.config import ExperimentConfig, save_config
 from smap.policies import make_policy
+from smap.ppo import evaluate_policy
 
 
 def _tiny_cnn_config(root):
@@ -73,9 +74,27 @@ def test_train_names_a_run_by_its_config_and_reuses_it(tmp_path, monkeypatch, ca
 
 
 def test_evaluate_finished_run(cnn_run):
+    """eval_test.csv holds, line for line, a direct evaluation of the checkpoint."""
     run_dir, _ = cnn_run
     assert main(["evaluate", "--run", str(run_dir), "--split", "test"]) == EXIT_OK
-    assert len((run_dir / "eval_test.csv").read_text().splitlines()) == 3
+    cfg, policy = _load_run_policy(run_dir)
+    with ad.precision(cfg.precision):
+        _, seeds = envs.make_split(cfg.env_kind, cfg.n_train_levels, cfg.n_test_levels)
+        returns, _ = evaluate_policy(policy, cfg.env_kind, seeds)
+    lines = ["level_seed,return"] + [f"{seed},{ret:.6f}" for seed, ret in zip(seeds, returns)]
+    assert len(lines) == 3
+    assert (run_dir / "eval_test.csv").read_text() == "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_config_is_a_usage_error(tmp_path, case, capsys):
+    config = tmp_path / "config.txt"
+    if case == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b"policy = cnn\xff\n")
+    assert main(["train", "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {config}")
 
 
 def test_visualize_cnn_run_is_a_usage_error(cnn_run):
@@ -180,6 +199,22 @@ def test_oracle_exit_codes_and_patterns(monkeypatch, capsys):
     assert main(["oracle"]) == EXIT_CHECK_FAILED
     assert "FAILED: split_disjoint" in capsys.readouterr().out
     assert calls == [7, 10_000]
+
+
+@pytest.mark.parametrize("argv", [["gradcheck", "--instances", "0"],
+                                  ["gradcheck", "--instances", "-3"],
+                                  ["oracle", "--patterns", "0"]],
+                         ids=["instances_0", "instances_-3", "patterns_0"])
+def test_a_check_of_no_cases_is_a_usage_error(monkeypatch, capsys, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran on fewer than one case")
+
+    monkeypatch.setattr(gradcheck, "run_all", no_run)
+    monkeypatch.setattr(oracles, "run_oracle_suite", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_USAGE
+    assert f"argument {argv[1]}: must be at least 1, got {argv[2]}" in capsys.readouterr().err
 
 
 def test_real_oracle_suite_passes():

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from smap.config import ExperimentConfig
+from smap.config import ExperimentConfig, save_config
 from smap.envs import KIND_DODGE, KIND_MAZE, RETURN_BOUNDS
 from smap.errors import ConfigError, DimensionError
 from smap.evaluation import (REPORT_COLUMNS, attention_importance, export_heatmap,
                              format_report, generalization_report, normalize_return,
-                             write_report)
+                             open_table, write_report)
+from smap.ppo import METRIC_COLUMNS
 from smap.tokenizer import N_TOKENS, RECEPTIVE_FIELDS
 
 N = N_TOKENS
@@ -93,3 +94,20 @@ def test_report_keeps_each_env_apart(tmp_path, fake_train):
     table = format_report(report).splitlines()
     assert table[0].split()[:2] == ["env", "kind"]
     assert [line.split()[0] for line in table[2:]] == [KIND_DODGE, KIND_MAZE]
+
+
+def test_report_reads_each_runs_identity_from_its_config(tmp_path):
+    """A run's env, policy and alpha come from its config.txt, whatever its
+    metrics.csv rows name; each split's final return is its last row."""
+    cfg = ExperimentConfig(env_kind=KIND_MAZE, policy="cnn")
+    cfg.ppo.alpha = 0.3
+    save_config(cfg, tmp_path / "config.txt")
+    with open_table(tmp_path / "metrics.csv", METRIC_COLUMNS) as write_row:
+        for step, ret in ((100, 1.0), (200, 2.0)):
+            for split in ("train", "test"):
+                write_row(dict.fromkeys(METRIC_COLUMNS, 0.0) | {
+                    "step": step, "policy_kind": "sparse_masked", "alpha": 0.05,
+                    "split": split, "mean_return": ret + (split == "train")})
+    (row,) = generalization_report([tmp_path])
+    assert (row["env"], row["kind"], row["alpha"]) == (KIND_MAZE, "cnn", 0.3)
+    assert (row["train_return"], row["test_return"]) == (3.0, 2.0)

@@ -151,12 +151,13 @@ def test_parameter_counts_are_stable():
         assert make_policy(kind, CFG, seed=0).parameter_count() == count
 
 
-@pytest.mark.parametrize("setting", [{"d_m": 8}, {"d_ff": 32}, {"n_layers": 0},
-                                     {"n_layers": 3}, {"n_layers": 1}, {"beta_init": 0.0}])
-def test_every_trunk_setting_works(setting):
+@pytest.mark.parametrize("field,value", [("d_m", 8), ("d_ff", 32), ("n_layers", 0),
+                                         ("n_layers", 3), ("n_layers", 1), ("beta_init", 0.0)])
+def test_every_trunk_setting_works(field, value):
     """Each TrunkConfig field works away from its default, for every agent,
-    in eval mode and in train mode."""
-    cfg = TrunkConfig(**setting)
+    in eval mode and in train mode. The ids name the field and value, so a
+    case keeps its id when another is removed."""
+    cfg = TrunkConfig(**{field: value})
     obs = _obs_batch(2)
     for kind in POLICY_KINDS:
         policy = make_policy(kind, cfg, seed=6)
