@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import autodiff as ad
-from . import envs, evaluation, oracles
+from . import envs, evaluation, gradcheck, oracles
 from .attention import TrunkConfig
 from .checkpoint import load_into
 from .config import ExperimentConfig, load_config, to_text
@@ -157,44 +157,39 @@ def cmd_visualize(args) -> int:
         obs = envs.render_obs(state)
         out = policy.output(obs[None], mode="eval")
         try:
-            imap = evaluation.attention_importance(
-                [a.data for a in out.attn],
-                metadata={"policy_kind": policy.kind, "level_seed": args.level,
-                          "step_index": 0, "env_kind": cfg.env_kind})
+            imap = evaluation.attention_importance([a.data for a in out.attn])
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CHECK_FAILED
     stem = out_dir / f"importance_{cfg.env_kind}_{args.level}"
-    pgm, js = evaluation.export_heatmap(imap, stem)
+    pgm, js = evaluation.export_heatmap(
+        imap, stem, {"policy_kind": policy.kind, "level_seed": args.level,
+                     "step_index": 0, "env_kind": cfg.env_kind})
     envs.render_ppm(state, out_dir / f"level_{cfg.env_kind}_{args.level}.ppm")
     print(f"wrote {pgm} and {js}")
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    from .gradcheck import run_all
-    results = run_all(instances=args.instances, progress=print)
-    failed = [r for r in results if not r.passed]
-    print("-" * 56)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name:<28} worst rel err {r.worst_rel_error:.3e} "
-              f"over {r.instances} instances")
+def _print_check(name: str, ok: bool, detail: str) -> None:
+    print(f"{'PASS' if ok else 'FAIL'} {name:<28} {detail}", flush=True)
+
+
+def _check_summary(checks: list[tuple[str, bool, str]], what: str) -> int:
+    """One summary line for a suite's ``(name, passed, detail)`` records; the exit code."""
+    failed = [name for name, ok, _ in checks if not ok]
     if failed:
-        print(f"{len(failed)} gradient checks FAILED")
+        print(f"{what} checks FAILED: {', '.join(failed)}")
         return EXIT_CHECK_FAILED
-    print(f"all {len(results)} gradient checks passed")
+    print(f"all {len(checks)} {what} checks passed")
     return EXIT_OK
+
+
+def cmd_gradcheck(args) -> int:
+    return _check_summary(gradcheck.run_all(args.instances, _print_check), "gradient")
 
 
 def cmd_oracle(args) -> int:
-    checks = oracles.run_oracle_suite(patterns=args.patterns, progress=print)
-    failed = [name for name, ok, _ in checks if not ok]
-    if failed:
-        print(f"oracle checks FAILED: {', '.join(failed)}")
-        return EXIT_CHECK_FAILED
-    print(f"all {len(checks)} oracle checks passed")
-    return EXIT_OK
+    return _check_summary(oracles.run_oracle_suite(args.patterns, _print_check), "oracle")
 
 
 def _count(raw: str) -> int:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .envs import KINDS
+from .envs import KINDS, check_split_sizes
 from .errors import ConfigError
 from .policies import POLICY_KINDS
 
@@ -91,8 +91,7 @@ class ExperimentConfig:
             raise ConfigError(f"policy must be one of {POLICY_KINDS}, got {self.policy!r}")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
-        if self.n_train_levels < 1 or self.n_test_levels < 1:
-            raise ConfigError("split sizes must be at least 1")
+        check_split_sizes(self.n_train_levels, self.n_test_levels)
         self.ppo.validate()
 
 

@@ -471,14 +471,20 @@ def render_obs(state: EnvState) -> np.ndarray:
     return decode_obs(obs_codes(state))
 
 
+def check_split_sizes(n_train: int, n_test: int) -> None:
+    """``ConfigError`` unless the train seeds [0, n_train) stay below the test
+    range [TEST_SEED_BASE, TEST_SEED_BASE + TEST_SEED_SPAN) and it holds n_test."""
+    if not 1 <= n_train <= TEST_SEED_BASE:
+        raise ConfigError(f"n_train_levels must lie in [1, {TEST_SEED_BASE}], got {n_train}")
+    if not 1 <= n_test <= TEST_SEED_SPAN:
+        raise ConfigError(f"n_test_levels must lie in [1, {TEST_SEED_SPAN}], got {n_test}")
+
+
 def make_split(kind: str, n_train: int, n_test: int) -> tuple[list[int], list[int]]:
     """Disjoint train/test level seeds: [0, n_train) vs draws from [1e6, 1e6+1e4)."""
     if kind not in KINDS:
         raise ConfigError(f"unknown environment kind {kind!r}")
-    if n_train < 1 or n_test < 1:
-        raise ConfigError("split sizes must be at least 1")
-    if n_test > TEST_SEED_SPAN:
-        raise ConfigError(f"n_test must be <= {TEST_SEED_SPAN}")
+    check_split_sizes(n_train, n_test)
     train = list(range(n_train))
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=_SPLIT_ENTROPY, spawn_key=(zlib.crc32(kind.encode("utf-8")),)))

@@ -1,10 +1,11 @@
 """Return normalization, attention-importance maps, and run reports.
 
-Importance uses attention rollout: per layer the (masked, renormalized)
-attention matrix is averaged with the identity, reflecting the residual
-connection's equal share; the products are then weighted by the aggregation
-attention row and renormalized. Tokens with no surviving path receive exactly
-zero importance before renormalization.
+A token's importance is its renormalized path count through the attention
+weights: ``paths.path_matrix`` run on them in place of the hard masks, each
+layer contributing (A + I) for its residual connection. This is attention
+rollout, ∏ 0.5·(A + I), bit for bit: scaling by the power of two 0.5 is exact,
+so the rollout is 2^-L times the path count, a factor the renormalization
+removes. Tokens with no surviving path receive exactly zero importance.
 
 This module owns the results-table format: ``open_table`` writes every CSV a
 run or a report leaves (``metrics.csv``, ``eval_<split>.csv``, the sweep and
@@ -17,14 +18,16 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tensor
 from .config import load_config
 from .envs import GRID, RETURN_BOUNDS
 from .errors import ConfigError, DimensionError
+from .paths import path_matrix
 from .tokenizer import RECEPTIVE_FIELDS
 
 
@@ -42,23 +45,17 @@ def normalize_return(raw: float, kind: str) -> float:
 class ImportanceMap:
     token_importance: np.ndarray        # (n,), nonnegative, sums to 1
     pixel_map: np.ndarray               # (16, 16), sums to 1
-    metadata: dict = field(default_factory=dict)
 
 
-def attention_importance(attn, metadata=None) -> ImportanceMap:
-    """Attention rollout over one eval-mode forward's attention weights: one
-    (1, n, n) array per layer in order, then the (1, 1, n) aggregation row."""
+def attention_importance(attn) -> ImportanceMap:
+    """Renormalized path counts through one eval-mode forward's attention weights:
+    one (1, n, n) array per layer in order, then the (1, 1, n) aggregation row."""
     if not attn:
         raise ValueError("attention_importance needs at least the aggregation weights")
-    *layers, agg = attn
     if attn[0].ndim != 3 or attn[0].shape[0] != 1:
         raise DimensionError("attention weights must come from a single-observation forward")
 
-    n = agg.shape[-1]
-    rollout = np.eye(n)
-    for a in layers:
-        rollout = (0.5 * a[0] + 0.5 * np.eye(n)) @ rollout
-    weights = agg[0][0] @ rollout
+    weights = path_matrix([Tensor(a, dtype=np.float64) for a in attn]).a_out.data[0, 0]
     total = weights.sum()
     if total <= 0:
         raise ValueError("all aggregation paths are masked; importance undefined")
@@ -68,12 +65,11 @@ def attention_importance(attn, metadata=None) -> ImportanceMap:
     for i, (r0, r1, c0, c1) in enumerate(RECEPTIVE_FIELDS):
         area = (r1 - r0) * (c1 - c0)
         pixel_map[r0:r1, c0:c1] += importance[i] / area
-    return ImportanceMap(token_importance=importance, pixel_map=pixel_map,
-                         metadata=dict(metadata or {}))
+    return ImportanceMap(token_importance=importance, pixel_map=pixel_map)
 
 
-def export_heatmap(imap: ImportanceMap, stem) -> tuple[Path, Path]:
-    """Write <stem>.pgm (display) and <stem>.json (exact values)."""
+def export_heatmap(imap: ImportanceMap, stem, metadata: dict) -> tuple[Path, Path]:
+    """Write <stem>.pgm (display) and <stem>.json (exact values and ``metadata``)."""
     stem = Path(stem)
     pgm_path = stem.with_suffix(".pgm")
     json_path = stem.with_suffix(".json")
@@ -90,7 +86,7 @@ def export_heatmap(imap: ImportanceMap, stem) -> tuple[Path, Path]:
     payload = {
         "token_importance": [float(v) for v in imap.token_importance],
         "pixel_map": [[float(v) for v in row] for row in pm],
-        "metadata": imap.metadata,
+        "metadata": metadata,
     }
     json_path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
     return pgm_path, json_path

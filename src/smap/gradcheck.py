@@ -5,11 +5,15 @@ coordinate by coordinate; whole networks are checked along random directions
 (which is the same central-difference estimate, projected). Every suite draws
 from seed 0. Used by the ``gradcheck`` CLI subcommand and by the acceptance
 suite.
+
+Each check is a ``(name, passed, detail)`` record, as in ``oracles``: it
+passes when its worst relative error is below ``REL_TOL``, its detail reads
+``worst rel err <e> over <n> instances``, and it goes to ``progress(name,
+passed, detail)`` as soon as it finishes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -104,15 +108,15 @@ def max_rel_error_directional(loss_fn, tensors: Sequence[Tensor], rng) -> Option
     return worst
 
 
-@dataclass
-class CheckResult:
-    name: str
-    worst_rel_error: float
-    instances: int
+Check = tuple[str, bool, str]
+Progress = Optional[Callable[[str, bool, str], None]]
 
-    @property
-    def passed(self) -> bool:
-        return self.worst_rel_error < REL_TOL
+
+def _check(name: str, worst: float, instances: int, progress: Progress) -> Check:
+    check = (name, worst < REL_TOL, f"worst rel err {worst:.3e} over {instances} instances")
+    if progress:
+        progress(*check)
+    return check
 
 
 def _t(rng, *shape) -> Tensor:
@@ -216,8 +220,7 @@ def _conv2d_channels_last_case(rng):
     return [x, kernels], fn
 
 
-def run_primitive_suite(instances: int = 100,
-                        progress: Callable[[str], None] | None = None) -> list[CheckResult]:
+def run_primitive_suite(instances: int = 100, progress: Progress = None) -> list[Check]:
     """Check each primitive over ``instances`` random draws at float64."""
     results = []
     with ad.precision(np.float64):
@@ -227,14 +230,11 @@ def run_primitive_suite(instances: int = 100,
             for _ in range(instances):
                 tensors, fn = make()
                 worst = max(worst, max_rel_error_coordinatewise(fn, tensors))
-            results.append(CheckResult(name, worst, instances))
-            if progress:
-                progress(f"{name}: worst rel err {worst:.3e}")
+            results.append(_check(name, worst, instances, progress))
     return results
 
 
-def run_network_suite(instances: int = 100,
-                      progress: Callable[[str], None] | None = None) -> list[CheckResult]:
+def run_network_suite(instances: int = 100, progress: Progress = None) -> list[Check]:
     """Directional gradient checks through the full policies and the trunk."""
     from . import policies as pz
     from .attention import TrunkConfig, noise_rows
@@ -287,12 +287,9 @@ def run_network_suite(instances: int = 100,
                 checked += 1
             if checked < instances:
                 worst = float("inf")
-            results.append(CheckResult(label, worst, checked))
-            if progress:
-                progress(f"{label}: worst rel err {worst:.3e} ({checked} instances)")
+            results.append(_check(label, worst, checked, progress))
     return results
 
 
-def run_all(instances: int = 100,
-            progress: Callable[[str], None] | None = None) -> list[CheckResult]:
+def run_all(instances: int = 100, progress: Progress = None) -> list[Check]:
     return run_primitive_suite(instances, progress) + run_network_suite(instances, progress)

@@ -417,7 +417,8 @@ def influence_blocking_trial(seed: int) -> tuple[int, bool]:
 
 
 def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, bool, str]]:
-    """Named pass/fail checks pairing fast implementations with brute force."""
+    """``(name, passed, detail)`` checks pairing fast implementations with brute
+    force; each goes to ``progress(name, passed, detail)`` once decided."""
     from . import autodiff as ad_mod
     from . import paths as pathmod
     from .autodiff import Tensor
@@ -427,7 +428,7 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
     def record(name, ok, detail=""):
         checks.append((name, ok, detail))
         if progress:
-            progress(f"{'PASS' if ok else 'FAIL'} {name:<28} {detail}")
+            progress(name, ok, detail)
 
     rng = np.random.default_rng(20_240_601)
     mismatches = 0

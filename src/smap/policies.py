@@ -104,7 +104,9 @@ class PolicyBase:
         log_probs = ad.log_softmax(out.action_logits).data
         u = rng.random((len(log_probs), 1))
         cdf = np.cumsum(np.exp(log_probs), axis=-1)
-        actions = (u < cdf).argmax(axis=-1)
+        # the count of the first K-1 cdf entries that u reaches, so a u past a
+        # float32 total below 1 picks the last action, not the first
+        actions = (u >= cdf[:, :-1]).sum(axis=-1)
         picked = log_probs[np.arange(len(log_probs)), actions]
         return Sample(actions, picked, out.value.data, noise)
 

@@ -721,9 +721,10 @@ def test_linear_shape_errors():
 def test_primitive_gradcheck_suite_passes():
     """Every registered case passes finite differences, so a case added to
     ``gradcheck`` runs here and not only under ``smap gradcheck``."""
-    results = run_primitive_suite(instances=10)
-    assert [r.name for r in results] == list(primitive_cases(np.random.default_rng(0)))
-    assert [(r.name, r.worst_rel_error) for r in results if not r.passed] == []
+    checks = run_primitive_suite(instances=10)
+    assert [name for name, _, _ in checks] == list(primitive_cases(np.random.default_rng(0)))
+    assert [(name, detail) for name, ok, detail in checks if not ok] == []
+    assert all(detail.endswith(" over 10 instances") for _, _, detail in checks)
 
 
 def test_every_checked_op_keeps_float32():

@@ -14,6 +14,7 @@ from smap.attention import TrunkConfig
 from smap.checkpoint import MAGIC, save_params
 from smap.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _load_run_policy, main
 from smap.config import ExperimentConfig, save_config
+from smap.errors import ConfigError
 from smap.policies import make_policy
 from smap.ppo import evaluate_policy
 
@@ -71,6 +72,16 @@ def test_train_names_a_run_by_its_config_and_reuses_it(tmp_path, monkeypatch, ca
     (run_dir / "config.txt").write_text(text.replace("gamma = 0.99", "gamma = 0.9"))
     assert main(["train", "--config", config]) == EXIT_USAGE
     assert "holds a run at another config" in capsys.readouterr().err
+
+
+def test_train_runs_rejects_overlapping_splits_before_training(tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda cfg, run_dir: trained.append(run_dir))
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "runs"),
+                           n_train_levels=envs.TEST_SEED_BASE + envs.TEST_SEED_SPAN)
+    with pytest.raises(ConfigError, match="n_train_levels"):
+        cli.train_runs([cfg])
+    assert trained == [] and not (tmp_path / "runs").exists()
 
 
 def test_evaluate_finished_run(cnn_run):
@@ -158,13 +169,18 @@ def test_gradcheck_with_one_instance_passes():
 
 def test_failed_gradient_check_is_a_check_failure(monkeypatch, capsys):
     def failing_suite(instances, progress):
-        return [gradcheck.CheckResult("matmul", 1.0, instances)]
+        checks = [("add", True, f"worst rel err 1.000e-09 over {instances} instances"),
+                  ("matmul", False, f"worst rel err 1.000e+00 over {instances} instances")]
+        for check in checks:
+            progress(*check)
+        return checks
 
     monkeypatch.setattr(gradcheck, "run_all", failing_suite)
     assert main(["gradcheck", "--instances", "3"]) == EXIT_CHECK_FAILED
-    out = capsys.readouterr().out
-    assert "FAIL matmul" in out and "over 3 instances" in out
-    assert out.endswith("1 gradient checks FAILED\n")
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS {'add':<28} worst rel err 1.000e-09 over 3 instances",
+        f"FAIL {'matmul':<28} worst rel err 1.000e+00 over 3 instances",
+        "gradient checks FAILED: matmul"]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "visualize"])
@@ -189,15 +205,22 @@ def test_bad_checkpoint_is_a_usage_error(tmp_path, command, case, capsys):
 def test_oracle_exit_codes_and_patterns(monkeypatch, capsys):
     calls = []
 
-    def fake_suite(patterns, progress=None):
+    def fake_suite(patterns, progress):
         calls.append(patterns)
-        return [("mu_closed_form", True, ""), ("split_disjoint", len(calls) == 1, "")]
+        checks = [("mu_closed_form", True, "exact"),
+                  ("split_disjoint", len(calls) == 1, f"{patterns} patterns")]
+        for check in checks:
+            progress(*check)
+        return checks
 
     monkeypatch.setattr(oracles, "run_oracle_suite", fake_suite)
     assert main(["oracle", "--patterns", "7"]) == EXIT_OK
-    assert "all 2 oracle checks passed" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS {'mu_closed_form':<28} exact", f"PASS {'split_disjoint':<28} 7 patterns",
+        "all 2 oracle checks passed"]
     assert main(["oracle"]) == EXIT_CHECK_FAILED
-    assert "FAILED: split_disjoint" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"FAIL {'split_disjoint':<28} 10000 patterns", "oracle checks FAILED: split_disjoint"]
     assert calls == [7, 10_000]
 
 

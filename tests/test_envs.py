@@ -162,6 +162,24 @@ def test_make_split_always_disjoint():
             assert not set(train) & set(test)
 
 
+@pytest.mark.parametrize("n_train,n_test", [
+    (envs.TEST_SEED_BASE + envs.TEST_SEED_SPAN, 5),
+    (envs.TEST_SEED_BASE + 1, 1),
+    (1, envs.TEST_SEED_SPAN + 1),
+], ids=["train_covers_test_range", "train_reaches_test_base", "test_beyond_its_range"])
+def test_make_split_rejects_sizes_that_would_overlap(n_train, n_test):
+    """Train seeds [0, n_train) must stay below the test range, and the test
+    range must hold n_test distinct seeds."""
+    with pytest.raises(ConfigError, match="levels must lie in"):
+        make_split(KIND_DODGE, n_train, n_test)
+
+
+def test_split_size_bounds_are_inclusive():
+    envs.check_split_sizes(envs.TEST_SEED_BASE, envs.TEST_SEED_SPAN)
+    train, test = make_split(KIND_MAZE, 3, envs.TEST_SEED_SPAN)
+    assert test == list(range(envs.TEST_SEED_BASE, envs.TEST_SEED_BASE + envs.TEST_SEED_SPAN))
+
+
 def test_dodge_optimal_policy_matches_dp_value():
     for seed in range(3):
         level = generate_level(KIND_DODGE, seed)

@@ -21,10 +21,34 @@ def _uniform_layers(count):
 
 def test_uniform_attention_gives_uniform_importance():
     attn = _uniform_layers(2) + [np.full((1, 1, N), 1.0 / N)]
-    imap = attention_importance(attn, metadata={"level": 3})
+    imap = attention_importance(attn)
     assert np.allclose(imap.token_importance, 1.0 / N)
     assert np.allclose(imap.pixel_map, 1.0 / (16 * 16))
-    assert imap.metadata == {"level": 3}
+
+
+def _rollout_reference(attn):
+    """Attention rollout as first written: each layer averaged with the
+    identity, the products weighted by the aggregation row, renormalized."""
+    *layers, agg = attn
+    rollout = np.eye(N)
+    for a in layers:
+        rollout = (0.5 * a[0] + 0.5 * np.eye(N)) @ rollout
+    weights = agg[0][0] @ rollout
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_importance_equals_attention_rollout_bit_for_bit(n_layers, dtype):
+    """Path counts through the weights are the rollout times 2^L exactly, so
+    renormalized they give the rollout's bits."""
+    rng = np.random.default_rng(n_layers)
+    for _ in range(20):
+        attn = [rng.dirichlet(np.ones(N), size=(1, N)).astype(dtype) for _ in range(n_layers)]
+        attn.append(rng.dirichlet(np.ones(N), size=(1, 1)).astype(dtype))
+        got = attention_importance(attn).token_importance
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _rollout_reference(attn))
 
 
 def test_one_hot_aggregation_puts_the_map_on_that_tokens_field():
@@ -53,13 +77,13 @@ def test_heatmap_json_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     agg = rng.random((1, 1, N))
     attn = [rng.dirichlet(np.ones(N), size=N)[None], agg / agg.sum()]
-    imap = attention_importance(attn, metadata={"kind": KIND_DODGE, "level": 7})
-    pgm, js = export_heatmap(imap, tmp_path / "heat")
+    imap = attention_importance(attn)
+    pgm, js = export_heatmap(imap, tmp_path / "heat", {"kind": KIND_DODGE, "level": 7})
     assert pgm.read_bytes().startswith(b"P5\n16 16\n255\n")
     back = json.loads(js.read_text(encoding="utf-8"))
     assert np.array_equal(back["token_importance"], imap.token_importance)
     assert np.array_equal(back["pixel_map"], imap.pixel_map)
-    assert back["metadata"] == imap.metadata
+    assert back["metadata"] == {"kind": KIND_DODGE, "level": 7}
 
 
 def test_normalize_return_clips_to_unit_interval():

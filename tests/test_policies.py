@@ -223,6 +223,24 @@ def test_non_sparse_act_returns_no_noise(kind):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+class _TopUniform:
+    """An rng whose uniforms are the largest float64 below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+def test_act_picks_the_last_action_past_the_cdf_total():
+    """A float32 action distribution may sum to just under 1; a uniform above
+    its total still picks the last action, never the first."""
+    policy = make_policy("cnn", CFG, seed=0)
+    obs = _obs_batch(64)
+    sample = policy.act(obs, _TopUniform())
+    assert sample.actions.tolist() == [envs.N_ACTIONS - 1] * 64
+    log_probs = ad.log_softmax(policy.output(obs, mode="train").action_logits).data
+    assert np.array_equal(sample.log_probs, log_probs[:, -1])
+
+
 def test_sparse_output_replays_act_noise():
     policy = make_policy("sparse_masked", CFG, seed=12)
     obs = _obs_batch(3)

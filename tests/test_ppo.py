@@ -294,14 +294,18 @@ def test_sampled_evaluation_is_not_implemented():
                                           ("learning_rate", math.inf, 1e3),
                                           ("entropy_coef", math.nan, 0.0),
                                           ("value_coef", math.inf, 1e3),
-                                          ("lambda_mask", math.nan, 0.0)])
+                                          ("lambda_mask", math.nan, 0.0),
+                                          ("n_train_levels", envs.TEST_SEED_BASE + 1,
+                                           envs.TEST_SEED_BASE),
+                                          ("n_test_levels", envs.TEST_SEED_SPAN + 1,
+                                           envs.TEST_SEED_SPAN)])
 def test_config_file_values_that_break_training_rejected(key, bad, edge):
     """A discount above 1 makes GAE grow without bound, a negative
-    coefficient turns its loss term into a reward, and a nan or infinite
-    rate or coefficient trains into NaNs."""
+    coefficient turns its loss term into a reward, a nan or infinite rate or
+    coefficient trains into NaNs, and train levels that reach the test seeds'
+    range, or more test levels than it holds, break the split."""
     text = config.to_text(ExperimentConfig())
-    line = f"{key} = {getattr(PPOConfig(), key)!r}"
-    assert line in text
+    (line,) = [line for line in text.splitlines() if line.startswith(f"{key} = ")]
     with pytest.raises(ConfigError, match=key):
         config.from_text(text.replace(line, f"{key} = {bad!r}"))
     config.from_text(text.replace(line, f"{key} = {edge!r}"))

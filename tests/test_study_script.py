@@ -100,7 +100,7 @@ def test_report_pairs_each_baseline_with_its_envs_sparse_agent(tmp_path, fake_tr
     (["--seeds", "0,x"], "cannot parse seed list"),
     (["--seeds", "0,0"], "two runs share one config"),
     (["--timesteps", "5"], "total_timesteps must cover at least one rollout"),
-])
+], ids=["empty_seeds", "unparsable_seed", "repeated_seed", "timesteps_below_a_rollout"])
 def test_study_config_errors_exit_2(tmp_path, capsys, argv, message):
     study = _load_study()
     assert study.main(["--out", str(tmp_path)] + argv) == cli.EXIT_USAGE
