@@ -36,6 +36,14 @@ def _run_text(cfg: ExperimentConfig) -> str:
     return to_text(dataclasses.replace(cfg, out_dir=""))
 
 
+def _check_out_dir(path: Path) -> None:
+    """``ConfigError`` unless ``path`` is a directory or ``mkdir(parents=True)``
+    can make one: its nearest existing ancestor must be a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {path} is not a directory: {existing} is a file")
+
+
 def train_runs(cfgs: list[ExperimentConfig]) -> list[Path]:
     """Train each config into ``out_dir / env_policy_alpha_seed_hash``, the hash
     being 8 hex digits of the sha256 of its ``_run_text``; return the run dirs.
@@ -53,6 +61,7 @@ def train_runs(cfgs: list[ExperimentConfig]) -> list[Path]:
         h = hashlib.sha256(text.encode()).hexdigest()[:8]
         name = f"{cfg.env_kind}_{cfg.policy}_{cfg.ppo.alpha:g}_{cfg.ppo.seed}_{h}"
         run_dir = Path(cfg.out_dir) / name
+        _check_out_dir(run_dir)
         if run_dir in run_dirs:
             raise ConfigError(f"two runs share one config: {run_dir.name}")
         run_dirs.append(run_dir)
@@ -150,6 +159,7 @@ def cmd_visualize(args) -> int:
     if policy.kind == "cnn":
         raise ConfigError("visualization needs an attention policy; this run used cnn")
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ad.precision(cfg.precision):
         level = envs.generate_level(cfg.env_kind, args.level)

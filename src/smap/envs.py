@@ -1,15 +1,19 @@
-"""Procedurally generated gridworld families.
+"""Procedurally generated gridworld families, played as one level model.
+
+A level (``LevelSpec``) is walls, a start, an item whose collection ends the
+episode at +10, and an optional hazard table. Per kind, ``_RULES`` holds
+only a move's stride and the reward of a surviving step.
 
 DodgeGrid: a 16x16 arena with bordered walls, a few wall blocks, 2-4 hazard
-projectiles bouncing deterministically along rows or columns, and one
-collectible. Surviving a step earns +0.1, collecting ends the episode at +10,
-collision ends it at 0. Admits a sparse-dependent policy: dodging is decided
-by the agent's immediate surroundings plus the collectible location.
+projectiles bouncing deterministically along rows or columns, and the item.
+Surviving a step earns +0.1, collision ends the episode at 0. Admits a
+sparse-dependent policy: dodging is decided by the agent's immediate
+surroundings plus the item location.
 
 MazeGrid: a perfect maze carved by seeded depth-first search on a 7x7 cell
-lattice, rendered to 16x16 pixels. Reaching the goal earns +10, everything
-else 0. Optimal play requires most of the layout, i.e. a dense-dependent
-policy.
+lattice, rendered to 16x16 pixels; a move crosses a passage to the next cell,
+two pixels on, and earns 0. The item is the cell farthest from the start.
+Optimal play requires most of the layout, i.e. a dense-dependent policy.
 
 Layouts are pure functions of (kind, seed). Generation rejects DodgeGrid
 layouts without a provably safe full-horizon policy, resampling from a
@@ -22,31 +26,31 @@ cells at one byte each. The observation code of a cell:
 
 - bit 0: wall (channel 0 is 1.0);
 - bit 1: agent (channel 1 is 1.0);
-- bits 2-3: channel 2's shade index into (0, 0.3, 0.6, 1.0): hazards, trails
-  and the item on DodgeGrid, 3 at the goal on MazeGrid;
+- bits 2-3: channel 2's shade index into (0, 0.3, 0.6, 1.0): 3 at the item,
+  else the brighter of a projectile (2) and its trail (1);
 - bits 4-7: the palette index; channel 3 is the tint 0.15 + 0.8 p / 9.
 
 Each level is compiled once into two read-only tables, derived lazily from
 its fields on first use, so a spec that is never stepped costs nothing:
 
-- ``LevelSpec.base_codes``: a (16, 16) uint8 frame of observation codes for
-  walls, palette and the maze goal, without agent or hazards (256 bytes).
-- ``LevelSpec.codes`` (DodgeGrid only): a (horizon + 1, 16, 16) uint8 array
-  (33 KB at the default horizon of 128) with one code per cell and timestep:
-  bits 0-1 index channel 2's value in (0, 0.3, 0.6, 1.0), with trails not
-  drawn on walls, the brighter of trail and projectile kept, and the item
-  cell always 1.0; bit 2 is set where a projectile is; bits 3-6 where a
-  projectile moves up, down, left or right next step.
+- ``LevelSpec.base_codes``, what stays: the (16, 16) uint8 observation codes
+  of walls, palette and the item (256 bytes).
+- ``LevelSpec.codes``, what moves, None without hazards: a (horizon + 1, 16,
+  16) uint8 array (33 KB at the default horizon of 128), one code per cell
+  and timestep: bits 0-1 are the shade an observation ORs in, with trails
+  not drawn on walls and the brighter of trail and projectile kept; bit 2 is
+  set where a projectile is; bits 3-6 where it moves up, down, left or right
+  next step.
 
-``step``, ``obs_codes`` and generation's safe-policy check read only these
-tables. The check runs its forward reach set on 256-bit Python ints, bit
-``r * 16 + c`` for cell (r, c), because numpy's fixed cost per call, not the
-work, dominated on 16x16 grids; column masks keep a one-column shift from
-carrying a cell across a row boundary. ``codes`` is built from ``hazards``,
-one read-only int16 (N, 7) array of projectile rows sorted by t (12 KB a
-level), which the oracles decode on their own. The tables must stay dense
-arrays: a layout of per-timestep sets and index arrays raised the peak memory
-of a DodgeGrid training run by 13.6%.
+``step``, ``obs_codes``, ``render_ppm`` and generation's safe-policy check
+read only these tables. The check runs its forward reach set on 256-bit
+Python ints, bit ``r * 16 + c`` for cell (r, c), because numpy's fixed cost
+per call, not the work, dominated on 16x16 grids; column masks keep a
+one-column shift from carrying a cell across a row boundary. ``codes`` is
+built from ``hazards``, one read-only int16 (N, 7) array of projectile rows
+sorted by t (12 KB a level), which the oracles decode on their own. The
+tables must stay dense arrays: a layout of per-timestep sets and index
+arrays raised the peak memory of a DodgeGrid training run by 13.6%.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from . import autodiff as ad
 from .errors import ConfigError, UsageError
 
 GRID = 16
-OBS_CHANNELS = 4            # walls, agent, hazards or goal, palette tint
+OBS_CHANNELS = 4            # walls, agent, item and hazards, palette tint
 MAZE_CELLS = 7
 DODGE_HORIZON = 128
 MAZE_HORIZON = 256
@@ -78,11 +82,11 @@ ACTIONS = ("up", "down", "left", "right", "stay")
 DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))
 N_ACTIONS = len(ACTIONS)
 
-RETURN_BOUNDS = {
-    # collecting the item ends the episode, so at most DODGE_HORIZON - 1 ticks precede it
-    KIND_DODGE: (0.0, GOAL_REWARD + TICK_REWARD * (DODGE_HORIZON - 1)),
-    KIND_MAZE: (0.0, GOAL_REWARD),
-}
+# per kind: a move's stride in pixels, the reward of a surviving step, the horizon
+_RULES = {KIND_DODGE: (1, TICK_REWARD, DODGE_HORIZON), KIND_MAZE: (2, 0.0, MAZE_HORIZON)}
+# collecting the item ends the episode, so at most horizon - 1 ticks precede it
+RETURN_BOUNDS = {kind: (0.0, GOAL_REWARD + tick * (horizon - 1))
+                 for kind, (_, tick, horizon) in _RULES.items()}
 
 # bit layout of LevelSpec.codes
 SHADE = 0b11
@@ -132,20 +136,18 @@ class LevelSpec:
     agent_start: tuple[int, int]
     palette: int
     horizon: int
+    item: tuple[int, int]               # reaching it ends the episode at GOAL_REWARD
     emitters: tuple[Emitter, ...] = ()
-    item: Optional[tuple[int, int]] = None
-    goal: Optional[tuple[int, int]] = None
     # (N, 7) int16, a row per projectile in flight, sorted by t: (t, cell, next
     # cell (-1,-1 when it leaves the arena), cell just behind it (-1,-1 if none))
     hazards: Optional[np.ndarray] = None
 
     @cached_property
     def base_codes(self) -> np.ndarray:
-        """(16, 16) uint8 observation codes: walls, palette and the maze goal."""
+        """(16, 16) uint8 observation codes: walls, palette and the item."""
         base = np.full((GRID, GRID), self.palette << PALETTE_SHIFT, dtype=np.uint8)
         base[self.walls] |= WALL_BIT
-        if self.kind == KIND_MAZE:
-            base[self.goal] |= SHADE << SHADE_SHIFT
+        base[self.item] |= SHADE << SHADE_SHIFT
         base.setflags(write=False)
         return base
 
@@ -168,7 +170,6 @@ class LevelSpec:
             raise ValueError("projectiles must move one cell per step")
         np.bitwise_or.at(codes, (t[moving], r[moving], c[moving]),
                          _MOVE_BIT_BY_STEP[(dr + 1) * 3 + dc + 1])
-        codes[:, self.item[0], self.item[1]] |= SHADE     # shade 3, hazard bits kept
         codes.setflags(write=False)
         return codes
 
@@ -358,13 +359,13 @@ def _generate_maze(seed: int) -> LevelSpec:
 
     agent_cell = (int(rng.integers(0, MAZE_CELLS)), int(rng.integers(0, MAZE_CELLS)))
     dists = maze_cell_distances(open_h, open_v, agent_cell)
-    goal_cell = tuple(int(v) for v in np.unravel_index(np.argmax(dists), dists.shape))
+    item_cell = tuple(int(v) for v in np.unravel_index(np.argmax(dists), dists.shape))
 
     walls.setflags(write=False)
     return LevelSpec(kind=KIND_MAZE, seed=seed, walls=walls,
                      agent_start=(2 * agent_cell[0] + 1, 2 * agent_cell[1] + 1),
                      palette=palette, horizon=MAZE_HORIZON,
-                     goal=(2 * goal_cell[0] + 1, 2 * goal_cell[1] + 1))
+                     item=(2 * item_cell[0] + 1, 2 * item_cell[1] + 1))
 
 
 def maze_cell_distances(open_h: np.ndarray, open_v: np.ndarray,
@@ -412,35 +413,29 @@ def step(state: EnvState, action: int) -> tuple[EnvState, float, bool]:
     if not 0 <= action < N_ACTIONS:
         raise UsageError(f"action must be in [0, {N_ACTIONS}), got {action}")
     level = state.level
+    stride, tick, _ = _RULES[level.kind]
     dr, dc = DELTAS[action]
     r, c = state.pos
     t2 = state.t + 1
-
-    if level.kind == KIND_MAZE:
-        new_pos = state.pos if action == 4 or level.walls[r + dr, c + dc] \
-            else (r + 2 * dr, c + 2 * dc)
-        if new_pos == level.goal:
-            return EnvState(level, new_pos, t2, True), GOAL_REWARD, True
-        done = t2 >= level.horizon
-        return EnvState(level, new_pos, t2, done), 0.0, done
-
+    # the pixel beside the agent blocks a move; a maze move crosses it to the next cell
     blocked = level.walls[r + dr, c + dc]
-    new_pos = state.pos if blocked else (r + dr, c + dc)
+    new_pos = state.pos if blocked else (r + stride * dr, c + stride * dc)
     if new_pos == level.item:
         return EnvState(level, new_pos, t2, True), GOAL_REWARD, True
     codes = level.codes
-    nr, nc = new_pos
-    if codes[t2, nr, nc] & HAZARD or \
-            not blocked and codes[state.t, nr, nc] & _SWAP_BITS[action]:
-        return EnvState(level, new_pos, t2, True), 0.0, True
+    if codes is not None:
+        nr, nc = new_pos
+        if codes[t2, nr, nc] & HAZARD or \
+                not blocked and codes[state.t, nr, nc] & _SWAP_BITS[action]:
+            return EnvState(level, new_pos, t2, True), 0.0, True
     done = t2 >= level.horizon
-    return EnvState(level, new_pos, t2, done), TICK_REWARD, done
+    return EnvState(level, new_pos, t2, done), tick, done
 
 
 def obs_codes(state: EnvState) -> np.ndarray:
     """(16, 16) uint8 observation codes of ``state`` (module docstring)."""
     level = state.level
-    if level.kind == KIND_DODGE:
+    if level.codes is not None:
         codes = level.base_codes | (level.codes[state.t] & SHADE) << SHADE_SHIFT
     else:
         codes = level.base_codes.copy()
@@ -467,7 +462,7 @@ def decode_obs(codes: np.ndarray) -> np.ndarray:
 
 
 def render_obs(state: EnvState) -> np.ndarray:
-    """(4, 16, 16) working-dtype observation: walls, agent, hazards/goal, palette tint."""
+    """(4, 16, 16) working-dtype observation: walls, agent, item and hazards, palette tint."""
     return decode_obs(obs_codes(state))
 
 
@@ -506,11 +501,9 @@ def render_ppm(state: EnvState, path) -> None:
     bg = _PALETTE_RGB[level.palette % len(_PALETTE_RGB)]
     img[:, :] = [max(8, v // 3) for v in bg]
     img[level.walls] = (200, 200, 200)
-    if level.kind == KIND_DODGE:
+    if level.codes is not None:
         img[(level.codes[state.t] & HAZARD) != 0] = (230, 60, 60)
-        img[level.item] = (250, 220, 60)
-    else:
-        img[level.goal] = (250, 220, 60)
+    img[level.item] = (250, 220, 60)
     img[state.pos] = (80, 240, 120)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{GRID} {GRID}\n255\n".encode("ascii"))

@@ -131,70 +131,66 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
     def scalar(fn_inner):
         return lambda ts: ad.tsum(fn_inner(*ts))
 
-    cases: dict[str, Callable[[], tuple[list[Tensor], Callable]]] = {}
-
-    def register(name, make):
-        cases[name] = make
-
-    register("matmul", lambda: ([_t(rng, 3, 4), _t(rng, 4, 2)],
-                                scalar(lambda a, b: ad.matmul(a, ad.mul(b, b)))))
-    register("matmul_batched", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2)],
-                                        scalar(lambda a, b: ad.matmul(a, b))))
-    register("matmul_transpose_b", lambda: ([_t(rng, 2, 3, 4), _t(rng, 2, 5, 4)],
-                                            scalar(lambda a, b: ad.matmul(
-                                                a, ad.mul(b, b), transpose_b=True))))
-    register("matmul_transpose_b_broadcast", lambda: ([_t(rng, 1, 4), _t(rng, 2, 5, 4)],
-                                                      scalar(lambda a, b: ad.matmul(
-                                                          ad.mul(a, a), b, transpose_b=True))))
-    register("bilinear", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 4, 5)],
-                                  scalar(lambda x, wa, wb: ad.square(ad.bilinear(x, wa, wb)))))
-    register("linear", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)],
-                                scalar(lambda x, w, b: ad.mul(ad.linear(x, w, b),
-                                                              ad.linear(x, w, b)))))
-    register("add", lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
-                             scalar(lambda a, b: ad.add(ad.mul(a, a), b))))
-    register("add_broadcast", lambda: ([_t(rng, 2, 3), _t(rng, 3)],
-                                       scalar(lambda a, b: ad.add(a, ad.mul(b, b)))))
-    register("sub", lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
-                             scalar(lambda a, b: ad.sub(ad.mul(a, b), b))))
-    register("mul", lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
-                             scalar(lambda a, b: ad.mul(a, b))))
-    register("exp", lambda: ([_t(rng, 2, 3)], scalar(ad.exp)))
-    register("square", lambda: ([_t(rng, 2, 3)], scalar(ad.square)))
-    register("sigmoid", lambda: ([_t(rng, 2, 3)], scalar(ad.sigmoid)))
-    register("relu", lambda: ([Tensor(rng.standard_normal((2, 3)) + np.where(rng.random((2, 3)) < 0.5, -0.5, 0.5),
-                                      requires_grad=True)],
-                              scalar(ad.relu)))
-    register("scale", lambda: ([_t(rng, 2, 3)], scalar(lambda a: ad.scale(a, 1.7))))
-    register("sum_all", lambda: ([_t(rng, 2, 3)], lambda ts: ad.tsum(ts[0])))
-    register("sum_axis", lambda: ([_t(rng, 2, 3)],
-                                  lambda ts: ad.tsum(ad.square(ad.tsum(ts[0], axis=1)))))
-    register("mean", lambda: ([_t(rng, 2, 3)],
-                              lambda ts: ad.tmean(ad.square(ts[0]))))
-    register("softmax_rows", lambda: ([_t(rng, 2, 4), _t(rng, 2, 4)],
-                                      lambda ts: ad.tsum(ad.mul(ad.softmax_rows(ts[0]), ts[1]))))
-    register("log_softmax", lambda: ([_t(rng, 2, 4), _t(rng, 2, 4)],
-                                     lambda ts: ad.tsum(ad.mul(ad.log_softmax(ts[0]), ts[1]))))
-    register("masked_softmax", lambda: _masked_softmax_case(rng))
-    register("layer_norm", lambda: ([_t(rng, 2, 3, 4), _t(rng, 4), _t(rng, 4)],
-                                    scalar(lambda x, g, b: ad.layer_norm(x, g, b))))
-    register("conv2d", lambda: ([_t(rng, 1, 2, 8, 8), _t(rng, 3, 2, 1, 1)],
-                                scalar(lambda x, k: ad.conv2d(x, k, stride=1))))
-    register("conv2d_strided", lambda: ([_t(rng, 1, 4, 4, 4), _t(rng, 2, 4, 2, 2)],
-                                        scalar(lambda x, k: ad.conv2d(x, k, stride=2))))
-    register("conv2d_channels_last", lambda: _conv2d_channels_last_case(rng))
-    register("transpose", lambda: ([_t(rng, 3, 4)],
-                                   scalar(lambda a: ad.matmul(ad.transpose(a), a))))
-    register("reshape", lambda: ([_t(rng, 2, 6)],
-                                 scalar(lambda a: ad.square(ad.reshape(a, (3, 4))))))
-    register("minimum", lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
-                                 scalar(ad.minimum)))
-    register("clip", lambda: ([Tensor(rng.uniform(-2, 2, (2, 3)), requires_grad=True)],
-                              scalar(lambda a: ad.clip(a, -0.9, 0.9))))
-    register("gather_rows", lambda: ([_t(rng, 4, 5)],
-                                     lambda ts: ad.tsum(ad.square(
-                                         ad.gather_rows(ts[0], np.array([0, 2, 4, 1]))))))
-    return cases
+    return {
+        "matmul": lambda: ([_t(rng, 3, 4), _t(rng, 4, 2)],
+                           scalar(lambda a, b: ad.matmul(a, ad.mul(b, b)))),
+        "matmul_batched": lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2)],
+                                   scalar(lambda a, b: ad.matmul(a, b))),
+        "matmul_transpose_b": lambda: ([_t(rng, 2, 3, 4), _t(rng, 2, 5, 4)],
+                                       scalar(lambda a, b: ad.matmul(
+                                           a, ad.mul(b, b), transpose_b=True))),
+        "matmul_transpose_b_broadcast": lambda: ([_t(rng, 1, 4), _t(rng, 2, 5, 4)],
+                                                 scalar(lambda a, b: ad.matmul(
+                                                     ad.mul(a, a), b, transpose_b=True))),
+        "bilinear": lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 4, 5)],
+                             scalar(lambda x, wa, wb: ad.square(ad.bilinear(x, wa, wb)))),
+        "linear": lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)],
+                           scalar(lambda x, w, b: ad.mul(ad.linear(x, w, b),
+                                                         ad.linear(x, w, b)))),
+        "add": lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
+                        scalar(lambda a, b: ad.add(ad.mul(a, a), b))),
+        "add_broadcast": lambda: ([_t(rng, 2, 3), _t(rng, 3)],
+                                  scalar(lambda a, b: ad.add(a, ad.mul(b, b)))),
+        "sub": lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
+                        scalar(lambda a, b: ad.sub(ad.mul(a, b), b))),
+        "mul": lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
+                        scalar(lambda a, b: ad.mul(a, b))),
+        "exp": lambda: ([_t(rng, 2, 3)], scalar(ad.exp)),
+        "square": lambda: ([_t(rng, 2, 3)], scalar(ad.square)),
+        "sigmoid": lambda: ([_t(rng, 2, 3)], scalar(ad.sigmoid)),
+        "relu": lambda: ([Tensor(rng.standard_normal((2, 3)) + np.where(rng.random((2, 3)) < 0.5, -0.5, 0.5),
+                                 requires_grad=True)],
+                         scalar(ad.relu)),
+        "scale": lambda: ([_t(rng, 2, 3)], scalar(lambda a: ad.scale(a, 1.7))),
+        "sum_all": lambda: ([_t(rng, 2, 3)], lambda ts: ad.tsum(ts[0])),
+        "sum_axis": lambda: ([_t(rng, 2, 3)],
+                             lambda ts: ad.tsum(ad.square(ad.tsum(ts[0], axis=1)))),
+        "mean": lambda: ([_t(rng, 2, 3)],
+                         lambda ts: ad.tmean(ad.square(ts[0]))),
+        "softmax_rows": lambda: ([_t(rng, 2, 4), _t(rng, 2, 4)],
+                                 lambda ts: ad.tsum(ad.mul(ad.softmax_rows(ts[0]), ts[1]))),
+        "log_softmax": lambda: ([_t(rng, 2, 4), _t(rng, 2, 4)],
+                                lambda ts: ad.tsum(ad.mul(ad.log_softmax(ts[0]), ts[1]))),
+        "masked_softmax": lambda: _masked_softmax_case(rng),
+        "layer_norm": lambda: ([_t(rng, 2, 3, 4), _t(rng, 4), _t(rng, 4)],
+                               scalar(lambda x, g, b: ad.layer_norm(x, g, b))),
+        "conv2d": lambda: ([_t(rng, 1, 2, 8, 8), _t(rng, 3, 2, 1, 1)],
+                           scalar(lambda x, k: ad.conv2d(x, k, stride=1))),
+        "conv2d_strided": lambda: ([_t(rng, 1, 4, 4, 4), _t(rng, 2, 4, 2, 2)],
+                                   scalar(lambda x, k: ad.conv2d(x, k, stride=2))),
+        "conv2d_channels_last": lambda: _conv2d_channels_last_case(rng),
+        "transpose": lambda: ([_t(rng, 3, 4)],
+                              scalar(lambda a: ad.matmul(ad.transpose(a), a))),
+        "reshape": lambda: ([_t(rng, 2, 6)],
+                            scalar(lambda a: ad.square(ad.reshape(a, (3, 4))))),
+        "minimum": lambda: ([_t(rng, 2, 3), _t(rng, 2, 3)],
+                            scalar(ad.minimum)),
+        "clip": lambda: ([Tensor(rng.uniform(-2, 2, (2, 3)), requires_grad=True)],
+                         scalar(lambda a: ad.clip(a, -0.9, 0.9))),
+        "gather_rows": lambda: ([_t(rng, 4, 5)],
+                                lambda ts: ad.tsum(ad.square(
+                                    ad.gather_rows(ts[0], np.array([0, 2, 4, 1]))))),
+    }
 
 
 def _masked_softmax_case(rng):

@@ -333,7 +333,7 @@ def maze_blank_quadrant(level: LevelSpec, quadrant: int) -> np.ndarray:
 def maze_dense_dependence_fraction(level: LevelSpec, quadrant: int) -> float:
     """Fraction of cells whose BFS-optimal action changes when a quadrant of
     the maze is opened up."""
-    goal_cell = ((level.goal[0] - 1) // 2, (level.goal[1] - 1) // 2)
+    goal_cell = ((level.item[0] - 1) // 2, (level.item[1] - 1) // 2)
     base = maze_optimal_actions(level.walls, goal_cell)
     blanked = maze_optimal_actions(maze_blank_quadrant(level, quadrant), goal_cell)
     cells = [c for c in base if c in blanked]
@@ -344,7 +344,7 @@ def maze_dense_dependence_fraction(level: LevelSpec, quadrant: int) -> float:
 def maze_count_simple_paths(level: LevelSpec) -> int:
     """Number of simple start->goal paths (1 for a perfect maze)."""
     start = ((level.agent_start[0] - 1) // 2, (level.agent_start[1] - 1) // 2)
-    goal = ((level.goal[0] - 1) // 2, (level.goal[1] - 1) // 2)
+    goal = ((level.item[0] - 1) // 2, (level.item[1] - 1) // 2)
     adj = _maze_adjacency(level.walls)
     count = 0
     stack = [(start, frozenset([start]))]

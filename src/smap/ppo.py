@@ -160,7 +160,6 @@ class UpdateStats:
     value_loss: float = 0.0
     entropy: float = 0.0
     mask_loss: float = 0.0
-    path_fraction: float = 1.0
 
 
 def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
@@ -204,9 +203,7 @@ def ppo_update(batch: RolloutBatch, policy: PolicyBase, cfg: PPOConfig,
             loss = ad.scale(loss, weight)
         terms = {"policy_loss": -surrogate.item(), "value_loss": value_loss.item(),
                  "entropy": out.entropy.item(),
-                 "mask_loss": mask_term.item() if mask_term is not None else 0.0,
-                 "path_fraction": (float(out.path_fraction.data.mean())
-                                   if out.path_fraction is not None else 1.0)}
+                 "mask_loss": mask_term.item() if mask_term is not None else 0.0}
         if not all(np.isfinite(v) for v in terms.values()):
             raise FloatingPointError(f"non-finite loss term during PPO update: {terms}")
         return terms, ad.backward(tape, loss)

@@ -84,6 +84,20 @@ def test_train_runs_rejects_overlapping_splits_before_training(tmp_path, monkeyp
     assert trained == [] and not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/runs"])
+def test_train_into_a_file_is_a_usage_error_before_training(tmp_path, monkeypatch, capsys, out):
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda cfg, run_dir: trained.append(run_dir))
+    (tmp_path / "file").write_text("not a directory\n")
+    cfg = ExperimentConfig(out_dir=str(tmp_path / out))
+    save_config(cfg, tmp_path / "config.txt")
+    assert main(["train", "--config", str(tmp_path / "config.txt")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: output path") and err.count("\n") == 1
+    assert f"{tmp_path / 'file'} is a file" in err
+    assert trained == []
+
+
 def test_evaluate_finished_run(cnn_run):
     """eval_test.csv holds, line for line, a direct evaluation of the checkpoint."""
     run_dir, _ = cnn_run
@@ -146,6 +160,19 @@ def test_visualize_with_every_aggregation_path_closed_is_a_check_failure(tmp_pat
     assert main(["visualize", "--run", str(tmp_path), "--level", "0",
                  "--out", str(tmp_path / "viz")]) == EXIT_CHECK_FAILED
     assert "all aggregation paths are masked" in capsys.readouterr().err
+
+
+def test_visualize_into_a_file_is_a_usage_error(tmp_path, capsys):
+    cfg = ExperimentConfig()
+    save_config(cfg, tmp_path / "config.txt")
+    save_params(tmp_path / "checkpoint.smap",
+                make_policy(cfg.policy, TrunkConfig(), seed=cfg.ppo.seed).params)
+    out = tmp_path / "viz"
+    out.write_text("not a directory\n")
+    assert main(["visualize", "--run", str(tmp_path), "--level", "0",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: output path {out} is not a directory: {out} is a file\n"
 
 
 def test_sweep_writes_one_report_row_per_alpha(tmp_path):

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ def test_layouts_are_deterministic():
         assert np.array_equal(a.walls, b.walls)
         assert a.agent_start == b.agent_start
         assert a.palette == b.palette
-        assert a.item == b.item and a.goal == b.goal
+        assert a.item == b.item
 
 
 def test_dodge_layout_contract():
@@ -80,7 +80,7 @@ def test_dodge_collect_gives_ten_and_done():
 
 def test_maze_goal_gives_ten_and_done():
     level = generate_level(KIND_MAZE, 0)
-    gr, gc = level.goal
+    gr, gc = level.item
     # find an open neighbor cell two pixels away with an open passage
     for action, (dr, dc) in enumerate(envs.DELTAS[:4]):
         pr, pc = gr - 2 * dr, gc - 2 * dc
@@ -100,15 +100,34 @@ def test_step_after_done_raises():
         step(state, 0)
 
 
+def _play_to_the_end(state, policy):
+    """Step ``policy(state)`` until done; the final state and last reward."""
+    while True:
+        state, reward, done = step(state, policy(state))
+        assert done == state.done
+        if done:
+            return state, reward
+        assert state.t < state.level.horizon
+
+
 def test_horizon_terminates():
-    level = generate_level(KIND_MAZE, 1)
-    state = reset(level)
-    steps = 0
-    while not state.done:
-        state, _, _ = step(state, 4)
-        steps += 1
-        assert steps <= level.horizon
-    assert state.t <= level.horizon
+    """An episode that neither collects the item nor dies ends at exactly
+    t == horizon, on the kind's tick: MazeGrid staying put, and DodgeGrid
+    without its item, playing the oracle's greedy survival actions."""
+    for seed in (1, 2):
+        maze = generate_level(KIND_MAZE, seed)
+        state, reward = _play_to_the_end(reset(maze), lambda s: 4)
+        assert state.t == maze.horizon == envs.MAZE_HORIZON and reward == 0.0
+        no_item = replace(generate_level(KIND_DODGE, seed), item=(-1, -1))
+        values = oracles.dodge_optimal_values(no_item)
+        state, reward = _play_to_the_end(reset(no_item), lambda s: int(
+            oracles.dodge_optimal_actions(no_item, values, s.t)[s.pos]))
+        assert state.t == no_item.horizon == envs.DODGE_HORIZON
+        assert reward == envs.TICK_REWARD
+
+
+def test_return_bounds():
+    assert RETURN_BOUNDS == {KIND_DODGE: (0.0, 22.700000000000003), KIND_MAZE: (0.0, 10.0)}
 
 
 @settings(max_examples=20, deadline=None)
@@ -216,12 +235,43 @@ def test_maze_is_dense_dependent():
 
 
 def test_render_ppm(tmp_path):
-    level = generate_level(KIND_DODGE, 0)
+    """Level 3 of each kind, rendered at reset and after each of four steps,
+    writes pinned bytes."""
     path = tmp_path / "level.ppm"
-    render_ppm(reset(level), path)
-    data = path.read_bytes()
-    assert data.startswith(b"P6\n16 16\n255\n")
-    assert len(data) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+    digest = hashlib.sha256()
+    for kind in envs.KINDS:
+        state = reset(generate_level(kind, 3))
+        for action in (None, 0, 3, 2, 4):
+            if action is not None:
+                state = step(state, action)[0]
+            render_ppm(state, path)
+            data = path.read_bytes()
+            assert data.startswith(b"P6\n16 16\n255\n")
+            assert len(data) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+            digest.update(data)
+    assert digest.hexdigest() == \
+        "9aba3aeca101bfd1839db738ebad07d4996b11717704ff1add190d7e4c54c820"
+
+
+def test_item_is_what_stays_and_hazards_are_what_moves():
+    """Every level has an item and no second goal field; ``base_codes`` marks
+    the item at shade 3, and ``codes`` holds only projectiles and trails."""
+    assert "goal" not in {f.name for f in fields(LevelSpec)}
+    item_shade = envs.SHADE << envs.SHADE_SHIFT
+    for kind in envs.KINDS:
+        for seed in range(10):
+            level = generate_level(kind, seed)
+            assert not level.walls[level.item] and level.item != level.agent_start
+            assert level.base_codes[level.item] & item_shade == item_shade
+            if level.codes is None:
+                continue
+            r, c = level.item
+            hit = level.hazards[((level.hazards[:, 1] == r) & (level.hazards[:, 2] == c))
+                                | ((level.hazards[:, 5] == r) & (level.hazards[:, 6] == c))]
+            lit = np.zeros(level.horizon + 1, dtype=bool)
+            lit[hit[:, 0]] = True
+            assert not np.any(level.codes[~lit, r, c] & envs.SHADE)
+            assert np.array_equal(replace(level, item=(1, 1)).codes, level.codes)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +358,7 @@ def _ref_step(state, action):
         done = t2 >= level.horizon
         return replace(state, pos=new_pos, t=t2, done=done), envs.TICK_REWARD, done
 
-    if new_pos == level.goal:
+    if new_pos == level.item:
         return replace(state, pos=new_pos, t=t2, done=True), envs.GOAL_REWARD, True
     done = t2 >= level.horizon
     return replace(state, pos=new_pos, t=t2, done=done), 0.0, done
@@ -330,7 +380,7 @@ def _ref_render_obs(state, dtype):
             cell = tuple(cur[j])
             obs[2][cell] = max(obs[2][cell], 0.6)
     else:
-        obs[2][level.goal] = 1.0
+        obs[2][level.item] = 1.0
     obs[3][:] = 0.15 + 0.8 * level.palette / (envs.N_PALETTES - 1)
     return obs
 
@@ -574,7 +624,7 @@ def test_maze_layouts_match_pinned_digest():
     for seed in range(200):
         level = generate_level(KIND_MAZE, seed)
         digest.update(level.walls.tobytes())
-        digest.update(repr((level.agent_start, level.goal, level.palette)).encode())
+        digest.update(repr((level.agent_start, level.item, level.palette)).encode())
     assert digest.hexdigest() == \
         "a0e28a6966347c677e84c7be220b8ad30564a8c5a1713247d989e99cff456aea"
 
@@ -584,7 +634,7 @@ def test_level_codes_match_pinned_digest():
     for seed in range(200):
         digest.update(generate_level(KIND_DODGE, seed).codes.tobytes())
     assert digest.hexdigest() == \
-        "b53809e1c43c6c4e2050a2e0603bca6db2b7ccc7ea3077e9eef534e63b994be1"
+        "4461a3fe16f2e57cf0b83a9dd7dc04f73f6d509c7893944bf9cb2e279fb0f696"
     # the held-out levels every evaluation runs on
     _, test_seeds = make_split(KIND_DODGE, 20, 20)
     assert min(test_seeds) >= envs.TEST_SEED_BASE
@@ -595,7 +645,7 @@ def test_level_codes_match_pinned_digest():
         digest.update(level.walls.tobytes())
         digest.update(repr((level.agent_start, level.item, level.emitters)).encode())
     assert digest.hexdigest() == \
-        "b4ddd9834f2664ccabc3bf9bb3b15a8ff9669955116d0f2dd226d0217a60e835"
+        "659fa5ae994b7b3576b59f2ec3eab68f4a46d13294eeded8c9234a4e751c210c"
 
 
 def test_dodge_oracle_matches_pinned_digest():
