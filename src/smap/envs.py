@@ -136,11 +136,17 @@ class LevelSpec:
     agent_start: tuple[int, int]
     palette: int
     horizon: int
-    item: tuple[int, int]               # reaching it ends the episode at GOAL_REWARD
+    # reaching it ends the episode at GOAL_REWARD; a level without an item puts
+    # it on a wall no move lands on, such as the border cell (0, 0)
+    item: tuple[int, int]
     emitters: tuple[Emitter, ...] = ()
     # (N, 7) int16, a row per projectile in flight, sorted by t: (t, cell, next
     # cell (-1,-1 when it leaves the arena), cell just behind it (-1,-1 if none))
     hazards: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if not (0 <= self.item[0] < GRID and 0 <= self.item[1] < GRID):
+            raise ValueError(f"item {self.item} lies outside the {GRID}x{GRID} grid")
 
     @cached_property
     def base_codes(self) -> np.ndarray:

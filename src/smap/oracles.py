@@ -5,6 +5,12 @@ are enumerated edge by edge over the layered graph instead of via matrix
 products, the dense attention reference is plain numpy softmax attention
 (no masks, no tape), and the gridworld oracles are dynamic programs over the
 exact deterministic MDPs.
+
+DodgeGrid has one DP table, ``dodge_q_values``: a single backward pass over
+the level's hazard table fills the action values ``q[t, a, r, c]`` and the
+state values ``values[t] = q[t].max(0)``. The survival check, the greedy
+rollout and the sparse-dependence fraction all read that table; a blanked
+level (``blanked_level``) gets its own table from ``start_t`` on.
 """
 
 from __future__ import annotations
@@ -13,8 +19,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import envs
+from . import paths as pathmod
+from .attention import TrunkConfig, forward_trunk
+from .autodiff import Tensor
 from .envs import DELTAS, GRID, LevelSpec
+from .policies import make_policy
+from .tokenizer import RECEPTIVE_FIELDS
 
 
 # ---------------------------------------------------------------------------
@@ -124,40 +136,33 @@ def _deaths(level: LevelSpec, t: int, moves: np.ndarray) -> np.ndarray:
     return dead
 
 
-def _dodge_q_values(level: LevelSpec, next_values: np.ndarray, t: int,
-                    moves: np.ndarray) -> np.ndarray:
-    """Q[a, r, c]: return of action a from (r, c) at time t, then V[t + 1]."""
-    q_values = envs.TICK_REWARD + next_values.ravel()[moves]
-    q_values[_deaths(level, t, moves)] = 0.0
-    # a removed item, (-1, -1), flattens to no cell
-    q_values[moves == level.item[0] * GRID + level.item[1]] = envs.GOAL_REWARD
-    return q_values.reshape(len(DELTAS), GRID, GRID)
-
-
-def dodge_optimal_values(level: LevelSpec, start_t: int = 0) -> np.ndarray:
-    """V[t, r, c]: best achievable return from (r, c) at time t (free cells)."""
+def dodge_q_values(level: LevelSpec, start_t: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The one backward pass: ``q[t, a, r, c]``, the return of action a from
+    (r, c) at time t with optimal play after it, shape (horizon, 5, 16, 16);
+    and ``values[t] = q[t].max(0)``, 0 on walls and at the horizon. Rows
+    before ``start_t`` stay 0. The greedy action is ``q[t, :, r, c].argmax()``,
+    the first maximum."""
     moves = _moves(level.walls)
+    collects = moves == level.item[0] * GRID + level.item[1]
+    q = np.zeros((level.horizon, len(DELTAS), GRID, GRID))
     values = np.zeros((level.horizon + 1, GRID, GRID))
     for t in range(level.horizon - 1, start_t - 1, -1):
-        best = _dodge_q_values(level, values[t + 1], t, moves).max(axis=0)
-        best[level.walls] = 0.0
-        values[t] = best
-    return values
-
-
-def dodge_optimal_actions(level: LevelSpec, values: np.ndarray, t: int) -> np.ndarray:
-    """Greedy action grid at time t under the given value table (first-max)."""
-    return np.argmax(_dodge_q_values(level, values[t + 1], t, _moves(level.walls)), axis=0)
+        q_t = envs.TICK_REWARD + values[t + 1].ravel()[moves]
+        q_t[_deaths(level, t, moves)] = 0.0
+        q_t[collects] = envs.GOAL_REWARD
+        q[t] = q_t.reshape(len(DELTAS), GRID, GRID)
+        values[t] = q[t].max(axis=0)
+        values[t][level.walls] = 0.0
+    return q, values
 
 
 def dodge_survives_horizon(level: LevelSpec) -> bool:
     """Whether some policy survives the whole horizon from the start.
 
-    With the item removed, the value DP pays TICK_REWARD per survived step
-    and nothing else, so only a full-horizon survivor is worth
-    TICK_REWARD * horizon."""
-    no_item = replace(level, item=(-1, -1))
-    value = dodge_optimal_values(no_item)[0][level.agent_start]
+    With the item moved onto the border wall at (0, 0), where no move lands,
+    the DP pays TICK_REWARD per survived step and nothing else, so only a
+    full-horizon survivor is worth TICK_REWARD * horizon."""
+    value = dodge_q_values(replace(level, item=(0, 0)))[1][0][level.agent_start]
     return bool(abs(value - envs.TICK_REWARD * level.horizon) < 1e-9)
 
 
@@ -186,49 +191,30 @@ def blanked_level(level: LevelSpec, pos: tuple[int, int], t: int,
 
     Interior wall blocks outside the window disappear; only projectiles
     currently inside the window survive, and they continue their flight until
-    the first remaining wall. The border stays (it frames every level).
+    the first remaining wall. The border stays (it frames every level), so
+    every flight ends inside the grid.
     """
-    rr, cc = np.meshgrid(np.arange(GRID), np.arange(GRID), indexing="ij")
+    rr, cc = np.indices((GRID, GRID))
     window = np.maximum(np.abs(rr - pos[0]), np.abs(cc - pos[1])) <= radius
     walls = level.walls.copy()
-    interior = np.ones_like(walls)
-    interior[0, :] = interior[-1, :] = interior[:, 0] = interior[:, -1] = False
-    walls[interior & ~window] = False
-
-    kept = []
-    cur, nxt = _projectiles(level, t)
-    for j in range(cur.shape[0]):
-        p, q = divmod(int(cur[j]), GRID), divmod(int(nxt[j]), GRID)
-        if nxt[j] < 0 or not window[p]:
-            continue
-        kept.append((p, (q[0] - p[0], q[1] - p[1])))
-
-    horizon = level.horizon
+    walls[1:-1, 1:-1] &= window[1:-1, 1:-1]
     rows = []
-    dead = (-1, -1)
-    for s in range(t, horizon + 1):
-        k = s - t
-        flying = []
-        for (p, d) in kept:
-            cell = (p[0] + k * d[0], p[1] + k * d[1])
-            if not (0 <= cell[0] < GRID and 0 <= cell[1] < GRID) or walls[cell]:
-                continue            # the flight ends at the first remaining wall
-            flying.append((p, d))
-            nxt_cell = (cell[0] + d[0], cell[1] + d[1])
-            if not (0 <= nxt_cell[0] < GRID and 0 <= nxt_cell[1] < GRID) or walls[nxt_cell]:
-                nxt_cell = dead
-            prev_cell = (cell[0] - d[0], cell[1] - d[1])
-            if k == 0 or not (0 <= prev_cell[0] < GRID and 0 <= prev_cell[1] < GRID):
-                prev_cell = dead
-            rows.append((s,) + cell + nxt_cell + prev_cell)
-        kept = flying
+    for cur, nxt in zip(*_projectiles(level, t)):
+        (r, c), (nr, nc) = divmod(int(cur), GRID), divmod(int(nxt), GRID)
+        if nxt < 0 or not window[r, c]:
+            continue
+        dr, dc, behind = nr - r, nc - c, (-1, -1)
+        for s in range(t, level.horizon + 1):
+            if walls[r, c]:
+                break               # the flight ends at the first remaining wall
+            ahead = (-1, -1) if walls[r + dr, c + dc] else (r + dr, c + dc)
+            rows.append((s, r, c) + ahead + behind)
+            behind, r, c = (r, c), r + dr, c + dc
+    rows.sort(key=lambda row: row[0])       # stable: a timestep keeps flight order
     hazards = np.array(rows, dtype=np.int16).reshape(-1, 7)
     walls.setflags(write=False)
     hazards.setflags(write=False)
-    return LevelSpec(kind=level.kind, seed=level.seed, walls=walls,
-                     agent_start=level.agent_start, palette=level.palette,
-                     horizon=horizon, emitters=(), item=level.item,
-                     hazards=hazards)
+    return replace(level, walls=walls, emitters=(), hazards=hazards)
 
 
 def dodge_sparse_dependence_fraction(level: LevelSpec, sample: int = 300,
@@ -240,25 +226,21 @@ def dodge_sparse_dependence_fraction(level: LevelSpec, sample: int = 300,
     if len(states) > sample:
         idx = rng.choice(len(states), size=sample, replace=False)
         states = [states[i] for i in sorted(idx)]
-    full_values = dodge_optimal_values(level)
+    full_q, _ = dodge_q_values(level)
     same = 0
-    for pos, t in states:
-        full_action = dodge_optimal_actions(level, full_values, t)[pos]
-        blanked = blanked_level(level, pos, t, radius=radius)
-        blank_values = dodge_optimal_values(blanked, start_t=t)
-        blank_action = dodge_optimal_actions(blanked, blank_values, t)[pos]
-        same += int(full_action == blank_action)
+    for (r, c), t in states:
+        blank_q, _ = dodge_q_values(blanked_level(level, (r, c), t, radius=radius), start_t=t)
+        same += int(full_q[t, :, r, c].argmax() == blank_q[t, :, r, c].argmax())
     return same / len(states)
 
 
 def dodge_rollout_optimal(level: LevelSpec) -> float:
     """Roll the greedy DP policy through the real env; cross-checks both."""
-    values = dodge_optimal_values(level)
+    q, _ = dodge_q_values(level)
     s = envs.reset(level)
     total = 0.0
     while not s.done:
-        action = dodge_optimal_actions(level, values, s.t)[s.pos]
-        s, r, _ = envs.step(s, int(action))
+        s, r, _ = envs.step(s, int(q[s.t, :, s.pos[0], s.pos[1]].argmax()))
         total += r
     return total
 
@@ -284,8 +266,7 @@ def _maze_adjacency(walls: np.ndarray) -> dict[tuple[int, int], list[tuple[int, 
     return adj
 
 
-def maze_bfs_distances(walls: np.ndarray, goal_cell: tuple[int, int]) -> np.ndarray:
-    adj = _maze_adjacency(walls)
+def maze_bfs_distances(adj: dict, goal_cell: tuple[int, int]) -> np.ndarray:
     dist = np.full((envs.MAZE_CELLS, envs.MAZE_CELLS), np.inf)
     dist[goal_cell] = 0
     queue = [goal_cell]
@@ -299,34 +280,18 @@ def maze_bfs_distances(walls: np.ndarray, goal_cell: tuple[int, int]) -> np.ndar
 
 
 def maze_optimal_actions(walls: np.ndarray, goal_cell: tuple[int, int]) -> dict[tuple[int, int], int]:
-    """First step along a shortest path per cell (first-max tie-break)."""
+    """First step along a shortest path per cell (first-min tie-break)."""
     adj = _maze_adjacency(walls)
-    dist = maze_bfs_distances(walls, goal_cell)
-    actions = {}
-    for cell, moves in adj.items():
-        if cell == goal_cell or dist[cell] == np.inf:
-            continue
-        best_a, best_d = None, np.inf
-        for a, nxt in moves:
-            if dist[nxt] < best_d:
-                best_a, best_d = a, dist[nxt]
-        actions[cell] = best_a
-    return actions
+    dist = maze_bfs_distances(adj, goal_cell)
+    return {cell: min(moves, key=lambda move: dist[move[1]])[0]
+            for cell, moves in adj.items() if cell != goal_cell and dist[cell] < np.inf}
 
 
 def maze_blank_quadrant(level: LevelSpec, quadrant: int) -> np.ndarray:
     """Open every wall pixel strictly inside one quadrant of the maze area."""
     walls = level.walls.copy()
-    half_r = (0, 8) if quadrant in (0, 1) else (8, 15)
-    half_c = (0, 8) if quadrant in (0, 2) else (8, 15)
-    for r in range(max(1, half_r[0]), min(14, half_r[1]) + 1):
-        for c in range(max(1, half_c[0]), min(14, half_c[1]) + 1):
-            walls[r, c] = False
-    # cell pixels are always open; keep non-maze padding intact
-    walls[15, :] = True
-    walls[:, 15] = True
-    walls[0, :] = True
-    walls[:, 0] = True
+    walls[slice(1, 9) if quadrant in (0, 1) else slice(8, 15),
+          slice(1, 9) if quadrant in (0, 2) else slice(8, 15)] = False
     return walls
 
 
@@ -372,10 +337,6 @@ def influence_blocking_trial(seed: int) -> tuple[int, bool]:
     (tokens tested, all exactly invariant). Exactness is bitwise at the active
     precision.
     """
-    from . import paths as pathmod
-    from .attention import TrunkConfig
-    from .policies import make_policy
-
     rng = np.random.default_rng(seed)
     cfg = TrunkConfig()
     policy = make_policy("sparse_masked", cfg, seed=seed)
@@ -385,28 +346,20 @@ def influence_blocking_trial(seed: int) -> tuple[int, bool]:
     obs = rng.random((1, envs.OBS_CHANNELS, GRID, GRID))
     out = policy.output(obs, mode="eval")
     relevance = pathmod.effective_input_relevance(pathmod.path_matrix(out.mask_set))[0]
-    dead = [i for i in range(relevance.size) if not relevance[i]]
-    if not dead:
-        return 0, True
 
-    from .attention import forward_trunk
-    from .tokenizer import RECEPTIVE_FIELDS
-    from . import autodiff as ad_mod
+    def features(x: np.ndarray) -> np.ndarray:
+        return forward_trunk(Tensor(x.astype(ad.get_default_dtype())), policy.params, cfg,
+                             mode="eval", masks_override=out.mask_set)[0].data
 
-    base, _, _ = forward_trunk(ad_mod.Tensor(obs.astype(ad_mod.get_default_dtype())),
-                         policy.params, cfg, mode="eval",
-                         masks_override=out.mask_set)
+    base = features(obs)
     tested = 0
-    for i in dead:
+    for i in np.flatnonzero(~relevance):
         r0, r1, c0, c1 = RECEPTIVE_FIELDS[i]
         for _ in range(3):
             perturbed = obs.copy()
             perturbed[0, :, r0:r1, c0:c1] += rng.standard_normal(
                 (obs.shape[1], r1 - r0, c1 - c0)) * 10.0
-            alt, _, _ = forward_trunk(
-                ad_mod.Tensor(perturbed.astype(ad_mod.get_default_dtype())),
-                policy.params, cfg, mode="eval", masks_override=out.mask_set)
-            if not np.array_equal(base.data, alt.data):
+            if not np.array_equal(base, features(perturbed)):
                 return tested, False
             tested += 1
     return tested, True
@@ -419,10 +372,6 @@ def influence_blocking_trial(seed: int) -> tuple[int, bool]:
 def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, bool, str]]:
     """``(name, passed, detail)`` checks pairing fast implementations with brute
     force; each goes to ``progress(name, passed, detail)`` once decided."""
-    from . import autodiff as ad_mod
-    from . import paths as pathmod
-    from .autodiff import Tensor
-
     checks: list[tuple[str, bool, str]] = []
 
     def record(name, ok, detail=""):
@@ -445,32 +394,21 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
     record("path_bruteforce_equivalence", mismatches == 0,
            f"{patterns} random mask patterns, {mismatches} mismatches")
 
-    mu_ok = True
-    for n in range(1, 9):
-        for layers in range(0, 5):
-            ms = [Tensor(np.ones((1, n, n)))] * layers + [Tensor(np.ones((1, 1, n)))]
-            total = float(pathmod.path_matrix(ms).total.data[0])
-            if total != pathmod.max_paths(n, layers):
-                mu_ok = False
+    mu_ok = all(float(pathmod.path_matrix([Tensor(np.ones((1, n, n)))] * layers
+                                          + [Tensor(np.ones((1, 1, n)))]).total.data[0])
+                == pathmod.max_paths(n, layers)
+                for n in range(1, 9) for layers in range(0, 5))
     record("mu_closed_form", mu_ok, "n in 1..8, L in 0..4, exact")
 
-    dp_ok = True
     worst = 0.0
     for seed in range(5):
         level = envs.generate_level(envs.KIND_DODGE, seed)
-        v0 = dodge_optimal_values(level)[0][level.agent_start]
-        ret = dodge_rollout_optimal(level)
-        worst = max(worst, abs(v0 - ret))
-        if abs(v0 - ret) > 1e-9:
-            dp_ok = False
-    record("dodge_dp_vs_rollout", dp_ok, f"5 seeds, worst |diff| {worst:.2e}")
+        v0 = dodge_q_values(level)[1][0][level.agent_start]
+        worst = max(worst, abs(v0 - dodge_rollout_optimal(level)))
+    record("dodge_dp_vs_rollout", worst <= 1e-9, f"5 seeds, worst |diff| {worst:.2e}")
 
-    safe_ok = True
-    for seed in range(1000):
-        level = envs.generate_level(envs.KIND_DODGE, seed)
-        if len(level.emitters) < 1 or not dodge_survives_horizon(level):
-            safe_ok = False
-            break
+    safe_ok = all(len(level.emitters) >= 1 and dodge_survives_horizon(level)
+                  for level in (envs.generate_level(envs.KIND_DODGE, s) for s in range(1000)))
     record("dodge_safe_policy_validator", safe_ok,
            "1000 seeds, survival DP with the item removed")
 
@@ -478,14 +416,11 @@ def run_oracle_suite(patterns: int = 10_000, progress=None) -> list[tuple[str, b
                   for s in range(100))
     record("maze_unique_path", maze_ok, "100 seeds, exactly one start->goal path")
 
-    split_ok = True
-    for kind in envs.KINDS:
-        tr, te = envs.make_split(kind, 200, 100)
-        if set(tr) & set(te):
-            split_ok = False
+    split_ok = all(set(tr).isdisjoint(te)
+                   for tr, te in (envs.make_split(kind, 200, 100) for kind in envs.KINDS))
     record("split_disjoint", split_ok, "200 train / 100 test, both env kinds")
 
-    with ad_mod.precision(np.float64):
+    with ad.precision(np.float64):
         blocked_ok = True
         tested_total = 0
         for seed in range(100):

@@ -113,15 +113,16 @@ def _play_to_the_end(state, policy):
 def test_horizon_terminates():
     """An episode that neither collects the item nor dies ends at exactly
     t == horizon, on the kind's tick: MazeGrid staying put, and DodgeGrid
-    without its item, playing the oracle's greedy survival actions."""
+    without its item (moved onto the border wall at (0, 0)), playing the
+    oracle's greedy survival actions."""
     for seed in (1, 2):
         maze = generate_level(KIND_MAZE, seed)
         state, reward = _play_to_the_end(reset(maze), lambda s: 4)
         assert state.t == maze.horizon == envs.MAZE_HORIZON and reward == 0.0
-        no_item = replace(generate_level(KIND_DODGE, seed), item=(-1, -1))
-        values = oracles.dodge_optimal_values(no_item)
+        no_item = replace(generate_level(KIND_DODGE, seed), item=(0, 0))
+        q, _ = oracles.dodge_q_values(no_item)
         state, reward = _play_to_the_end(reset(no_item), lambda s: int(
-            oracles.dodge_optimal_actions(no_item, values, s.t)[s.pos]))
+            q[s.t, :, s.pos[0], s.pos[1]].argmax()))
         assert state.t == no_item.horizon == envs.DODGE_HORIZON
         assert reward == envs.TICK_REWARD
 
@@ -202,7 +203,7 @@ def test_split_size_bounds_are_inclusive():
 def test_dodge_optimal_policy_matches_dp_value():
     for seed in range(3):
         level = generate_level(KIND_DODGE, seed)
-        dp_value = oracles.dodge_optimal_values(level)[0][level.agent_start]
+        dp_value = oracles.dodge_q_values(level)[1][0][level.agent_start]
         rollout = oracles.dodge_rollout_optimal(level)
         assert abs(dp_value - rollout) < 1e-9
 
@@ -651,10 +652,10 @@ def test_level_codes_match_pinned_digest():
 def test_dodge_oracle_matches_pinned_digest():
     digest = hashlib.sha256()
     for seed in range(20):
-        digest.update(oracles.dodge_optimal_values(generate_level(KIND_DODGE, seed)).tobytes())
-    digest.update(oracles.dodge_optimal_values(_trap_level()).tobytes())
+        digest.update(oracles.dodge_q_values(generate_level(KIND_DODGE, seed))[1].tobytes())
+    digest.update(oracles.dodge_q_values(_trap_level())[1].tobytes())
     blanked = oracles.blanked_level(generate_level(KIND_DODGE, 4), (7, 7), 18)
-    digest.update(oracles.dodge_optimal_values(blanked, start_t=18).tobytes())
+    digest.update(oracles.dodge_q_values(blanked, start_t=18)[1].tobytes())
     assert digest.hexdigest() == \
         "6a90c291f61dd3a2ec30928ee71e8381f5836d5c41d626bbd8f01011f363027e"
     digest = hashlib.sha256()
@@ -662,6 +663,71 @@ def test_dodge_oracle_matches_pinned_digest():
         digest.update(repr(oracles.dodge_reachable_states(generate_level(KIND_DODGE, seed))).encode())
     assert digest.hexdigest() == \
         "d1c562716c27e0ef822fd90bce64a50401fea29fb049cfc3a629ff355862ca86"
+
+
+def test_dodge_greedy_actions_match_pinned_digest():
+    """The int64 greedy-action grid of every timestep, first maximum."""
+    digest = hashlib.sha256()
+    for seed in range(3):
+        q, _ = oracles.dodge_q_values(generate_level(KIND_DODGE, seed))
+        for t in range(q.shape[0]):
+            digest.update(q[t].argmax(axis=0).astype(np.int64).tobytes())
+    assert digest.hexdigest() == \
+        "946ff8b9f71d7bfa32ea65c566dc7c5fcdf2235c9979e00501fdecaf943a208b"
+
+
+def test_blanked_levels_match_pinned_digest():
+    digest = hashlib.sha256()
+    for seed in range(10):
+        level = generate_level(KIND_DODGE, seed)
+        states = oracles.dodge_reachable_states(level, level.horizon - 2)
+        for i in np.random.default_rng(seed).choice(len(states), size=10, replace=False):
+            pos, t = states[i]
+            for radius in (1, 2, 3):
+                blanked = oracles.blanked_level(level, pos, t, radius=radius)
+                digest.update(blanked.hazards.tobytes())
+                digest.update(blanked.walls.tobytes())
+    assert digest.hexdigest() == \
+        "fb7a77ef359a8ad3fda199238f256d02ba9db1b7760e9522fc7281f415b24e76"
+
+
+def test_dodge_q_values_table():
+    """values[t] is q[t].max(0) off the walls from start_t on; the rows
+    before start_t, and values on walls and at the horizon, stay 0."""
+    level = generate_level(KIND_DODGE, 5)
+    start_t = 40
+    q, values = oracles.dodge_q_values(level, start_t)
+    assert q.shape == (level.horizon, len(DELTAS), GRID, GRID)
+    assert values.shape == (level.horizon + 1, GRID, GRID)
+    for t in range(start_t, level.horizon):
+        assert np.array_equal(values[t][~level.walls], q[t].max(axis=0)[~level.walls])
+    assert not values[:, level.walls].any() and not values[level.horizon].any()
+    assert not q[:start_t].any() and not values[:start_t].any()
+    assert values[start_t].max() > 0
+
+
+def test_maze_blank_quadrant_opens_the_interior_only():
+    """Each quadrant opens one corner block of the interior and closes
+    nothing; the four blocks cover the interior and never reach the border."""
+    level = generate_level(KIND_MAZE, 0)
+    solid = replace(level, walls=np.ones((GRID, GRID), dtype=bool))
+    opened = [~oracles.maze_blank_quadrant(solid, quadrant) for quadrant in range(4)]
+    corners = ((1, 1), (1, GRID - 2), (GRID - 2, 1), (GRID - 2, GRID - 2))
+    for quadrant, corner in enumerate(corners):
+        assert opened[quadrant][corner]
+        assert np.array_equal(oracles.maze_blank_quadrant(level, quadrant),
+                              level.walls & ~opened[quadrant])
+    interior = np.zeros((GRID, GRID), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    assert np.array_equal(np.logical_or.reduce(opened), interior)
+
+
+def test_level_item_must_lie_on_the_grid():
+    level = generate_level(KIND_DODGE, 0)
+    for item in ((-1, -1), (0, GRID), (GRID, 3)):
+        with pytest.raises(ValueError, match="outside"):
+            replace(level, item=item)
+    assert replace(level, item=(0, 0)).item == (0, 0)
 
 
 def _assert_hazard_table(level):
