@@ -10,10 +10,20 @@ to any tensor. It consumes the tape: each entry is popped as it is replayed,
 so the arrays an op kept for its gradient are freed as soon as that gradient
 is out, not when ``backward`` returns. A second ``backward`` on the same tape
 raises ``UsageError``. Where an input is kept anyway and a product of it is
-cheap, an op keeps the input and recomputes the product in its backward:
-``bilinear``, the attention scores and mask logits ``(x·wa)(x·wb)ᵀ``, keeps
-its tokens x and not its two projections, and ``conv2d`` keeps its input, not
-a patch copy.
+cheap, an op keeps the input and recomputes the product in its backward
+(Chen et al. 2016's recomputation trade), each in one tape entry:
+
+- ``bilinear``, a layer's scores and mask logits ``(x·wa)(x·wb)ᵀ``, keeps its
+  tokens x, not its two projections;
+- ``query_bilinear``, the aggregation's scores and mask logits ``q·(x·w)ᵀ``,
+  keeps x, not its keys;
+- ``mix``, the value mixing ``attn·(x·w)``, keeps the attention weights and
+  x, not the values;
+- ``ffn``, ``relu(x·w1 + b1)·w2 + b2``, keeps x, not the hidden layer;
+- ``conv2d`` keeps its input, not a patch copy.
+
+Each fused op makes the numpy calls of the ops it stands for, in their order,
+and returns the same gradient products, so its bytes are theirs.
 
 Precision is a process-global setting: training runs at float32, the
 verification suites switch to float64 via the ``precision`` context
@@ -442,21 +452,16 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast.
-
-    ``transpose_b=True`` gives ``a @ bᵀ`` (b's last two axes swapped) in one
-    tape entry, and b's gradient comes out as ``gᵀ @ a``, in b's own layout
-    rather than as a transposed view."""
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    if a.shape[-1] != bd.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {bd.shape}")
-    out = Tensor(_mm(a.data, bd), dtype=a.data.dtype)
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    out = Tensor(_mm(a.data, b.data), dtype=a.data.dtype)
     # each operand's gradient reads the other operand's array
     x = a.data if b.requires_grad else None
-    y = bd if a.requires_grad else None
+    y = b.data if a.requires_grad else None
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
@@ -465,10 +470,7 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
             ga = _unbroadcast(_mm(g, np.swapaxes(y, -1, -2)), a_shape)
         if x is not None:
             if len(b_shape) == 2 and x.ndim > 2:
-                x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
-                gb = g2.T @ x2 if transpose_b else x2.T @ g2
-            elif transpose_b:
-                gb = _unbroadcast(np.matmul(np.swapaxes(g, -1, -2), x), b_shape)
+                gb = _weight_grad(x, g)
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), b_shape)
         return ga, gb
@@ -476,12 +478,18 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a 2-d weight w in ``x @ w`` given the output gradient
+    g: one GEMM over the rows of x's leading axes."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def bilinear(x: Tensor, wa: Tensor, wb: Tensor) -> Tensor:
     """``(x @ wa) @ (x @ wb)ᵀ`` for x (B, n, d) and wa, wb (d, m), in one
     tape entry.
 
     The forward makes the numpy calls of ``matmul(x, wa)``, ``matmul(x, wb)``
-    and ``matmul(·, ·, transpose_b=True)``, and backward returns the products
+    and ``matmul(·, transpose(·))``, and backward returns the products
     their three backwards return. The entry keeps x and the weights, not the
     two (B, n, m) projections: backward recomputes x @ wb, then x @ wa, each
     alive only for the product that reads it. Its inputs are (x, x, wb, wa),
@@ -498,12 +506,108 @@ def bilinear(x: Tensor, wa: Tensor, wb: Tensor) -> Tensor:
         # dq and dk are the gradients of x @ wa and x @ wb
         dq = np.matmul(g, _mm(xd, wbd)) if x_grad or a_grad else None
         dk = np.matmul(np.swapaxes(g, -1, -2), _mm(xd, wad)) if x_grad or b_grad else None
-        x2 = xd.reshape(-1, xd.shape[-1])
         return (_mm(dk, wbd.T) if x_grad else None, _mm(dq, wad.T) if x_grad else None,
-                x2.T @ dk.reshape(len(x2), -1) if b_grad else None,
-                x2.T @ dq.reshape(len(x2), -1) if a_grad else None)
+                _weight_grad(xd, dk) if b_grad else None,
+                _weight_grad(xd, dq) if a_grad else None)
 
     return _emit(out, (x, x, wb, wa), bwd)
+
+
+def query_bilinear(q: Tensor, x: Tensor, w: Tensor) -> Tensor:
+    """``q @ (x @ w)ᵀ`` for a query q (r, m), x (B, n, d) and w (d, m), in one
+    tape entry: the aggregation's scores and mask logits.
+
+    The forward makes the numpy calls of ``matmul(x, w)`` and
+    ``matmul(q, transpose(·))``, and backward returns the products their
+    backwards return. The entry keeps q, x and w, not the (B, n, m)
+    projection: backward recomputes x @ w for q's gradient."""
+    if (q.ndim != 2 or x.ndim != 3 or w.ndim != 2 or w.shape[0] != x.shape[-1]
+            or q.shape[-1] != w.shape[-1]):
+        raise DimensionError(f"query_bilinear needs q (r, m), x (B, n, d) and w (d, m), "
+                             f"got {q.shape}, {x.shape} and {w.shape}")
+    qd, xd, wd = q.data, x.data, w.data
+    out = Tensor(np.matmul(qd, np.swapaxes(_mm(xd, wd), -1, -2)), dtype=qd.dtype)
+    q_grad, x_grad, w_grad = q.requires_grad, x.requires_grad, w.requires_grad
+    q_shape = qd.shape
+
+    def bwd(g):
+        gq = _unbroadcast(np.matmul(g, _mm(xd, wd)), q_shape) if q_grad else None
+        # dk is the gradient of x @ w
+        dk = np.matmul(np.swapaxes(g, -1, -2), qd) if x_grad or w_grad else None
+        return (gq, _mm(dk, wd.T) if x_grad else None,
+                _weight_grad(xd, dk) if w_grad else None)
+
+    return _emit(out, (q, x, w), bwd)
+
+
+def mix(attn: Tensor, x: Tensor, w: Tensor) -> Tensor:
+    """``attn @ (x @ w)`` for attention weights attn (B, r, n), x (B, n, d)
+    and w (d, m), in one tape entry: an attention stage's value mixing.
+
+    The forward makes the numpy calls of ``matmul(x, w)`` and
+    ``matmul(attn, ·)``, and backward returns the products their backwards
+    return. The entry keeps attn, x and w, not the (B, n, m) values:
+    backward recomputes x @ w for attn's gradient."""
+    if (attn.ndim != 3 or x.ndim != 3 or w.ndim != 2 or attn.shape[0] != x.shape[0]
+            or attn.shape[-1] != x.shape[1] or w.shape[0] != x.shape[-1]):
+        raise DimensionError(f"mix needs attn (B, r, n), x (B, n, d) and w (d, m), "
+                             f"got {attn.shape}, {x.shape} and {w.shape}")
+    attn_d, xd, wd = attn.data, x.data, w.data
+    out = Tensor(np.matmul(attn_d, _mm(xd, wd)), dtype=attn_d.dtype)
+    a_grad, x_grad, w_grad = attn.requires_grad, x.requires_grad, w.requires_grad
+
+    def bwd(g):
+        ga = np.matmul(g, np.swapaxes(_mm(xd, wd), -1, -2)) if a_grad else None
+        # dv is the gradient of x @ w
+        dv = np.matmul(np.swapaxes(attn_d, -1, -2), g) if x_grad or w_grad else None
+        return (ga, _mm(dv, wd.T) if x_grad else None,
+                _weight_grad(xd, dv) if w_grad else None)
+
+    return _emit(out, (attn, x, w), bwd)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` (w 2-d, b 1-d) in one tape entry.
+
+    The forward makes the numpy calls of ``linear``, ``relu`` and ``linear``,
+    records its relu pattern as ``relu`` does, and backward returns the
+    products their three backwards return. The entry keeps x and the first
+    layer's weights, not the hidden layer: backward recomputes it."""
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1]
+            or b2.shape != (w2.shape[1],)):
+        raise DimensionError(f"ffn needs x (..., k), w1 (k, h), b1 (h,), w2 (h, m) and "
+                             f"b2 (m,), got {x.shape}, {w1.shape}, {b1.shape}, "
+                             f"{w2.shape} and {b2.shape}")
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+
+    def hidden_layer(kinks=None):
+        h = _mm(xd, w1d)
+        h += b1d
+        if kinks is not None:
+            kinks.append(np.packbits(h > 0))
+        return np.maximum(h, 0, out=h)
+
+    out_data = _mm(hidden_layer(_KINK_CAPTURE), w2d)
+    out_data += b2.data
+    out = Tensor(out_data, dtype=out_data.dtype)
+    x_grad, w1_grad, b1_grad = x.requires_grad, w1.requires_grad, b1.requires_grad
+    w2_grad, b2_shape = w2.requires_grad, b2.data.shape if b2.requires_grad else None
+
+    def bwd(g):
+        hidden = hidden_layer()
+        gw2 = _weight_grad(hidden, g) if w2_grad else None
+        gb2 = None if b2_shape is None else _unbroadcast(g.reshape(-1, g.shape[-1]), b2_shape)
+        gx = gw1 = gb1 = None
+        if x_grad or w1_grad or b1_grad:
+            dh = _mm(g, w2d.T)
+            dh *= hidden > 0                        # the hidden layer's pre-relu gradient
+            gx = _mm(dh, w1d.T) if x_grad else None
+            gw1 = _weight_grad(xd, dh) if w1_grad else None
+            gb1 = _unbroadcast(dh.reshape(-1, dh.shape[-1]), b1d.shape) if b1_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _emit(out, (x, w1, b1, w2, b2), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -519,10 +623,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     b_shape = b.data.shape if b.requires_grad else None
 
     def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
         gx = None if wd is None else _mm(g, wd.T)
-        gw = None if xd is None else xd.reshape(-1, xd.shape[-1]).T @ g2
-        gb = None if b_shape is None else _unbroadcast(g2, b_shape)
+        gw = None if xd is None else _weight_grad(xd, g)
+        gb = None if b_shape is None else _unbroadcast(g.reshape(-1, g.shape[-1]), b_shape)
         return gx, gw, gb
 
     return _emit(out, (x, w, b), bwd)

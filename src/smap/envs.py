@@ -145,8 +145,10 @@ class LevelSpec:
     hazards: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (0 <= self.item[0] < GRID and 0 <= self.item[1] < GRID):
-            raise ValueError(f"item {self.item} lies outside the {GRID}x{GRID} grid")
+        for name in ("agent_start", "item"):
+            cell = getattr(self, name)
+            if not (0 <= cell[0] < GRID and 0 <= cell[1] < GRID):
+                raise ValueError(f"{name} {cell} lies outside the {GRID}x{GRID} grid")
 
     @cached_property
     def base_codes(self) -> np.ndarray:

@@ -136,14 +136,13 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
                            scalar(lambda a, b: ad.matmul(a, ad.mul(b, b)))),
         "matmul_batched": lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2)],
                                    scalar(lambda a, b: ad.matmul(a, b))),
-        "matmul_transpose_b": lambda: ([_t(rng, 2, 3, 4), _t(rng, 2, 5, 4)],
-                                       scalar(lambda a, b: ad.matmul(
-                                           a, ad.mul(b, b), transpose_b=True))),
-        "matmul_transpose_b_broadcast": lambda: ([_t(rng, 1, 4), _t(rng, 2, 5, 4)],
-                                                 scalar(lambda a, b: ad.matmul(
-                                                     ad.mul(a, a), b, transpose_b=True))),
         "bilinear": lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 4, 5)],
                              scalar(lambda x, wa, wb: ad.square(ad.bilinear(x, wa, wb)))),
+        "query_bilinear": lambda: ([_t(rng, 1, 5), _t(rng, 2, 3, 4), _t(rng, 4, 5)],
+                                   scalar(lambda q, x, w: ad.square(ad.query_bilinear(q, x, w)))),
+        "mix": lambda: ([_t(rng, 2, 1, 3), _t(rng, 2, 3, 4), _t(rng, 4, 5)],
+                        scalar(lambda a, x, w: ad.square(ad.mix(a, x, w)))),
+        "ffn": lambda: _ffn_case(rng),
         "linear": lambda: ([_t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)],
                            scalar(lambda x, w, b: ad.mul(ad.linear(x, w, b),
                                                          ad.linear(x, w, b)))),
@@ -202,6 +201,17 @@ def _masked_softmax_case(rng):
         return ad.tsum(ad.mul(ad.masked_softmax(ts[0], ts[1]), Tensor(weights)))
 
     return [scores, mask], fn
+
+
+def _ffn_case(rng):
+    # redrawn until every hidden pre-activation is 0.1 or more from the relu's
+    # kink, which no finite-difference probe then crosses
+    while True:
+        x, w1, b1 = _t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 5)
+        if np.abs(x.data @ w1.data + b1.data).min() > 0.1:
+            break
+    w2, b2 = _t(rng, 5, 3), _t(rng, 3)
+    return [x, w1, b1, w2, b2], lambda ts: ad.tsum(ad.square(ad.ffn(*ts)))
 
 
 def _conv2d_channels_last_case(rng):

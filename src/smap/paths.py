@@ -43,10 +43,11 @@ def path_matrix(masks: list[Tensor]) -> PathMatrix:
     dtype = out_mask.data.dtype
     eye = Tensor(np.broadcast_to(np.eye(n, dtype=dtype), (b, n, n)), dtype=dtype)
     a = eye
-    for hard in layers:
+    for l, hard in enumerate(layers):
         if hard.shape != (b, n, n):
             raise DimensionError(f"layer mask shape {hard.shape} != {(b, n, n)}")
-        a = ad.matmul(ad.add(hard, eye), a)
+        step = ad.add(hard, eye)
+        a = step if l == 0 else ad.matmul(step, a)    # no product with the identity
     a_out = ad.matmul(out_mask, a)
     total = ad.reshape(ad.tsum(a_out, axis=(-1, -2)), (b,))
     return PathMatrix(a=a, a_out=a_out, total=total,

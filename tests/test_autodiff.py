@@ -46,62 +46,61 @@ def test_matmul_gradient_oracle(f64):
         assert err < 1e-6
 
 
-@pytest.mark.parametrize("a_shape,b_shape", [((3, 5, 4), (3, 6, 4)), ((1, 4), (3, 6, 4)),
-                                             ((3, 5, 4), (6, 4))])
-def test_matmul_transpose_b_equals_matmul_of_transpose(a_shape, b_shape):
-    """``matmul(a, b, transpose_b=True)`` gives the bytes of ``a @ transpose(b)``
-    in one tape entry, and b's gradient in b's own (C-contiguous) layout."""
-    rng = np.random.default_rng(31)
-    a0, b0 = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
-    w = rng.standard_normal(np.matmul(a0, np.swapaxes(b0, -1, -2)).shape)
-    results = []
-    for fused in (True, False):
-        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
-        with Tape() as tape:
-            out = ad.matmul(a, b, transpose_b=True) if fused else ad.matmul(a, ad.transpose(b))
-            loss = ad.tsum(ad.mul(out, Tensor(w)))
-        n_entries = len(tape.entries)
-        grads = ad.backward(tape, loss)
-        results.append((out.data, grads[a], grads[b], n_entries))
-    (out, ga, gb, n), (ref_out, ref_ga, ref_gb, ref_n) = results
-    assert np.array_equal(out, ref_out) and np.array_equal(ga, ref_ga)
-    assert np.array_equal(gb, ref_gb) and gb.flags.c_contiguous
-    assert n == ref_n - 1
-    with pytest.raises(DimensionError):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), transpose_b=True)
+# op -> (shapes of the leaves after x (B, 6, 8), the fused op and the
+# composition it replaces, each from the leaves, x first, to the op's output)
+_FUSED_OPS = {
+    "bilinear": (((8, 3), (8, 3)), ad.bilinear,
+                 lambda x, wa, wb: ad.matmul(ad.matmul(x, wa), ad.transpose(ad.matmul(x, wb)))),
+    "query_bilinear": (((1, 3), (8, 3)), lambda x, q, w: ad.query_bilinear(q, x, w),
+                       lambda x, q, w: ad.matmul(q, ad.transpose(ad.matmul(x, w)))),
+    "mix": (((None, 6, 6), (8, 8)), lambda x, attn, w: ad.mix(attn, x, w),
+            lambda x, attn, w: ad.matmul(attn, ad.matmul(x, w))),
+    "ffn": (((8, 5), (5,), (5, 8), (8,)), ad.ffn,
+            lambda x, w1, b1, w2, b2: ad.linear(ad.relu(ad.linear(x, w1, b1)), w2, b2)),
+}
 
 
-@pytest.mark.parametrize("dtype,batch,shared", [(np.float32, 1, False), (np.float32, 5, False),
-                                                (np.float64, 1, False), (np.float64, 5, False),
-                                                (np.float32, 5, True)])
-def test_bilinear_equals_three_matmuls_byte_for_byte(dtype, batch, shared):
-    """``bilinear(x, wa, wb)`` gives the bytes of ``matmul(x, wa)``,
-    ``matmul(x, wb)`` and ``matmul(·, ·, transpose_b=True)`` recorded in that
-    order, gradients included, when x also feeds a later product and a
-    residual add; ``shared`` passes one weight as both wa and wb."""
+@pytest.mark.parametrize(
+    "op,dtype,batch,shared",
+    [pytest.param("bilinear", dtype, batch, shared, id=f"{np.dtype(dtype)}-{batch}-{shared}")
+     for dtype, batch, shared in [(np.float32, 1, False), (np.float32, 5, False),
+                                  (np.float64, 1, False), (np.float64, 5, False),
+                                  (np.float32, 5, True)]]
+    + [pytest.param(op, dtype, batch, False, id=f"{op}-{np.dtype(dtype)}-{batch}")
+       for op in ("query_bilinear", "mix", "ffn")
+       for dtype, batch in [(np.float32, 1), (np.float32, 5), (np.float64, 5)]])
+def test_bilinear_equals_three_matmuls_byte_for_byte(op, dtype, batch, shared):
+    """Each fused op gives the bytes of the composition it replaces, forward
+    and every gradient, in one tape entry, when x also feeds a residual add
+    (and, for an output with a column per token, a later product):
+    ``bilinear(x, wa, wb)`` those of ``matmul(x, wa)``, ``matmul(x, wb)`` and
+    ``matmul(·, transpose(·))``, ``query_bilinear`` and ``mix`` those of their
+    two matmuls, and ``ffn`` those of ``linear``, ``relu`` and ``linear``.
+    ``shared`` passes one weight as both of bilinear's."""
     rng = np.random.default_rng(32)
-    b_sz, n, d, m = batch, 6, 8, 3
-    x0, wa0, wb0 = (rng.standard_normal(s) for s in ((b_sz, n, d), (d, m), (d, m)))
-    w0 = rng.standard_normal((b_sz, n, d))
+    shapes, fused_op, ref_op = _FUSED_OPS[op]
+    x0 = rng.standard_normal((batch, 6, 8))
+    leaves0 = [rng.standard_normal((batch,) + s[1:] if s[0] is None else s) for s in shapes]
+    w0 = rng.standard_normal((batch, 6, 8))
     results = []
     with ad.precision(dtype):
         for fused in (True, False):
-            x, wa = Tensor(x0, requires_grad=True), Tensor(wa0, requires_grad=True)
-            wb = wa if shared else Tensor(wb0, requires_grad=True)
+            x = Tensor(x0, requires_grad=True)
+            leaves = [Tensor(a, requires_grad=True) for a in leaves0]
+            if shared:
+                leaves[1] = leaves[0]
             with Tape() as tape:
-                if fused:
-                    scores = ad.bilinear(x, wa, wb)
-                else:
-                    scores = ad.matmul(ad.matmul(x, wa), ad.matmul(x, wb), transpose_b=True)
-                y = ad.add(x, ad.matmul(scores, x))
+                out = (fused_op if fused else ref_op)(x, *leaves)
+                n_op = len(tape.entries)
+                term = ad.matmul(out, x) if out.shape[-1] == x.shape[1] else out
+                y = ad.add(x, term)
                 loss = ad.tsum(ad.mul(y, Tensor(w0)))
-            n_entries = len(tape.entries)
             grads = ad.backward(tape, loss)
-            results.append(([a.tobytes() for a in (scores.data, y.data, grads[x], grads[wa],
-                                                   grads[wb])], n_entries))
+            results.append(([a.tobytes() for a in [out.data, y.data, grads[x]]
+                             + [grads[t] for t in leaves]], n_op))
     (fused_bytes, n_fused), (ref_bytes, n_ref) = results
     assert fused_bytes == ref_bytes
-    assert n_fused == n_ref - 2
+    assert n_fused == 1 < n_ref
 
 
 def test_bilinear_keeps_its_input_not_its_projections():
@@ -121,6 +120,28 @@ def test_bilinear_keeps_its_input_not_its_projections():
         ad.bilinear(Tensor(np.ones((6, 8))), wa, wb)
     with pytest.raises(DimensionError):
         ad.bilinear(x, wa, Tensor(np.ones((8, 4))))
+
+
+@pytest.mark.parametrize("op", ["query_bilinear", "mix", "ffn"])
+def test_fused_ops_keep_their_input_not_their_projections(op):
+    """The entry of ``query_bilinear``, ``mix`` and ``ffn`` holds x's array
+    itself and no projection of x: neither x @ w, (B, n, 3) or (B, n, 8), nor
+    ffn's (B, n, 5) hidden layer. Misshapen leaves raise ``DimensionError``."""
+    rng = np.random.default_rng(34)
+    shapes, fused_op, _ = _FUSED_OPS[op]
+    x = Tensor(rng.standard_normal((5, 6, 8)), requires_grad=True)
+    leaves = [Tensor(rng.standard_normal((5,) + s[1:] if s[0] is None else s),
+                     requires_grad=True) for s in shapes]
+    with Tape() as tape:
+        fused_op(x, *leaves)
+    [(_, inputs, backward_fn)] = tape.entries
+    assert set(inputs) == {x, *leaves}
+    held = [v for v in _captured(backward_fn) if isinstance(v, np.ndarray)]
+    assert any(v is x.data for v in held)
+    assert not any(v.shape in ((5, 6, 3), (5, 6, 5), (5, 6, 8)) and v is not x.data
+                   for v in held)
+    with pytest.raises(DimensionError):
+        fused_op(Tensor(np.ones((5, 6, 7))), *leaves)
 
 
 def test_softmax_symmetry():

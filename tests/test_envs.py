@@ -723,11 +723,13 @@ def test_maze_blank_quadrant_opens_the_interior_only():
 
 
 def test_level_item_must_lie_on_the_grid():
+    """The item and the agent's start both lie on the grid."""
     level = generate_level(KIND_DODGE, 0)
-    for item in ((-1, -1), (0, GRID), (GRID, 3)):
-        with pytest.raises(ValueError, match="outside"):
-            replace(level, item=item)
-    assert replace(level, item=(0, 0)).item == (0, 0)
+    for field in ("item", "agent_start"):
+        for cell in ((-1, -1), (0, GRID), (GRID, 3)):
+            with pytest.raises(ValueError, match=f"{field}.*outside"):
+                replace(level, **{field: cell})
+        assert getattr(replace(level, **{field: (0, 0)}), field) == (0, 0)
 
 
 def _assert_hazard_table(level):

@@ -172,12 +172,13 @@ def test_every_trunk_setting_works(field, value):
                 assert feats.shape == (2, D_TOKEN)
 
 
-@pytest.mark.parametrize("kind,entries", [("sparse_masked", 76), ("attention", 52)],
+@pytest.mark.parametrize("kind,entries", [("sparse_masked", 66), ("attention", 44)],
                          ids=["sparse_masked", "attention"])
 def test_train_mode_tape_length(kind, entries):
-    """The fused linear ops, one bilinear entry per score and mask-logit
-    product, mask sampling without a temperature entry and dense attention
-    keep the update tape this short."""
+    """The fused linear ops, one entry per score, mask-logit, value-mixing
+    and FFN product, mask sampling without a temperature entry, a path matrix
+    without a product with the identity and dense attention keep the update
+    tape this short."""
     policy = make_policy(kind, CFG, seed=4)
     obs = _obs_batch(4)
     with Tape() as tape:
@@ -185,18 +186,22 @@ def test_train_mode_tape_length(kind, entries):
     assert len(tape.entries) == entries
 
 
-@pytest.mark.parametrize("kind,bound_mb", [("sparse_masked", 16.0), ("attention", 13.0)],
+@pytest.mark.parametrize("kind,bound_mb", [("sparse_masked", 12.0), ("attention", 10.5)],
                          ids=["sparse_masked", "attention"])
 def test_train_step_traced_peak(kind, bound_mb):
     """A B=256 train-mode forward plus backward, as in one update shard, stays
     under a traced peak. Its tape keeps the arrays backward reads and the
     leaves, not every forward value, and backward frees each entry once it
-    has replayed it; conv2d keeps its input, not a patch copy, and the
-    scores and mask logits keep their tokens, not their projections. The
-    peaks are about 14.5 and 11.9 MB; keeping q, k, qm and km they were
-    about 17.5 and 13.9 MB, keeping every entry until backward returned and a
-    patch copy as well about 21.9 and 17.7 MB, and keeping every
-    intermediate Tensor as well about 36 and 28 MB."""
+    has replayed it; conv2d keeps its input, not a patch copy; every
+    projection of the tokens (scores, mask logits, values and the FFN's
+    hidden layer) keeps its tokens and recomputes the projection; and an
+    attention layer drops each Tensor the tape does not keep once read. The
+    peaks are about 10.2 and 8.6 MB; keeping v, the aggregation's k, v and
+    mask keys and the FFN hidden layer they were about 14.5 and 11.9 MB,
+    keeping q, k, qm and km as well about 17.5 and 13.9 MB, keeping every
+    entry until backward returned and a patch copy as well about 21.9 and
+    17.7 MB, and keeping every intermediate Tensor as well about 36 and
+    28 MB."""
     with ad.precision(np.float32):
         policy = make_policy(kind, CFG, seed=5)
         obs = np.tile(_obs_batch(8), (32, 1, 1, 1))
