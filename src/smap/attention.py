@@ -14,9 +14,10 @@ its values with ``ad.mix`` and every layer runs its FFN as ``ad.ffn``.
 
 Each of these ops keeps the tokens, which the tape holds anyway, and
 recomputes their projection in backward. One B = 256 update shard's traced
-peak is about 10.2 MB for the sparse agent and 8.6 MB for the dense one (14.5
-and 11.9 MB when the tape kept v, the aggregation's k, v and mask keys and
-the FFN hidden layer).
+peak is about 8.8 MB for the sparse agent and 6.8 MB for the dense one (10.2
+and 8.6 MB with the conv layers' outputs on the tape and ffn's backward
+holding its hidden layer; 14.5 and 11.9 MB when the tape also kept v, the
+aggregation's k, v and mask keys and the FFN hidden layer).
 
 The trunk runs as L+1 stages, the L layers and then the aggregation, and a
 mask has the layout of the attention weights it gates: one (B, n, n) per

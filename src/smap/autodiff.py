@@ -19,7 +19,10 @@ cheap, an op keeps the input and recomputes the product in its backward
   keeps x, not its keys;
 - ``mix``, the value mixing ``attn·(x·w)``, keeps the attention weights and
   x, not the values;
-- ``ffn``, ``relu(x·w1 + b1)·w2 + b2``, keeps x, not the hidden layer;
+- ``ffn``, ``relu(x·w1 + b1)·w2 + b2``, keeps x, not the hidden layer, and
+  its backward drops the rerun hidden layer before allocating its gradient;
+- ``conv_stack``, the tokenizer's two conv, bias and relu layers, keeps x
+  and the last relu pattern as a bool, and reruns the inner layer;
 - ``conv2d`` keeps its input, not a patch copy.
 
 Each fused op makes the numpy calls of the ops it stands for, in their order,
@@ -50,10 +53,10 @@ Importing the module also sets numpy's bundled OpenBLAS to one thread. The
 PPO update runs two half-minibatch shards on two Python threads, one tape
 each: the tape stack is per thread, node ids come from one atomic counter, and
 each shard's ``backward`` returns its own dict of leaf gradients, so the shared
-parameters are only read. A minibatch is bound by elementwise passes and
-Python, not GEMMs, so a second BLAS thread gains nothing serially; alongside a
-second shard it contends for the same cores and made the split slower than
-serial. Where numpy has no bundled OpenBLAS nothing is changed.
+parameters are only read. GEMMs are about 37% of a B=256 shard's time, but a
+second BLAS thread contends with the second shard for the same two cores: an
+update took 0.60-0.70 s at one BLAS thread and 1.27-1.65 s at two (2 vCPU).
+Where numpy has no bundled OpenBLAS nothing is changed.
 """
 
 from __future__ import annotations
@@ -597,11 +600,13 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     def bwd(g):
         hidden = hidden_layer()
         gw2 = _weight_grad(hidden, g) if w2_grad else None
+        on = hidden > 0
+        del hidden                                  # freed before dh is allocated
         gb2 = None if b2_shape is None else _unbroadcast(g.reshape(-1, g.shape[-1]), b2_shape)
         gx = gw1 = gb1 = None
         if x_grad or w1_grad or b1_grad:
             dh = _mm(g, w2d.T)
-            dh *= hidden > 0                        # the hidden layer's pre-relu gradient
+            dh *= on                                # the hidden layer's pre-relu gradient
             gx = _mm(dh, w1d.T) if x_grad else None
             gw1 = _weight_grad(xd, dh) if w1_grad else None
             gb1 = _unbroadcast(dh.reshape(-1, dh.shape[-1]), b1d.shape) if b1_grad else None
@@ -795,6 +800,39 @@ def _patch_matrix(xd: np.ndarray, k: int) -> np.ndarray:
     return tiles.transpose(3, 5, 1, 0, 2, 4).reshape(n_cols, n_rows).T
 
 
+def _tiled_conv(xd: np.ndarray, kd: np.ndarray, stride: int) -> np.ndarray:
+    """``conv2d``'s forward on arrays, in xd's dtype."""
+    if (xd.ndim != 4 or kd.ndim != 4 or xd.shape[1] != kd.shape[1] or stride != kd.shape[2]
+            or stride != kd.shape[3] or xd.shape[2] % stride or xd.shape[3] % stride):
+        raise DimensionError(
+            f"conv2d needs an image (B, C, H, W) and kernels (F, C, k, k) at stride k tiling "
+            f"it: image {xd.shape}, kernels {kd.shape}, stride {stride}")
+    b_sz, c_in, h, w = xd.shape
+    f_out, _, k, _ = kd.shape
+    # one 2-d GEMM of the patches against the reordered kernels gives (B*h2*w2, F)
+    wmat = kd.transpose(0, 2, 3, 1).reshape(f_out, k * k * c_in)
+    out = (_patch_matrix(xd, k) @ wmat.T).reshape(b_sz, h // k, w // k, f_out)
+    return out.transpose(0, 3, 1, 2).astype(xd.dtype, copy=False)
+
+
+def _tiled_conv_grads(g: np.ndarray, xd, kd: np.ndarray, x_grad: bool) -> tuple:
+    """``conv2d``'s (input, kernel) gradients for kernels kd: the input's if
+    x_grad, the kernels' if the input xd is not None."""
+    b_sz, f_out, h2, w2 = g.shape
+    _, c_in, k, _ = kd.shape
+    g_out = g.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
+    gx = gk = None
+    if xd is not None:
+        gk = (_patch_matrix(xd, k).T @ g_out).T.reshape(f_out, k, k, c_in).transpose(0, 3, 1, 2)
+    if x_grad:
+        # (b, i, j, di, dj, c) -> channels-last (b, i*k + di, j*k + dj, c)
+        wmat = kd.transpose(0, 2, 3, 1).reshape(f_out, k * k * c_in)
+        g_patches = (g_out @ wmat).reshape(b_sz, h2, w2, k, k, c_in)
+        gx = g_patches.transpose(0, 1, 3, 2, 4, 5).reshape(
+            b_sz, h2 * k, w2 * k, c_in).transpose(0, 3, 1, 2)
+    return gx, gk
+
+
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     """Tiled (unpadded, non-overlapping) convolution.
 
@@ -816,38 +854,42 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     The tape keeps the input array itself, which its producer or caller holds
     anyway, not a patch copy: the kernel gradient gathers the patches again.
     """
-    xd = x.data
-    if xd.ndim != 4 or kernels.ndim != 4:
-        raise DimensionError(f"conv2d expects image {x.shape} and kernels {kernels.shape}")
-    b_sz, c_in, h, w = xd.shape
-    f_out, c_k, k, kw = kernels.shape
-    if c_in != c_k:
-        raise DimensionError(f"conv2d channel mismatch: input {x.shape}, kernels {kernels.shape}")
-    if kw != k or stride != k or h % k or w % k:
-        raise DimensionError(
-            f"conv2d needs k x k kernels at stride k tiling the input: input {x.shape}, "
-            f"kernels {kernels.shape}, stride {stride}")
-    h2, w2 = h // k, w // k
-
-    # one 2-d GEMM of the patches against the reordered kernels gives (B*h2*w2, F)
-    wmat = kernels.data.transpose(0, 2, 3, 1).reshape(f_out, k * k * c_in)
-    out_data = (_patch_matrix(xd, k) @ wmat.T).reshape(b_sz, h2, w2, f_out).transpose(0, 3, 1, 2)
-    out = Tensor(out_data, dtype=x.data.dtype)
+    out_data = _tiled_conv(x.data, kernels.data, stride)
     # the kernel gradient reads the input, the input gradient the kernels
-    xd = xd if kernels.requires_grad else None
-    wmat = wmat if x.requires_grad else None
+    xd = x.data if kernels.requires_grad else None
+    kd, x_grad = kernels.data, x.requires_grad
+    return _emit(Tensor(out_data, dtype=x.data.dtype), (x, kernels),
+                 lambda g: _tiled_conv_grads(g, xd, kd, x_grad))
+
+
+def conv_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """``relu(conv2d(x, w, stride=k) + reshape(b, (F, 1, 1)))`` for each of the
+    tokenizer's two ``layers = [(w0, b0), (w1, b1)]`` in turn, in one tape
+    entry that keeps x and the last relu pattern as a bool: backward reruns
+    the inner layer. The numpy calls, relu patterns, gradient products and
+    ``DimensionError``s are those of the ops it stands for."""
+    (w0, b0), (w1, b1) = layers
+    xd, k0, k1 = x.data, w0.data, w1.data
+    c0, c1 = b0.data.reshape(len(k0), 1, 1), b1.data.reshape(len(k1), 1, 1)
+    x_grad, w0_grad, w1_grad = x.requires_grad, w0.requires_grad, w1.requires_grad
+
+    def layer(a, kd, bd, kinks=None):
+        pre = np.add(_tiled_conv(a, kd, kd.shape[-1]), bd)
+        if kinks is not None:
+            kinks.append(np.packbits(pre > 0))
+        return np.maximum(pre, 0)
+
+    out = layer(layer(xd, k0, c0, _KINK_CAPTURE), k1, c1, _KINK_CAPTURE)
+    on = out > 0
 
     def bwd(g):
-        g_out = g.transpose(0, 2, 3, 1).reshape(-1, f_out)       # (B*h2*w2, F)
-        gk = gx = None
-        if xd is not None:
-            pmat = _patch_matrix(xd, k)
-            gk = (pmat.T @ g_out).T.reshape(f_out, k, k, c_in).transpose(0, 3, 1, 2)
-        if wmat is not None:
-            # (b, i, j, di, dj, c) -> channels-last (b, i*k + di, j*k + dj, c)
-            g_patches = (g_out @ wmat).reshape(b_sz, h2, w2, k, k, c_in)
-            gx = g_patches.transpose(0, 1, 3, 2, 4, 5).reshape(
-                b_sz, h, w, c_in).transpose(0, 3, 1, 2)
-        return gx, gk
+        h = layer(xd, k0, c0)                       # the inner layer's output, rerun
+        g = g * on                                  # each relu's gradient
+        gb1 = _unbroadcast(g, c1.shape).reshape(-1)
+        g, gw1 = _tiled_conv_grads(g, h if w1_grad else None, k1, True)
+        g = g * (h > 0)
+        del h
+        gx, gw0 = _tiled_conv_grads(g, xd if w0_grad else None, k0, x_grad)
+        return gx, gw0, _unbroadcast(g, c0.shape).reshape(-1), gw1, gb1
 
-    return _emit(out, (x, kernels), bwd)
+    return _emit(Tensor(out, dtype=out.dtype), (x, w0, b0, w1, b1), bwd)

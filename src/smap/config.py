@@ -55,6 +55,8 @@ class PPOConfig:
         for name in ("rollout_len", "n_envs", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if not 0 <= self.seed < 2 ** 64:    # the streams keep 64 bits: -1 trains as 2**64-1
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.check_batch(self.rollout_len * self.n_envs)
         if self.total_timesteps < self.rollout_len * self.n_envs:
             raise ConfigError("total_timesteps must cover at least one rollout")

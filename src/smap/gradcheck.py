@@ -178,6 +178,7 @@ def primitive_cases(rng) -> dict[str, Callable[[], tuple[list[Tensor], Callable]
         "conv2d_strided": lambda: ([_t(rng, 1, 4, 4, 4), _t(rng, 2, 4, 2, 2)],
                                    scalar(lambda x, k: ad.conv2d(x, k, stride=2))),
         "conv2d_channels_last": lambda: _conv2d_channels_last_case(rng),
+        "conv_stack": lambda: _conv_stack_case(rng),
         "transpose": lambda: ([_t(rng, 3, 4)],
                               scalar(lambda a: ad.matmul(ad.transpose(a), a))),
         "reshape": lambda: ([_t(rng, 2, 6)],
@@ -212,6 +213,17 @@ def _ffn_case(rng):
             break
     w2, b2 = _t(rng, 5, 3), _t(rng, 3)
     return [x, w1, b1, w2, b2], lambda ts: ad.tsum(ad.square(ad.ffn(*ts)))
+
+
+def _conv_stack_case(rng):
+    # x takes gradients, as the input-masked agent's frame does; redrawn until
+    # every pre-activation is 0.1 or more from the relu's kink
+    while True:
+        ts = [_t(rng, *s) for s in ((1, 2, 4, 4), (3, 2, 2, 2), (3,), (2, 3, 2, 2), (2,))]
+        pre0 = ad._tiled_conv(ts[0].data, ts[1].data, 2) + ts[2].data[:, None, None]
+        pre1 = ad._tiled_conv(np.maximum(pre0, 0), ts[3].data, 2) + ts[4].data[:, None, None]
+        if min(np.abs(pre0).min(), np.abs(pre1).min()) > 0.1:
+            return ts, lambda ts: ad.tsum(ad.square(ad.conv_stack(ts[0], [ts[1:3], ts[3:]])))
 
 
 def _conv2d_channels_last_case(rng):

@@ -61,10 +61,8 @@ def init_extractor(rng: np.random.Generator) -> dict[str, Tensor]:
 
 def extract(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     """The conv stack, conv -> bias -> ReLU per layer, on a (B, C, H, W) batch."""
-    for i, filters in enumerate(FILTERS):
-        x = ad.conv2d(x, params[f"extractor.conv{i}.w"], stride=2)
-        x = ad.relu(ad.add(x, ad.reshape(params[f"extractor.conv{i}.b"], (filters, 1, 1))))
-    return x
+    return ad.conv_stack(x, [(params[f"extractor.conv{i}.w"], params[f"extractor.conv{i}.b"])
+                             for i in range(len(FILTERS))])
 
 
 def tokenize(obs: Tensor, params: dict[str, Tensor]) -> Tensor:

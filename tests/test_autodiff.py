@@ -46,8 +46,9 @@ def test_matmul_gradient_oracle(f64):
         assert err < 1e-6
 
 
-# op -> (shapes of the leaves after x (B, 6, 8), the fused op and the
-# composition it replaces, each from the leaves, x first, to the op's output)
+# op -> (shapes of the leaves after x (B, 6, 8), or (B, 4, 16, 16) for the
+# conv stack, the fused op and the composition it replaces, each from the
+# leaves, x first, to the op's output)
 _FUSED_OPS = {
     "bilinear": (((8, 3), (8, 3)), ad.bilinear,
                  lambda x, wa, wb: ad.matmul(ad.matmul(x, wa), ad.transpose(ad.matmul(x, wb)))),
@@ -57,7 +58,14 @@ _FUSED_OPS = {
             lambda x, attn, w: ad.matmul(attn, ad.matmul(x, w))),
     "ffn": (((8, 5), (5,), (5, 8), (8,)), ad.ffn,
             lambda x, w1, b1, w2, b2: ad.linear(ad.relu(ad.linear(x, w1, b1)), w2, b2)),
+    "conv_stack": (((16, 4, 2, 2), (16,), (32, 16, 2, 2), (32,)),
+                   lambda x, w0, b0, w1, b1: ad.conv_stack(x, [(w0, b0), (w1, b1)]),
+                   lambda x, w0, b0, w1, b1: _conv_relu(_conv_relu(x, w0, b0), w1, b1)),
 }
+
+
+def _conv_relu(x, w, b):
+    return ad.relu(ad.add(ad.conv2d(x, w, stride=2), ad.reshape(b, (b.shape[0], 1, 1))))
 
 
 @pytest.mark.parametrize(
@@ -103,6 +111,36 @@ def test_bilinear_equals_three_matmuls_byte_for_byte(op, dtype, batch, shared):
     assert n_fused == 1 < n_ref
 
 
+@pytest.mark.parametrize("dtype,batch", [(np.float32, 1), (np.float32, 5), (np.float64, 5)],
+                         ids=["float32-1", "float32-5", "float64-5"])
+def test_conv_stack_equals_its_composition_byte_for_byte(dtype, batch):
+    """``conv_stack`` gives the bytes of ``conv2d``, ``add`` of the reshaped
+    bias and ``relu`` per layer, forward, every gradient and the relu
+    patterns, in one tape entry, when x also feeds a second product."""
+    rng = np.random.default_rng(35)
+    shapes, fused_op, ref_op = _FUSED_OPS["conv_stack"]
+    x0 = rng.standard_normal((batch, 4, 16, 16))
+    leaves0 = [rng.standard_normal(s) for s in shapes]
+    w_out, w_x = rng.standard_normal((batch, 32, 4, 4)), rng.standard_normal(x0.shape)
+    results = []
+    with ad.precision(dtype):
+        for op in (fused_op, ref_op):
+            x = Tensor(x0, requires_grad=True)
+            leaves = [Tensor(a, requires_grad=True) for a in leaves0]
+            with ad.capture_kinks() as kinks, Tape() as tape:
+                out = op(x, *leaves)
+                n_op = len(tape.entries)
+                loss = ad.add(ad.tsum(ad.mul(out, Tensor(w_out))),
+                              ad.tsum(ad.mul(x, Tensor(w_x))))
+            grads = ad.backward(tape, loss)
+            results.append(([a.tobytes() for a in [out.data, grads[x]]
+                             + [grads[t] for t in leaves] + kinks.patterns], n_op))
+    (fused_bytes, n_fused), (ref_bytes, n_ref) = results
+    assert len(fused_bytes) == 2 + len(shapes) + 2
+    assert fused_bytes == ref_bytes
+    assert n_fused == 1 < n_ref
+
+
 def test_bilinear_keeps_its_input_not_its_projections():
     """The bilinear entry holds x's array itself and neither (B, n, m)
     projection; a 2-d x or unequal weight shapes raise ``DimensionError``."""
@@ -122,14 +160,17 @@ def test_bilinear_keeps_its_input_not_its_projections():
         ad.bilinear(x, wa, Tensor(np.ones((8, 4))))
 
 
-@pytest.mark.parametrize("op", ["query_bilinear", "mix", "ffn"])
+@pytest.mark.parametrize("op", ["query_bilinear", "mix", "ffn", "conv_stack"])
 def test_fused_ops_keep_their_input_not_their_projections(op):
     """The entry of ``query_bilinear``, ``mix`` and ``ffn`` holds x's array
     itself and no projection of x: neither x @ w, (B, n, 3) or (B, n, 8), nor
-    ffn's (B, n, 5) hidden layer. Misshapen leaves raise ``DimensionError``."""
+    ffn's (B, n, 5) hidden layer. The ``conv_stack`` entry holds x's array,
+    no (B, 16, 8, 8) inner layer output, and its (B, 32, 4, 4) output only as
+    the bool relu pattern. Misshapen leaves raise ``DimensionError``."""
     rng = np.random.default_rng(34)
     shapes, fused_op, _ = _FUSED_OPS[op]
-    x = Tensor(rng.standard_normal((5, 6, 8)), requires_grad=True)
+    x = Tensor(rng.standard_normal((5, 4, 16, 16) if op == "conv_stack" else (5, 6, 8)),
+               requires_grad=True)
     leaves = [Tensor(rng.standard_normal((5,) + s[1:] if s[0] is None else s),
                      requires_grad=True) for s in shapes]
     with Tape() as tape:
@@ -138,8 +179,12 @@ def test_fused_ops_keep_their_input_not_their_projections(op):
     assert set(inputs) == {x, *leaves}
     held = [v for v in _captured(backward_fn) if isinstance(v, np.ndarray)]
     assert any(v is x.data for v in held)
-    assert not any(v.shape in ((5, 6, 3), (5, 6, 5), (5, 6, 8)) and v is not x.data
-                   for v in held)
+    others = [v for v in held if v is not x.data]
+    if op == "conv_stack":
+        assert not any(v.shape == (5, 16, 8, 8) for v in others)
+        assert all(v.dtype == bool for v in others if v.shape == (5, 32, 4, 4))
+    else:
+        assert not any(v.shape in ((5, 6, 3), (5, 6, 5), (5, 6, 8)) for v in others)
     with pytest.raises(DimensionError):
         fused_op(Tensor(np.ones((5, 6, 7))), *leaves)
 
@@ -765,12 +810,17 @@ def test_every_checked_op_keeps_float32():
 
 
 def _captured(fn) -> list:
-    """The values a backward function's closure holds, through nested closures."""
-    held, todo = [], [fn]
+    """The values a backward function's closure holds, through nested closures
+    and the items of lists and tuples."""
+    held, todo = [], [cell.cell_contents for cell in fn.__closure__ or ()]
     while todo:
-        for cell in todo.pop().__closure__ or ():
-            v = cell.cell_contents
-            (todo if getattr(v, "__closure__", None) is not None else held).append(v)
+        v = todo.pop()
+        if isinstance(v, (list, tuple)):
+            todo.extend(v)
+        elif getattr(v, "__closure__", None) is not None:
+            todo.extend(cell.cell_contents for cell in v.__closure__)
+        else:
+            held.append(v)
     return held
 
 
